@@ -56,12 +56,12 @@ def _write_json(path: Path, payload: dict, resolved_config: dict):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header, rows):
+def _csv_text(rows):
+    """CSV text; strings and ints verbatim, every other cell as a round-trip float."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
     for row in rows:
-        writer.writerow([x if isinstance(x, str) else repr(x) for x in row])
+        writer.writerow([x if isinstance(x, (str, int)) else tr.float_text(x) for x in row])
     return buf.getvalue()
 
 
@@ -173,7 +173,7 @@ def cmd_embed_tree(config: dict, out: Path) -> int:
                              float(metric.dist[u, v]),
                              _embedded_distance(res, u, v, mode, c)))
         _write_text(out / f"pairs_{mode}.csv",
-                    _csv_text(["vertex_a", "vertex_b", "tree_dist", "embedded_dist"], rows))
+                    _csv_text([("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows]))
         tree_d = [r[2] for r in rows]
         emb_d = [r[3] for r in rows]
         _write_text(out / f"scatter_{mode}.svg",
@@ -260,17 +260,6 @@ def cmd_train(config: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _layout_from_params(params):
-    shapes = {k: tuple(v.shape) for k, v in params.items()}
-    slices = []
-    offset = 0
-    for sh in shapes.values():
-        size = int(np.prod(sh))
-        slices.append(slice(offset, offset + size))
-        offset += size
-    return tr.ParamLayout(tuple(shapes.keys()), tuple(shapes.values()), tuple(slices))
-
-
 def load_checkpoint(path):
     doc = json.loads(Path(path).read_text())
     enc = EncoderSpec(**doc["encoder"])
@@ -278,14 +267,9 @@ def load_checkpoint(path):
     variant = obj_doc.pop("variant", None)
     cfg = ObjectiveConfig(**obj_doc)
     params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
-    result = tr.TrainResult(params=params, layout=_layout_from_params(params), history=[])
+    layout = tr.layout_from_shapes({k: v.shape for k, v in params.items()})
+    result = tr.TrainResult(params=params, layout=layout, history=[])
     return result, enc, cfg, variant
-
-
-def _encode_with(params, enc, cfg, features):
-    layout = _layout_from_params(params)
-    vec = np.concatenate([params[k].ravel() for k in layout.names])
-    return np.asarray(tr.encode(vec, layout, enc, features))
 
 
 # eval ------------------------------------------------------------------------
@@ -323,8 +307,8 @@ def cmd_eval(config: dict, out: Path) -> int:
     }
     _write_json(out / "resolved_config.json", {"resolved": True}, resolved)
 
-    feats_train = _encode_with(result.params, enc, cfg, train_ds.features)
-    feats_eval = _encode_with(result.params, enc, cfg, eval_ds.features)
+    feats_train = tr.encode_dataset(result, enc, train_ds.features)
+    feats_eval = tr.encode_dataset(result, enc, eval_ds.features)
 
     if cpcc_distance == "native":
         cpcc_distance = cfg.cpcc_distance if cfg.alpha > 0 else "l2"
@@ -350,10 +334,9 @@ def cmd_eval(config: dict, out: Path) -> int:
         "n_eval": int(eval_ds.n),
     }, resolved)
     if emit_gram:
+        # headerless, so that spectra's matrix_csv reads it back with np.loadtxt
         K = sp.gram_matrix(feats_eval, eval_ds.labels, tree)
-        rows = [tuple(row) for row in K]
-        _write_text(out / "gram.csv",
-                    _csv_text([f"c{i}" for i in range(K.shape[0])], rows))
+        _write_text(out / "gram.csv", _csv_text(K))
     return EXIT_OK
 
 
@@ -406,14 +389,12 @@ def cmd_spectra(config: dict, out: Path) -> int:
                 rank += 1
         return rows
 
+    header = ("rank", "eigenvalue", "multiplicity_group")
     _write_text(out / "spectrum_numerical.csv",
-                _csv_text(["rank", "eigenvalue", "multiplicity_group"],
-                          spectrum_rows(numerical)))
+                _csv_text([header, *spectrum_rows(numerical)]))
     discrepancy = None
     if closed is not None:
-        _write_text(out / "spectrum_closed.csv",
-                    _csv_text(["rank", "eigenvalue", "multiplicity_group"],
-                              spectrum_rows(closed)))
+        _write_text(out / "spectrum_closed.csv", _csv_text([header, *spectrum_rows(closed)]))
         discrepancy = float(np.max(np.abs(closed.expand() - numerical.expand())))
     transitions = sp.phase_transition_detect(numerical, top_k=int(top_k))
     _write_json(out / "report.json", {
@@ -492,9 +473,9 @@ def cmd_oodsim(config: dict, out: Path) -> int:
     for method, ckpt in methods_doc.items():
         if not Path(ckpt).exists():
             _fail(f"checkpoint not found: {ckpt}")
-        result, enc, cfg, _ = load_checkpoint(ckpt)
-        f_train = _encode_with(result.params, enc, cfg, id_train.features)
-        f_eval = _encode_with(result.params, enc, cfg, id_eval.features)
+        result, enc, _, _ = load_checkpoint(ckpt)
+        f_train = tr.encode_dataset(result, enc, id_train.features)
+        f_eval = tr.encode_dataset(result, enc, id_eval.features)
         if raw_features:
             transform = None
             train_feats, eval_feats = f_train, f_eval
@@ -506,7 +487,7 @@ def cmd_oodsim(config: dict, out: Path) -> int:
         id_scores = dg.mahalanobis_scores(eval_feats, fit)
         table[method] = {}
         for name, rows in ood_inputs.items():
-            f_ood = _encode_with(result.params, enc, cfg, rows)
+            f_ood = tr.encode_dataset(result, enc, rows)
             ood_feats = transform.apply(f_ood) if transform is not None else f_ood
             ood_scores = dg.mahalanobis_scores(ood_feats, fit)
             table[method][name] = dg.auroc(id_scores, ood_scores)
@@ -517,8 +498,8 @@ def cmd_oodsim(config: dict, out: Path) -> int:
         payload["borda"] = dg.borda_count(table)
     _write_json(out / "auroc.json", payload, resolved)
     _write_text(out / "score_histograms.csv",
-                _csv_text(["method", "ood_set", "bin_left", "bin_right",
-                           "id_count", "ood_count"], hist_rows))
+                _csv_text([("method", "ood_set", "bin_left", "bin_right",
+                            "id_count", "ood_count"), *hist_rows]))
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import geometry as geo
+from . import autodiff as ad
 from . import objective as obj
 from .errors import (
     DegenerateVariance,
@@ -19,7 +19,7 @@ from .errors import (
     SingularAfterRegularization,
     ZeroDiameter,
 )
-from .hierarchy import LabelTree, tree_metric
+from .hierarchy import LabelTree
 
 EXACT_DELTA_MAX_N = 400
 
@@ -135,36 +135,17 @@ def test_cpcc(features, labels, tree: LabelTree, distance_mode: str = "l2",
 
     ``distance_mode="l2"`` uses Euclidean centroids and distances;
     ``"poincare"`` exp-maps samples, Klein-averages them per class, and uses
-    the Poincare distance with curvature ``c``.
+    the Poincare distance with curvature ``c``.  This is the leaf-only CPCC
+    term of the training objective, evaluated on plain arrays; fewer than
+    three present classes raise InsufficientVertices.
     """
+    cfg = obj.ObjectiveConfig(c=c, tree_scope="leaf_only", cpcc_distance=distance_mode)
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    present_classes = np.unique(labels)
-    k = present_classes.size
-    if k * (k - 1) // 2 < obj.MIN_CPCC_PAIRS:
-        raise DegenerateVariance(f"{k} present classes give fewer than "
-                                 f"{obj.MIN_CPCC_PAIRS} pairs")
-    tm = tree_metric(tree)
-    leaf_ids = np.array([tree.leaf_of_class(int(kk)) for kk in present_classes])
-    ii, jj = np.triu_indices(k, 1)
-    tdist = tm.dist[leaf_ids[ii], leaf_ids[jj]]
-    protos = []
-    for kk in present_classes:
-        rows = features[labels == kk]
-        if distance_mode == "poincare":
-            ball = geo.exp0(rows, c)
-            klein = geo.to_klein(ball, c)
-            protos.append(np.asarray(geo.to_poincare(geo.einstein_mid(klein, c), c)))
-        elif distance_mode == "l2":
-            protos.append(rows.mean(axis=0))
-        else:
-            raise ValueError("distance_mode must be 'l2' or 'poincare'")
-    protos = np.stack(protos)
-    if distance_mode == "poincare":
-        fdist = np.asarray(geo.dist_rows(protos[ii], protos[jj], c))
-    else:
-        fdist = np.linalg.norm(protos[ii] - protos[jj], axis=1)
-    return obj.cpcc(tdist, fdist)
+    with np.errstate(invalid="ignore"):
+        value = float(ad.val(obj.cpcc_term_core(features, labels, tree, cfg)))
+    if np.isnan(value):
+        raise DegenerateVariance("prototype distances are constant or non-finite")
+    return value
 
 
 def knn_classify(train_feats, train_labels, query_feats, k: int,

@@ -115,6 +115,12 @@ class LabelTree:
         for i in range(n):
             self._subtree_classes[i] = tuple(self._collect_classes(i))
 
+        # membership[v, k] = 1 iff fine class k is a leaf under vertex v
+        self.membership = np.zeros((n, self.n_classes))
+        for i, classes in enumerate(self._subtree_classes):
+            self.membership[i, list(classes)] = 1.0
+        self.membership.setflags(write=False)
+
     def _collect_classes(self, v):
         stack = [v]
         out = []

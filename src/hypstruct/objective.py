@@ -162,22 +162,20 @@ def scope_vertices(tree: LabelTree, scope: str):
 
 def present_vertices(tree: LabelTree, labels, scope: str):
     """In-scope vertices with at least one descendant-leaf sample."""
-    labels = np.asarray(labels)
-    batch_classes = set(int(k) for k in np.unique(labels))
-    out = []
-    for v in scope_vertices(tree, scope):
-        if batch_classes.intersection(tree.subtree_class_indices(v)):
-            out.append(v)
-    return out
+    vids = np.asarray(scope_vertices(tree, scope))
+    in_batch = np.bincount(np.asarray(labels), minlength=tree.n_classes) > 0
+    return vids[tree.membership[vids] @ in_batch > 0].tolist()
 
 
-def _vertex_sample_indices(tree, labels, vertices):
-    labels = np.asarray(labels)
-    out = []
-    for v in vertices:
-        classes = tree.subtree_class_indices(v)
-        out.append(np.flatnonzero(np.isin(labels, classes)))
-    return out
+def _group_matrix(tree, labels, vertices):
+    """Constant (vertices, samples) 0/1 matrix: sample j descends from vertex i."""
+    return tree.membership[vertices][:, np.asarray(labels)]
+
+
+def euclidean_prototype_rows(features, labels, tree, vertices):
+    """Euclidean means of each vertex's descendant samples, one row per vertex."""
+    groups = _group_matrix(tree, labels, vertices)
+    return ad.matmul(groups / groups.sum(axis=1, keepdims=True), features)
 
 
 def _map_rows(rows, cfg):
@@ -192,23 +190,11 @@ def prototype_rows(features, labels, tree, cfg, vertices):
     klein_average: exp-map every sample, Einstein-average the descendants.
     euclidean_then_map: Euclidean descendant mean, then exp map or clip.
     """
-    index_sets = _vertex_sample_indices(tree, labels, vertices)
     if cfg.centroid_mode == "klein_average":
-        ball = geo.exp0(features, cfg.c)
-        klein = geo.to_klein(ball, cfg.c)
-        gamma = geo.lorentz_gamma(klein, cfg.c)
-        protos = []
-        for idx in index_sets:
-            kv = ad.take(klein, idx)
-            gv = ad.take(gamma, idx)
-            mid = ad.sum(gv * kv, axis=0) / ad.sum(gv)
-            protos.append(geo.to_poincare(mid, cfg.c))
-        return ad.stack(protos, axis=0)
-    protos = []
-    for idx in index_sets:
-        centroid = ad.mean(ad.take(features, idx), axis=0)
-        protos.append(_map_rows(centroid, cfg))
-    return ad.stack(protos, axis=0)
+        klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
+        groups = _group_matrix(tree, labels, vertices)
+        return geo.to_poincare(geo.einstein_mid(klein, cfg.c, groups), cfg.c)
+    return _map_rows(euclidean_prototype_rows(features, labels, tree, vertices), cfg)
 
 
 def hyp_prototypes(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> Prototypes:
@@ -219,12 +205,6 @@ def hyp_prototypes(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> Proto
     rows = np.asarray(ad.val(prototype_rows(batch.features, batch.labels, tree, cfg, present)))
     points = {v: PoincarePoint(rows[i], cfg.c) for i, v in enumerate(present)}
     return Prototypes(points=points, present=frozenset(present))
-
-
-def euclidean_prototype_rows(features, labels, tree, vertices):
-    index_sets = _vertex_sample_indices(tree, labels, vertices)
-    protos = [ad.mean(ad.take(features, idx), axis=0) for idx in index_sets]
-    return ad.stack(protos, axis=0)
 
 
 def _pair_indices(k):
@@ -275,14 +255,13 @@ def l2_cpcc_loss(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> float:
 
 def centering_core(features, cfg):
     if cfg.centroid_mode == "klein_average":
-        ball = geo.exp0(features, cfg.c)
-        klein = geo.to_klein(ball, cfg.c)
-        mid = geo.einstein_mid(klein, cfg.c)
-        root = geo.to_poincare(mid, cfg.c)
+        klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
+        everyone = np.ones((1, ad.val(features).shape[0]))
+        root = geo.to_poincare(geo.einstein_mid(klein, cfg.c, everyone), cfg.c)
     else:
         # valid surrogate for the exp-mapped norm by monotonicity of tanh
         root = ad.mean(features, axis=0)
-    return ad.sqrt(ad.maximum(geo.sq_norm(root), 1e-300))
+    return ad.sqrt(ad.maximum(geo.sq_norm(root, axis=None), 1e-300))
 
 
 def centering_loss(batch: Batch, cfg: ObjectiveConfig) -> float:
@@ -356,20 +335,21 @@ def supcon_loss(embeddings, labels, tau) -> float:
 # composite -----------------------------------------------------------------------
 
 def composite_core(features, labels, tree, cfg, flat: FlatInputs, metric=None):
-    """flat - alpha * cpcc + beta * center on the tape; errors propagate."""
+    """``(flat - alpha * cpcc + beta * center, flat)`` on the tape; errors propagate."""
     if cfg.flat_loss == "cross_entropy":
         if flat.logits is None:
             raise ValueError("cross_entropy flat loss requires logits")
-        total = cross_entropy_core(flat.logits, labels)
+        flat_term = cross_entropy_core(flat.logits, labels)
     else:
         if flat.embeddings is None:
             raise ValueError("supcon flat loss requires embeddings")
-        total = supcon_core(flat.embeddings, labels, cfg.tau)
+        flat_term = supcon_core(flat.embeddings, labels, cfg.tau)
+    total = flat_term
     if cfg.alpha > 0:
         total = total - cfg.alpha * cpcc_term_core(features, labels, tree, cfg, metric)
     if cfg.beta > 0:
         total = total + cfg.beta * centering_core(features, cfg)
-    return total
+    return total, flat_term
 
 
 def composite_objective(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig,
@@ -379,7 +359,8 @@ def composite_objective(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig,
         norms = np.linalg.norm(np.asarray(ad.val(flat_inputs.embeddings)), axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise UnnormalizedInput("supcon embeddings must be unit-norm rows")
-    return float(ad.val(composite_core(batch.features, batch.labels, tree, cfg, flat_inputs)))
+    total, _ = composite_core(batch.features, batch.labels, tree, cfg, flat_inputs)
+    return float(ad.val(total))
 
 
 # gradient --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import io
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -164,13 +164,19 @@ def generate_hierarchical_gaussians(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(np.vstack(rows), np.array(labels), view2=np.vstack(rows2))
 
 
+def float_text(x) -> str:
+    """Shortest text that reads back to the same float, for numpy scalars too."""
+    return repr(float(x))
+
+
 def save_dataset_csv(path, dataset: LabeledDataset, tree: LabelTree):
     """CSV with header label,f0,...,f{d-1}; labels are leaf names."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
         for row, lab in zip(dataset.features, dataset.labels):
-            writer.writerow([tree.names[tree.leaf_of_class(int(lab))]] + [repr(x) for x in row])
+            writer.writerow([tree.names[tree.leaf_of_class(int(lab))]]
+                            + [float_text(x) for x in row])
 
 
 def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
@@ -213,7 +219,8 @@ class ParamLayout:
                                for n in self.names])
 
 
-def _layout(shapes: dict) -> ParamLayout:
+def layout_from_shapes(shapes: dict) -> ParamLayout:
+    """Flat-vector layout of named tensors, packed in the dict's order."""
     names, shps, slices = [], [], []
     offset = 0
     for name, shape in shapes.items():
@@ -242,7 +249,7 @@ def build_layout(enc: EncoderSpec, cfg: ObjectiveConfig, n_classes: int) -> Para
         proj = min(enc.output_dim, PROJECTION_WIDTH_CAP)
         shapes["proj.w"] = (enc.output_dim, proj)
         shapes["proj.b"] = (proj,)
-    return _layout(shapes)
+    return layout_from_shapes(shapes)
 
 
 def init_params(layout: ParamLayout, seed: int) -> np.ndarray:
@@ -310,8 +317,8 @@ def history_to_csv(history) -> str:
     writer = csv.writer(buf)
     writer.writerow(["epoch", "flat", "cpcc", "center", "lr"])
     for row in history:
-        writer.writerow([row.epoch, repr(row.flat), repr(row.cpcc),
-                         repr(row.center), repr(row.lr)])
+        writer.writerow([row.epoch] + [float_text(x) for x in
+                                       (row.flat, row.cpcc, row.center, row.lr)])
     return buf.getvalue()
 
 
@@ -344,25 +351,21 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
                 xb = np.vstack([xb, dataset.view2[idx]])
                 yb = np.concatenate([yb, yb])
 
-            alpha_eff = cfg.alpha
+            step_cfg = cfg
             if cfg.alpha > 0:
                 present = obj.present_vertices(tree, yb, cfg.tree_scope)
                 k = len(present)
                 if k * (k - 1) // 2 < obj.MIN_CPCC_PAIRS:
-                    alpha_eff = 0.0
+                    step_cfg = replace(cfg, alpha=0.0)
                     skipped += 1
 
             leaf = ad.Node(params)
             feats = encode(leaf, layout, enc, xb)
             if cfg.flat_loss == "cross_entropy":
-                flat_term = obj.cross_entropy_core(class_logits(leaf, layout, feats), yb)
+                flat = FlatInputs(logits=class_logits(leaf, layout, feats))
             else:
-                flat_term = obj.supcon_core(project_embeddings(leaf, layout, feats), yb, cfg.tau)
-            total = flat_term
-            if alpha_eff > 0:
-                total = total - alpha_eff * obj.cpcc_term_core(feats, yb, tree, cfg, metric)
-            if cfg.beta > 0:
-                total = total + cfg.beta * obj.centering_core(feats, cfg)
+                flat = FlatInputs(embeddings=project_embeddings(leaf, layout, feats))
+            total, flat_term = obj.composite_core(feats, yb, tree, step_cfg, flat, metric)
 
             value = float(ad.val(total))
             if not np.isfinite(value):

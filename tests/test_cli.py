@@ -1,0 +1,62 @@
+"""End-to-end CLI pipelines on a small tree: read-back and determinism."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from hypstruct import cli
+from hypstruct.hierarchy import balanced_tree
+
+TREE = json.loads(balanced_tree((1, 2, 4)).serialize())
+DATA = {"synthetic": {"n_per_leaf": 10, "dim": 4}}
+TRAIN = {
+    "hierarchy": TREE, "seed": 3, "dataset": DATA,
+    "encoder": {"hidden_dim": 8, "output_dim": 4},
+    "objective": {"variant": "hypstructure"},
+    "train": {"epochs": 3, "batch_size": 16},
+}
+
+
+def run(command, config, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / name
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    return run("train", TRAIN, tmp_path_factory.mktemp("cli"), "train")
+
+
+def test_history_cells_read_back_as_floats(trained):
+    with open(trained / "history.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "flat", "cpcc", "center", "lr"]
+    assert len(rows) == 1 + TRAIN["train"]["epochs"]
+    for row in rows[1:]:
+        assert all(np.isfinite(float(x)) for x in row)
+
+
+def test_train_eval_spectra_pipeline(trained, tmp_path):
+    held_out = {"synthetic": {"seed": 3, "noise_seed": 13, "n_per_leaf": 5, "dim": 4}}
+    evaluated = run("eval", {"hierarchy": TREE, "seed": 3,
+                             "checkpoint": str(trained / "checkpoint.json"),
+                             "train_dataset": DATA, "eval_dataset": held_out,
+                             "knn_k": 5, "gram_csv": True}, tmp_path, "eval")
+    gram = np.loadtxt(evaluated / "gram.csv", delimiter=",")
+    assert gram.shape == (20, 20)
+    spectra = run("spectra", {"matrix_csv": str(evaluated / "gram.csv")}, tmp_path, "spectra")
+    report = json.loads((spectra / "report.json").read_text())
+    assert report["n"] == 20
+
+
+def test_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
+    again = run("train", TRAIN, tmp_path, "again")
+    names = sorted(p.name for p in trained.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (trained / name).read_bytes() == (again / name).read_bytes(), name

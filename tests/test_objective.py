@@ -138,6 +138,110 @@ class TestPrototypes:
         np.testing.assert_allclose(protos.points[self.tree.root].coords, 0.0, atol=1e-12)
 
 
+def reference_present_vertices(tree, labels, scope):
+    """Per-vertex loop: keep a vertex when the batch holds one of its classes."""
+    batch_classes = set(int(k) for k in np.unique(labels))
+    return [v for v in obj.scope_vertices(tree, scope)
+            if batch_classes.intersection(tree.subtree_class_indices(v))]
+
+
+def reference_sample_indices(tree, labels, vertices):
+    return [np.flatnonzero(np.isin(labels, tree.subtree_class_indices(v))) for v in vertices]
+
+
+def reference_euclidean_rows(features, labels, tree, vertices):
+    return np.stack([features[idx].mean(axis=0)
+                     for idx in reference_sample_indices(tree, labels, vertices)])
+
+
+def reference_prototype_rows(features, labels, tree, cfg, vertices):
+    """Per-vertex loop: one Einstein midpoint or one mapped mean per vertex."""
+    protos = []
+    if cfg.centroid_mode == "klein_average":
+        klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
+        gamma = geo.lorentz_gamma(klein, cfg.c)
+        for idx in reference_sample_indices(tree, labels, vertices):
+            mid = np.sum(gamma[idx] * klein[idx], axis=0) / np.sum(gamma[idx])
+            protos.append(geo.to_poincare(mid, cfg.c))
+    else:
+        for centroid in reference_euclidean_rows(features, labels, tree, vertices):
+            if cfg.map_mode == "clip":
+                protos.append(geo.clip0(centroid, cfg.c, cfg.clip_epsilon))
+            else:
+                protos.append(geo.exp0(centroid, cfg.c))
+    return np.stack(protos)
+
+
+def partial_batch(rng, tree, n=24, dim=3, scale=0.6):
+    """Random batch whose labels leave out at least two fine classes."""
+    kept = rng.choice(tree.n_classes, size=int(rng.integers(2, tree.n_classes - 1)),
+                      replace=False)
+    labels = rng.choice(kept, size=n)
+    return rng.standard_normal((n, dim)) * scale, labels
+
+
+PROTOTYPE_VARIANTS = [
+    {"centroid_mode": "klein_average"},
+    {"centroid_mode": "euclidean_then_map"},
+    {"centroid_mode": "euclidean_then_map", "map_mode": "clip", "c": 4.0},
+]
+
+
+class TestPrototypeOracle:
+    """The membership-matrix prototypes against the per-vertex loops."""
+
+    tree = hi.balanced_tree((1, 2, 4, 8))
+
+    @pytest.mark.parametrize("scope", obj.TREE_SCOPES)
+    def test_present_vertices(self, scope):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            _, labels = partial_batch(rng, self.tree)
+            assert len(np.unique(labels)) < self.tree.n_classes
+            assert (obj.present_vertices(self.tree, labels, scope)
+                    == reference_present_vertices(self.tree, labels, scope))
+
+    @pytest.mark.parametrize("variant", PROTOTYPE_VARIANTS)
+    @pytest.mark.parametrize("scope", obj.TREE_SCOPES)
+    def test_prototype_rows(self, scope, variant):
+        rng = np.random.default_rng(21)
+        cfg = obj.ObjectiveConfig(tree_scope=scope, **variant)
+        for _ in range(20):
+            feats, labels = partial_batch(rng, self.tree)
+            present = obj.present_vertices(self.tree, labels, scope)
+            got = obj.prototype_rows(feats, labels, self.tree, cfg, present)
+            want = reference_prototype_rows(feats, labels, self.tree, cfg, present)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scope", obj.TREE_SCOPES)
+    def test_euclidean_prototype_rows(self, scope):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            feats, labels = partial_batch(rng, self.tree, scale=3.0)
+            present = obj.present_vertices(self.tree, labels, scope)
+            got = obj.euclidean_prototype_rows(feats, labels, self.tree, present)
+            want = reference_euclidean_rows(feats, labels, self.tree, present)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", PROTOTYPE_VARIANTS[:2])
+    @pytest.mark.parametrize("scope", obj.TREE_SCOPES)
+    def test_prototype_gradient(self, scope, variant):
+        rng = np.random.default_rng(23)
+        cfg = obj.ObjectiveConfig(tree_scope=scope, **variant)
+        feats, labels = partial_batch(rng, self.tree, n=12, dim=2)
+        present = obj.present_vertices(self.tree, labels, scope)
+        weights = rng.standard_normal((len(present), 2))
+
+        def closure(p):
+            rows = obj.prototype_rows(ad.reshape(p, feats.shape), labels, self.tree, cfg,
+                                      present)
+            return ad.sum(rows * weights)
+
+        g = obj.gradient(closure, feats.ravel())
+        want = central_difference(lambda v: float(ad.val(closure(v))), feats.ravel())
+        assert np.max(np.abs(g - want) / np.maximum(np.abs(want), 1e-4)) <= 1e-4
+
+
 class TestCpccLosses:
     def setup_method(self):
         self.tree = hi.builtin_cifar10_tree()
@@ -376,8 +480,9 @@ class TestGradient:
             def closure(p):
                 feats = ad.reshape(p, (n, dim))
                 logits = ad.matmul(feats, logits_w)
-                return obj.composite_core(feats, labels, tree, cfg,
-                                          obj.FlatInputs(logits=logits))
+                total, _ = obj.composite_core(feats, labels, tree, cfg,
+                                              obj.FlatInputs(logits=logits))
+                return total
 
             params = feats0.ravel()
             g, nondiff = obj.gradient(closure, params, return_nondifferentiable=True)
@@ -396,8 +501,9 @@ class TestGradient:
         def closure(p):
             feats = ad.reshape(p, (4, 2))
             logits = ad.matmul(feats, np.eye(2, 4))
-            return obj.composite_core(feats, labels, tree, cfg,
-                                      obj.FlatInputs(logits=logits))
+            total, _ = obj.composite_core(feats, labels, tree, cfg,
+                                          obj.FlatInputs(logits=logits))
+            return total
 
         _, nondiff = obj.gradient(closure, feats0.ravel(), return_nondifferentiable=True)
         assert nondiff
