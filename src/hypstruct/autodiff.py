@@ -8,44 +8,39 @@ for both plain evaluation and differentiation.
 
 Boundary handling: ``atanh`` clamps its argument to ``ATANH_MAX`` before
 evaluation, and the ball clip used by the geometry layer reports when its
-rescale branch fires.  Both kinds of event are counted per-thread so a caller
-can tell whether a just-computed gradient crossed a non-smooth point.
+rescale branch fires.  Both kinds of event are counted in module-level
+counters so a caller can tell whether a just-computed gradient crossed a
+non-smooth point.  The package is single-threaded; the counters are not
+guarded against concurrent use.
+
+Fused operations (the geometry maps, the Poincare distance, CPCC) build one
+node with a hand-written vector-Jacobian product through :func:`make_node`
+instead of one node per elementary step.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 ATANH_MAX = 1.0 - 1e-15
 
-
-class _Events(threading.local):
-    """Per-thread counters for non-smooth branch activations."""
-
-    def __init__(self):
-        self.atanh_clamps = 0
-        self.clip_rescales = 0
-
-
-_events = _Events()
-
-# Cumulative, process-wide atanh clamp diagnostic (never reset by gradient
-# evaluation; guarded because geometry ops may run from many threads).
-_clamp_lock = threading.Lock()
+# Non-smooth branch activations since the last reset_events().
+_atanh_clamps = 0
+_clip_rescales = 0
+# Cumulative process-wide atanh clamp diagnostic (never reset).
 _total_atanh_clamps = 0
 
 
 def reset_events():
-    """Zero the per-thread non-smooth event counters."""
-    _events.atanh_clamps = 0
-    _events.clip_rescales = 0
+    """Zero the non-smooth event counters."""
+    global _atanh_clamps, _clip_rescales
+    _atanh_clamps = 0
+    _clip_rescales = 0
 
 
 def events_active():
-    """True if any clamp/clip event happened on this thread since the last reset."""
-    return _events.atanh_clamps > 0 or _events.clip_rescales > 0
+    """True if any clamp/clip event happened since the last reset."""
+    return _atanh_clamps > 0 or _clip_rescales > 0
 
 
 def total_atanh_clamps():
@@ -54,15 +49,15 @@ def total_atanh_clamps():
 
 
 def _record_atanh_clamps(count):
-    global _total_atanh_clamps
-    _events.atanh_clamps += count
-    with _clamp_lock:
-        _total_atanh_clamps += count
+    global _atanh_clamps, _total_atanh_clamps
+    _atanh_clamps += count
+    _total_atanh_clamps += count
 
 
 def record_clip_rescales(count):
     """Called by the geometry clip when its rescale branch fires."""
-    _events.clip_rescales += count
+    global _clip_rescales
+    _clip_rescales += count
 
 
 class Node:
@@ -155,7 +150,7 @@ def detach(x):
     return np.array(val(x))
 
 
-def _unbroadcast(g, shape):
+def unbroadcast(g, shape):
     """Sum ``g`` down to ``shape`` (the reverse of numpy broadcasting)."""
     if g.shape == shape:
         return g
@@ -168,37 +163,59 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _make(value, *pairs):
-    """Build a Node keeping only the parents that are Nodes."""
+def make_node(value, *pairs):
+    """Node of ``value`` over ``(parent, vjp)`` pairs, keeping only Node parents.
+
+    ``vjp`` maps the output gradient to that parent's gradient contribution;
+    fused operations use this to put one node on the tape.
+    """
     parents = tuple((p, vjp) for p, vjp in pairs if isinstance(p, Node))
     return Node(value, parents)
+
+
+def make_joint_node(value, parents, vjp):
+    """Node whose ``vjp(g)`` returns one gradient per parent, computed once.
+
+    The backward pass asks each parent's share with the same ``g`` object, so
+    the tuple is kept for that ``g`` and reused.
+    """
+    memo = [None, None]
+
+    def share(i):
+        def one(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, vjp(g)
+            return memo[1][i]
+        return one
+
+    return make_node(value, *[(p, share(i)) for i, p in enumerate(parents)])
 
 
 def add(a, b):
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return np.add(val(a), val(b))
     va, vb = val(a), val(b)
-    return _make(va + vb,
-                 (a, lambda g, s=va.shape: _unbroadcast(g, s)),
-                 (b, lambda g, s=vb.shape: _unbroadcast(g, s)))
+    return make_node(va + vb,
+                     (a, lambda g, s=va.shape: unbroadcast(g, s)),
+                     (b, lambda g, s=vb.shape: unbroadcast(g, s)))
 
 
 def sub(a, b):
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return np.subtract(val(a), val(b))
     va, vb = val(a), val(b)
-    return _make(va - vb,
-                 (a, lambda g, s=va.shape: _unbroadcast(g, s)),
-                 (b, lambda g, s=vb.shape: _unbroadcast(-g, s)))
+    return make_node(va - vb,
+                     (a, lambda g, s=va.shape: unbroadcast(g, s)),
+                     (b, lambda g, s=vb.shape: unbroadcast(-g, s)))
 
 
 def mul(a, b):
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return np.multiply(val(a), val(b))
     va, vb = val(a), val(b)
-    return _make(va * vb,
-                 (a, lambda g, o=vb, s=va.shape: _unbroadcast(g * o, s)),
-                 (b, lambda g, o=va, s=vb.shape: _unbroadcast(g * o, s)))
+    return make_node(va * vb,
+                     (a, lambda g, o=vb, s=va.shape: unbroadcast(g * o, s)),
+                     (b, lambda g, o=va, s=vb.shape: unbroadcast(g * o, s)))
 
 
 def div(a, b):
@@ -206,9 +223,9 @@ def div(a, b):
         return np.divide(val(a), val(b))
     va, vb = val(a), val(b)
     out = va / vb
-    return _make(out,
-                 (a, lambda g, o=vb, s=va.shape: _unbroadcast(g / o, s)),
-                 (b, lambda g, o=vb, y=out, s=vb.shape: _unbroadcast(-g * y / o, s)))
+    return make_node(out,
+                     (a, lambda g, o=vb, s=va.shape: unbroadcast(g / o, s)),
+                     (b, lambda g, o=vb, y=out, s=vb.shape: unbroadcast(-g * y / o, s)))
 
 
 def power(a, p):
@@ -216,8 +233,8 @@ def power(a, p):
     if not isinstance(a, Node):
         return np.power(val(a), p)
     va = a.value
-    return _make(np.power(va, p),
-                 (a, lambda g, x=va: g * p * np.power(x, p - 1)))
+    return make_node(np.power(va, p),
+                     (a, lambda g, x=va: g * p * np.power(x, p - 1)))
 
 
 def matmul(a, b):
@@ -226,22 +243,22 @@ def matmul(a, b):
     va, vb = val(a), val(b)
     if va.ndim != 2 or vb.ndim != 2:
         raise ValueError("matmul on the tape supports 2-D operands only")
-    return _make(va @ vb,
-                 (a, lambda g, o=vb: g @ o.T),
-                 (b, lambda g, o=va: o.T @ g))
+    return make_node(va @ vb,
+                     (a, lambda g, o=vb: g @ o.T),
+                     (b, lambda g, o=va: o.T @ g))
 
 
 def transpose(a):
     if not isinstance(a, Node):
         return np.transpose(val(a))
-    return _make(a.value.T, (a, lambda g: g.T))
+    return make_node(a.value.T, (a, lambda g: g.T))
 
 
 def reshape(a, shape):
     if not isinstance(a, Node):
         return np.reshape(val(a), shape)
     old = a.value.shape
-    return _make(a.value.reshape(shape), (a, lambda g, s=old: g.reshape(s)))
+    return make_node(a.value.reshape(shape), (a, lambda g, s=old: g.reshape(s)))
 
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
@@ -260,7 +277,7 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
                 gg = np.expand_dims(gg, i)
         return np.broadcast_to(gg, shape).copy()
 
-    return _make(np.sum(va, axis=axis, keepdims=keepdims), (a, vjp))
+    return make_node(np.sum(va, axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def mean(a, axis=None, keepdims=False):
@@ -279,7 +296,7 @@ def tanh(a):
     if not isinstance(a, Node):
         return np.tanh(val(a))
     y = np.tanh(a.value)
-    return _make(y, (a, lambda g, yy=y: g * (1.0 - yy * yy)))
+    return make_node(y, (a, lambda g, yy=y: g * (1.0 - yy * yy)))
 
 
 def atanh(a):
@@ -301,28 +318,28 @@ def atanh(a):
     def vjp(g, x=clipped, m=inside):
         return np.where(m, g / (1.0 - x * x), 0.0)
 
-    return _make(y, (a, vjp))
+    return make_node(y, (a, vjp))
 
 
 def exp(a):
     if not isinstance(a, Node):
         return np.exp(val(a))
     y = np.exp(a.value)
-    return _make(y, (a, lambda g, yy=y: g * yy))
+    return make_node(y, (a, lambda g, yy=y: g * yy))
 
 
 def log(a):
     if not isinstance(a, Node):
         return np.log(val(a))
     va = a.value
-    return _make(np.log(va), (a, lambda g, x=va: g / x))
+    return make_node(np.log(va), (a, lambda g, x=va: g / x))
 
 
 def sqrt(a):
     if not isinstance(a, Node):
         return np.sqrt(val(a))
     y = np.sqrt(a.value)
-    return _make(y, (a, lambda g, yy=y: g / (2.0 * yy)))
+    return make_node(y, (a, lambda g, yy=y: g / (2.0 * yy)))
 
 
 def maximum(a, b):
@@ -331,9 +348,9 @@ def maximum(a, b):
         return np.maximum(val(a), val(b))
     va, vb = val(a), val(b)
     take_a = va >= vb
-    return _make(np.maximum(va, vb),
-                 (a, lambda g, m=take_a, s=va.shape: _unbroadcast(np.where(m, g, 0.0), s)),
-                 (b, lambda g, m=take_a, s=vb.shape: _unbroadcast(np.where(m, 0.0, g), s)))
+    return make_node(np.maximum(va, vb),
+                     (a, lambda g, m=take_a, s=va.shape: unbroadcast(np.where(m, g, 0.0), s)),
+                     (b, lambda g, m=take_a, s=vb.shape: unbroadcast(np.where(m, 0.0, g), s)))
 
 
 def where(cond, a, b):
@@ -342,24 +359,26 @@ def where(cond, a, b):
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return np.where(cond, val(a), val(b))
     va, vb = val(a), val(b)
-    return _make(np.where(cond, va, vb),
-                 (a, lambda g, m=cond, s=va.shape: _unbroadcast(np.where(m, g, 0.0), s)),
-                 (b, lambda g, m=cond, s=vb.shape: _unbroadcast(np.where(m, 0.0, g), s)))
+    return make_node(np.where(cond, va, vb),
+                     (a, lambda g, m=cond, s=va.shape: unbroadcast(np.where(m, g, 0.0), s)),
+                     (b, lambda g, m=cond, s=vb.shape: unbroadcast(np.where(m, 0.0, g), s)))
 
 
-def take(a, indices):
-    """Gather rows along axis 0; the backward pass scatter-adds."""
+def take(a, indices, axis=0):
+    """Gather along ``axis`` (rows by default); the backward pass scatter-adds."""
     idx = np.asarray(indices)
+    # np.take returns a C-ordered array, so later reductions along the last
+    # axis sum in the same order whatever the leading axes
     if not isinstance(a, Node):
-        return val(a)[idx]
+        return np.take(val(a), idx, axis=axis)
     va = a.value
 
-    def vjp(g, shape=va.shape, ii=idx):
+    def vjp(g, shape=va.shape, key=(slice(None),) * (axis % va.ndim) + (idx,)):
         out = np.zeros(shape)
-        np.add.at(out, ii, g)
+        np.add.at(out, key, g)
         return out
 
-    return _make(va[idx], (a, vjp))
+    return make_node(np.take(va, idx, axis=axis), (a, vjp))
 
 
 def gather_cols(a, cols):
@@ -376,7 +395,7 @@ def gather_cols(a, cols):
         np.add.at(out, (rr, cc), g)
         return out
 
-    return _make(va[rows, cols], (a, vjp))
+    return make_node(va[rows, cols], (a, vjp))
 
 
 def stack(items, axis=0):
@@ -386,7 +405,7 @@ def stack(items, axis=0):
     pairs = []
     for i, x in enumerate(items):
         pairs.append((x, lambda g, k=i: np.take(g, k, axis=axis)))
-    return _make(np.stack(values, axis=axis), *pairs)
+    return make_node(np.stack(values, axis=axis), *pairs)
 
 
 def _getitem(a, key):
@@ -401,7 +420,7 @@ def _getitem(a, key):
             np.add.at(buf, kk, g)
         return buf
 
-    return _make(out, (a, vjp))
+    return make_node(out, (a, vjp))
 
 
 def grad(out, wrt):

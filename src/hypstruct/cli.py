@@ -77,7 +77,14 @@ def load_hierarchy(spec) -> LabelTree:
     return parse_tree(path.read_text())
 
 
-def load_dataset(spec, tree: LabelTree, default_seed) -> LabeledDataset:
+def load_dataset(spec, tree: LabelTree, default_seed, default_noise_seed=None) -> LabeledDataset:
+    """Dataset from ``{"csv": path}`` or ``{"synthetic": {...}}``.
+
+    A synthetic spec without ``seed`` uses ``default_seed``; one without
+    ``noise_seed`` uses ``default_noise_seed`` when given.  Held-out sets pass
+    the training seed and a different noise seed, so they keep the training
+    set's class centres and draw fresh noise.
+    """
     if not isinstance(spec, dict):
         _fail("dataset must be an object with 'csv' or 'synthetic'")
     if "csv" in spec:
@@ -86,8 +93,7 @@ def load_dataset(spec, tree: LabelTree, default_seed) -> LabeledDataset:
             _fail(f"dataset file not found: {path}")
         return tr.load_dataset_csv(path, tree)
     if "synthetic" in spec:
-        s = dict(spec["synthetic"])
-        s.setdefault("seed", default_seed)
+        s = _synthetic_defaults(spec["synthetic"], default_seed, default_noise_seed)
         noise_seed = s.get("noise_seed")
         synth = SyntheticSpec(tree=tree,
                               dim=int(s.get("dim", 16)),
@@ -101,10 +107,17 @@ def load_dataset(spec, tree: LabelTree, default_seed) -> LabeledDataset:
     _fail("dataset must provide 'csv' or 'synthetic'")
 
 
-def resolve_synthetic_echo(spec, default_seed):
+def _synthetic_defaults(doc, default_seed, default_noise_seed):
+    s = dict(doc)
+    s.setdefault("seed", default_seed)
+    if default_noise_seed is not None:
+        s.setdefault("noise_seed", default_noise_seed)
+    return s
+
+
+def resolve_synthetic_echo(spec, default_seed, default_noise_seed=None):
     if isinstance(spec, dict) and "synthetic" in spec:
-        s = dict(spec["synthetic"])
-        s.setdefault("seed", default_seed)
+        s = _synthetic_defaults(spec["synthetic"], default_seed, default_noise_seed)
         s.setdefault("dim", 16)
         s.setdefault("coarse_spread", 4.0)
         s.setdefault("fine_spread", 1.5)
@@ -282,8 +295,8 @@ def cmd_eval(config: dict, out: Path) -> int:
         _fail(f"checkpoint not found: {ckpt_path}")
     result, enc, cfg, variant = load_checkpoint(ckpt_path)
     train_ds = load_dataset(config.get("train_dataset", {"synthetic": {}}), tree, seed)
-    eval_ds = load_dataset(config.get("eval_dataset", {"synthetic": {"seed": seed + 10}}),
-                           tree, seed + 10)
+    eval_spec = config.get("eval_dataset", {"synthetic": {}})
+    eval_ds = load_dataset(eval_spec, tree, seed, seed + 10)
     if train_ds.dim != enc.input_dim or eval_ds.dim != enc.input_dim:
         _fail(f"feature dimension {train_ds.dim}/{eval_ds.dim} does not match "
               f"checkpoint input_dim {enc.input_dim}")
@@ -299,8 +312,7 @@ def cmd_eval(config: dict, out: Path) -> int:
         "command": "eval", "hierarchy": config.get("hierarchy", "builtin:cifar10"),
         "checkpoint": ckpt_path,
         "train_dataset": resolve_synthetic_echo(config.get("train_dataset", {"synthetic": {}}), seed),
-        "eval_dataset": resolve_synthetic_echo(
-            config.get("eval_dataset", {"synthetic": {"seed": seed + 10}}), seed + 10),
+        "eval_dataset": resolve_synthetic_echo(eval_spec, seed, seed + 10),
         "knn_k": knn_k,
         "delta": {"mode": delta_mode, "k": delta_k, "seed": delta_seed},
         "cpcc_distance": cpcc_distance, "gram_csv": emit_gram, "seed": seed,
@@ -433,8 +445,8 @@ def cmd_oodsim(config: dict, out: Path) -> int:
             _fail("oodsim needs 'checkpoint' or a 'methods' table")
         methods_doc = {"method": config["checkpoint"]}
     id_train = load_dataset(config.get("id_train", {"synthetic": {}}), tree, seed)
-    id_eval = load_dataset(config.get("id_eval", {"synthetic": {"seed": seed + 10}}),
-                           tree, seed + 10)
+    id_eval_spec = config.get("id_eval", {"synthetic": {}})
+    id_eval = load_dataset(id_eval_spec, tree, seed, seed + 10)
     ood_docs = config.get("ood_sets")
     if not ood_docs:
         _fail("oodsim needs a nonempty 'ood_sets' table")
@@ -461,8 +473,7 @@ def cmd_oodsim(config: dict, out: Path) -> int:
         "command": "oodsim", "hierarchy": config.get("hierarchy", "builtin:cifar10"),
         "methods": dict(methods_doc),
         "id_train": resolve_synthetic_echo(config.get("id_train", {"synthetic": {}}), seed),
-        "id_eval": resolve_synthetic_echo(
-            config.get("id_eval", {"synthetic": {"seed": seed + 10}}), seed + 10),
+        "id_eval": resolve_synthetic_echo(id_eval_spec, seed, seed + 10),
         "ood_sets": {k: dict(v) for k, v in ood_docs.items()},
         "raw_features": raw_features, "seed": seed,
     }

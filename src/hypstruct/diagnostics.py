@@ -153,7 +153,8 @@ def knn_classify(train_feats, train_labels, query_feats, k: int,
                  query_labels=None):
     """k-nearest-neighbour majority vote under the L2 metric.
 
-    ``level="coarse"`` maps fine labels to their parent vertex before voting.
+    ``level="coarse"`` maps fine labels to their depth-1 ancestor
+    (``LabelTree.coarse_labels``) before voting and scoring.
     Vote ties break toward the smallest class index; neighbour-distance ties
     break toward the smallest training index.  Returns ``(predictions,
     accuracy)`` where accuracy is None unless ``query_labels`` is given.
@@ -167,8 +168,7 @@ def knn_classify(train_feats, train_labels, query_feats, k: int,
     if level == "coarse":
         if tree is None:
             raise ValueError("coarse level needs the label tree")
-        vote_labels = np.array([tree.parent[tree.leaf_of_class(int(y))]
-                                for y in train_labels])
+        vote_labels = tree.coarse_labels(train_labels)
     elif level == "fine":
         vote_labels = train_labels
     else:
@@ -186,7 +186,7 @@ def knn_classify(train_feats, train_labels, query_feats, k: int,
     if query_labels is not None:
         truth = np.asarray(query_labels, dtype=np.int64)
         if level == "coarse":
-            truth = np.array([tree.parent[tree.leaf_of_class(int(y))] for y in truth])
+            truth = tree.coarse_labels(truth)
         accuracy = float(np.mean(preds == truth))
     return preds, accuracy
 

@@ -113,18 +113,30 @@ def sq_norm(x, axis=-1, keepdims=False):
 
 
 def exp0(v, c):
-    """Exponential map at the origin, rows along the last axis."""
-    s = ad.sqrt(ad.maximum(sq_norm(v, keepdims=True), _TINY_SQ)) * np.sqrt(c)
-    return (_capped_tanh(s) / s) * v
+    """Exponential map at the origin, rows along the last axis; one tape node.
 
+    The tanh cap and the squared-norm floor are constants of the backward
+    pass (zero gradient through them).
+    """
+    x = ad.val(v)
+    sq = np.sum(x * x, axis=-1, keepdims=True)
+    s0 = np.sqrt(np.maximum(sq, _TINY_SQ))
+    s = s0 * np.sqrt(c)
+    t = np.tanh(s)
+    capped = t >= _TANH_MAX
+    t = np.where(capped, _TANH_MAX, t)
+    coef = t / s
+    out = coef * x
+    if not ad.is_node(v):
+        return out
 
-def _capped_tanh(s):
-    # min(tanh(s), _TANH_MAX) with zero gradient on the cap
-    t = ad.tanh(s)
-    capped = np.asarray(ad.val(t)) >= _TANH_MAX
-    if capped.any():
-        t = ad.where(capped, _TANH_MAX, t)
-    return t
+    def vjp(g):
+        # out = coef(s) x with coef = tanh(s)/s and s = sqrt(c) ||x||
+        dcoef = (np.where(capped, 0.0, 1.0 - t * t) - coef) / s
+        g_sq = np.sum(g * x, axis=-1, keepdims=True) * dcoef * np.sqrt(c) / (2.0 * s0)
+        return coef * g + 2.0 * np.where(sq >= _TINY_SQ, g_sq, 0.0) * x
+
+    return ad.make_node(out, (v, vjp))
 
 
 def log0(u, c):
@@ -173,22 +185,49 @@ def einstein_mid(k_rows, c, groups):
 
 
 def dist_rows(z1, z2, c):
-    """Poincare distance between paired rows of two (m, d) arrays."""
-    dots = ad.sum(z1 * z2, axis=-1)
-    n1 = sq_norm(z1)
-    n2 = sq_norm(z2)
+    """Poincare distance between paired rows (last axis); one tape node.
+
+    The backward pass is the closed-form gradient of the Mobius-form distance
+    (cf. Nickel & Kiela 2017, Ganea et al. 2018).  The squared-norm and
+    denominator floors and the atanh clamp are constants of the backward pass:
+    a pair whose argument clamps gets zero gradient.
+    """
+    x1, x2 = ad.val(z1), ad.val(z2)
+    dots = np.sum(x1 * x2, axis=-1)
+    n1 = np.sum(x1 * x1, axis=-1)
+    n2 = np.sum(x2 * x2, axis=-1)
     a = 1.0 - 2.0 * c * dots + c * n2
     b = 1.0 - c * n1
-    if ad.is_node(z1) or ad.is_node(z2):
-        num = ad.reshape(b, b.shape + (1,)) * z2 - ad.reshape(a, a.shape + (1,)) * z1
-    else:
-        num = np.expand_dims(b, -1) * z2 - np.expand_dims(a, -1) * z1
+    num = b[..., None] * x2 - a[..., None] * x1
     # den = (1 - c n1)(1 - c n2) + c ||z1 - z2||^2 > 0 inside the ball; the
     # floor guards boundary-saturated inputs (atanh then clamps, so the
     # distance stays finite and its gradient is zero there)
-    den = ad.maximum(1.0 - 2.0 * c * dots + (c * c) * n1 * n2, _TINY_SQ)
-    m = ad.sqrt(ad.maximum(sq_norm(num), _TINY_SQ)) / den
-    return (2.0 / np.sqrt(c)) * ad.atanh(np.sqrt(c) * m)
+    den_raw = 1.0 - 2.0 * c * dots + (c * c) * n1 * n2
+    den = np.maximum(den_raw, _TINY_SQ)
+    nn = np.sum(num * num, axis=-1)
+    r = np.sqrt(np.maximum(nn, _TINY_SQ))
+    m = r / den
+    arg = np.sqrt(c) * m
+    out = (2.0 / np.sqrt(c)) * ad.atanh(arg)
+    if not (ad.is_node(z1) or ad.is_node(z2)):
+        return out
+
+    def vjp(g):
+        # d = (2/sqrt(c)) atanh(sqrt(c) r / den), r = ||num||
+        x = np.clip(arg, -ad.ATANH_MAX, ad.ATANH_MAX)
+        g_m = np.where(np.abs(arg) < ad.ATANH_MAX, 2.0 * g / (1.0 - x * x), 0.0)
+        g_den = np.where(den_raw >= _TINY_SQ, -g_m * m / den, 0.0)
+        g_nn = np.where(nn >= _TINY_SQ, g_m / den / (2.0 * r), 0.0)
+        g_num = (2.0 * g_nn)[..., None] * num
+        g_a = -np.sum(g_num * x1, axis=-1)
+        g_b = np.sum(g_num * x2, axis=-1)
+        g_dots = (-2.0 * c * (g_a + g_den))[..., None]
+        g_n1 = (2.0 * ((c * c) * n2 * g_den - c * g_b))[..., None]
+        g_n2 = (2.0 * ((c * c) * n1 * g_den + c * g_a))[..., None]
+        return (g_dots * x2 + g_n1 * x1 - a[..., None] * g_num,
+                g_dots * x1 + g_n2 * x2 + b[..., None] * g_num)
+
+    return ad.make_joint_node(out, (z1, z2), vjp)
 
 
 # typed layer ------------------------------------------------------------------

@@ -178,6 +178,11 @@ class LabelTree:
             v = self.parent[v]
         return v
 
+    def coarse_labels(self, labels):
+        """Depth-1 ancestor vertex of each fine-class label: the coarse class."""
+        return np.array([self.coarse_ancestor(self.leaf_of_class(int(k))) for k in labels],
+                        dtype=np.int64)
+
     def lca(self, u, v):
         du, dv = self._depth[u], self._depth[v]
         while du > dv:

@@ -116,12 +116,31 @@ class FlatInputs:
 # CPCC ------------------------------------------------------------------------
 
 def cpcc_core(tree_dists, feat_dists):
-    t = tree_dists
-    f = feat_dists
-    td = t - ad.mean(t)
-    fd = f - ad.mean(f)
-    denom = ad.sqrt(ad.sum(td * td) * ad.sum(fd * fd))
-    return ad.sum(td * fd) / denom
+    """Pearson correlation along the last axis; one tape node.
+
+    Leading axes broadcast, so ``(R, P)`` feature distances against ``(P,)``
+    tree distances give ``R`` correlations.
+    """
+    t, f = ad.val(tree_dists), ad.val(feat_dists)
+    td = t - np.sum(t, axis=-1, keepdims=True) / float(t.shape[-1])
+    fd = f - np.sum(f, axis=-1, keepdims=True) / float(f.shape[-1])
+    s_tt = np.sum(td * td, axis=-1)
+    s_ff = np.sum(fd * fd, axis=-1)
+    denom = np.sqrt(s_tt * s_ff)
+    r = np.sum(td * fd, axis=-1) / denom
+    if not (ad.is_node(tree_dists) or ad.is_node(feat_dists)):
+        return r
+
+    def vjp(g):
+        # dr/dfd = td / denom - r fd / s_ff, then remove the mean (centering)
+        def centered(own, other, own_ss, shape):
+            h = (g / denom)[..., None] * other - (g * r / own_ss)[..., None] * own
+            return ad.unbroadcast(h - np.sum(h, axis=-1, keepdims=True) / float(h.shape[-1]),
+                                  shape)
+        g_t = centered(td, fd, s_tt, t.shape) if ad.is_node(tree_dists) else None
+        return g_t, centered(fd, td, s_ff, f.shape)
+
+    return ad.make_joint_node(r, (tree_dists, feat_dists), vjp)
 
 
 def cpcc(tree_dists, feat_dists) -> float:

@@ -285,8 +285,7 @@ def numerical_eigenvalues(K) -> EigenSpectrum:
 def class_sorted_order(labels, tree: LabelTree) -> np.ndarray:
     """Sample order sorted by (coarse group, fine class, original index)."""
     labels = np.asarray(labels, dtype=np.int64)
-    coarse = np.array([tree.coarse_ancestor(tree.leaf_of_class(int(k))) for k in labels])
-    return np.lexsort((np.arange(labels.size), labels, coarse))
+    return np.lexsort((np.arange(labels.size), labels, tree.coarse_labels(labels)))
 
 
 def gram_matrix(Z, labels, tree: LabelTree) -> np.ndarray:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -27,14 +25,6 @@ from .hierarchy import LabelTree, tree_metric
 from .objective import FlatInputs, ObjectiveConfig
 
 PROJECTION_WIDTH_CAP = 128
-
-
-def worker_count():
-    """Parallel fan-out width; capped by the HYPSTRUCT_THREADS env var."""
-    env = os.environ.get("HYPSTRUCT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -427,10 +417,14 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
                       budget: Optional[EmbedBudget] = None) -> EmbedResult:
     """Optimize free per-vertex coordinates to maximize CPCC against d_T.
 
-    Plain gradient ascent, ``budget.restarts`` seeded restarts run as
-    independent workers, best final CPCC reported.  Poincare mode optimizes
-    tangent coordinates passed through the origin exponential map, so returned
-    coordinates always satisfy the ball invariant.
+    Plain gradient ascent from ``budget.restarts`` seeded starting points,
+    best final CPCC reported.  The restarts form the leading axis of one
+    ``(restarts, vertices, dim)`` coordinate array, so each step is one
+    forward pass and one tape gradient of the summed per-restart CPCC.  A
+    restart whose gradient turns non-finite stops there: its coordinates stay
+    at the last finite iterate while the others continue.  Poincare mode
+    optimizes tangent coordinates passed through the origin exponential map,
+    so returned coordinates always satisfy the ball invariant.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -447,44 +441,38 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     ii, jj = np.triu_indices(k, 1)
     tdist = metric.dist[vids[ii], vids[jj]]
 
-    def objective(leaf):
-        x = ad.reshape(leaf, (k, dim))
+    def objective(x):
+        """Per-restart CPCC of ``(restarts, k, dim)`` coordinates."""
         if distance_mode == "poincare":
             pts = geo.exp0(x, cfg.c)
-            fdist = geo.dist_rows(ad.take(pts, ii), ad.take(pts, jj), cfg.c)
+            fdist = geo.dist_rows(ad.take(pts, ii, axis=1), ad.take(pts, jj, axis=1), cfg.c)
         else:
-            diff = ad.take(x, ii) - ad.take(x, jj)
+            diff = ad.take(x, ii, axis=1) - ad.take(x, jj, axis=1)
             fdist = ad.sqrt(ad.maximum(geo.sq_norm(diff), 1e-300))
         return obj.cpcc_core(tdist, fdist)
 
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+    x = np.stack([budget.init_scale * np.random.default_rng(seq).standard_normal((k, dim))
+                  for seq in seeds])
+    final = np.full(budget.restarts, -2.0)
+    running = np.ones(budget.restarts, dtype=bool)
+    for _ in range(budget.steps):
+        leaf = ad.Node(x)
+        out = objective(leaf)
+        g = ad.grad(ad.sum(out), [leaf])[0]
+        running &= np.isfinite(g).all(axis=(1, 2))
+        if not running.any():
+            break
+        x = np.where(running[:, None, None], x + budget.lr * g, x)
+        final = np.where(running, out.value, final)
+    # one more forward for the post-update values
+    last = objective(x)
+    final = np.where(np.isfinite(last), last, final)
 
-    def one_restart(seq):
-        rng = np.random.default_rng(seq)
-        x = (budget.init_scale * rng.standard_normal((k, dim))).ravel()
-        final = -2.0
-        for _ in range(budget.steps):
-            leaf = ad.Node(x)
-            out = objective(leaf)
-            g = ad.grad(out, [leaf])[0]
-            if not np.all(np.isfinite(g)):
-                break
-            x = x + budget.lr * g
-            final = float(ad.val(out))
-        # one more forward for the post-update value
-        last = float(ad.val(objective(ad.Node(x))))
-        if np.isfinite(last):
-            final = last
-        return final, x
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one_restart, seeds))
-
-    best_idx = int(np.argmax([r[0] for r in results]))
-    best_cpcc, best_x = results[best_idx]
-    x = best_x.reshape(k, dim)
+    best = int(np.argmax(final))
+    best_x = x[best]
     if distance_mode == "poincare":
-        x = np.asarray(geo.exp0(x, cfg.c))
-    coords = {int(v): x[i].copy() for i, v in enumerate(vertices)}
-    return EmbedResult(coords=coords, cpcc=float(best_cpcc),
-                       per_restart=[float(r[0]) for r in results])
+        best_x = np.asarray(geo.exp0(best_x, cfg.c))
+    coords = {int(v): best_x[i].copy() for i, v in enumerate(vertices)}
+    return EmbedResult(coords=coords, cpcc=float(final[best]),
+                       per_restart=[float(v) for v in final])

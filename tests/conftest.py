@@ -17,6 +17,12 @@ def central_difference(fn, params, step=1e-5):
     return grad
 
 
+def weighted_grad(fn, x, weights):
+    """Tape gradient of ``sum(fn(x) * weights)`` with respect to ``x``."""
+    leaf = ad.Node(x)
+    return ad.grad(ad.sum(fn(leaf) * weights), [leaf])[0]
+
+
 @pytest.fixture
 def fd_oracle():
     return central_difference

@@ -76,6 +76,30 @@ def test_take_and_gather():
     check(lambda x: ad.sum(ad.gather_cols(x, cols) ** 2), rng.standard_normal((3, 2)))
 
 
+def test_take_along_axis():
+    idx = np.array([0, 2, 2, 1])
+    x = rng.standard_normal((2, 3, 2))
+    check(lambda v: ad.sum(ad.take(v, idx, axis=1) ** 2), x)
+    np.testing.assert_array_equal(ad.take(x, idx, axis=1), x[:, idx])
+    # C order, so a reduction along the last axis sums each row as unbatched
+    assert ad.take(ad.Node(x), idx, axis=1).value.flags.c_contiguous
+
+
+def test_joint_node_shares_one_backward_pass():
+    calls = []
+
+    def vjp(g):
+        calls.append(g)
+        return 2.0 * g, 3.0 * g
+
+    a, b = ad.Node(np.ones(2)), ad.Node(np.ones(2))
+    out = ad.sum(ad.make_joint_node(np.zeros(2), (a, b), vjp))
+    ga, gb = ad.grad(out, [a, b])
+    np.testing.assert_array_equal(ga, [2.0, 2.0])
+    np.testing.assert_array_equal(gb, [3.0, 3.0])
+    assert len(calls) == 1
+
+
 def test_stack_where_maximum_slice():
     check(lambda x: ad.sum(ad.stack([x * 2.0, x + 1.0], axis=0) ** 2),
           rng.standard_normal(4))

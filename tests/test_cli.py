@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypstruct import cli
+from hypstruct import training as tr
 from hypstruct.hierarchy import balanced_tree
 
 TREE = json.loads(balanced_tree((1, 2, 4)).serialize())
@@ -60,3 +61,40 @@ def test_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (trained / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_eval_default_held_out_set_shares_class_centres(tmp_path):
+    # the default held-out set keeps the training seed (class centres) and
+    # draws fresh noise, so kNN accuracy is far above chance (1/4 here)
+    seed = 5
+    train_cfg = {key: value for key, value in TRAIN.items() if key != "dataset"}
+    train_cfg["seed"] = seed
+    trained = run("train", train_cfg, tmp_path, "train")
+    evaluated = run("eval", {"hierarchy": TREE, "seed": seed,
+                             "checkpoint": str(trained / "checkpoint.json")}, tmp_path, "eval")
+    metrics = json.loads((evaluated / "metrics.json").read_text())
+    assert metrics["knn_fine_accuracy"] >= 0.75
+    echo = metrics["config"]["eval_dataset"]["synthetic"]
+    assert (echo["seed"], echo["noise_seed"]) == (seed, seed + 10)
+
+
+def test_spectra_reads_features_csv(tmp_path):
+    tree = balanced_tree((1, 2, 4))
+    spec = tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=6, seed=2)
+    dataset = tr.generate_hierarchical_gaussians(spec)
+    path = tmp_path / "features.csv"
+    tr.save_dataset_csv(path, dataset, tree)
+    spectra = run("spectra", {"features_csv": str(path), "hierarchy": TREE}, tmp_path, "spectra")
+    report = json.loads((spectra / "report.json").read_text())
+    assert report["n"] == dataset.n == 24
+
+
+def test_embed_tree_same_seed_gives_byte_identical_artifacts(tmp_path):
+    config = {"hierarchy": TREE, "seed": 2, "dim": 2, "restarts": 3, "steps": 60}
+    first = run("embed-tree", config, tmp_path, "first")
+    again = run("embed-tree", config, tmp_path, "again")
+    names = sorted(p.name for p in first.iterdir())
+    assert "cpcc.json" in names and "poincare_disk.svg" in names
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name

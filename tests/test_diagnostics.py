@@ -6,6 +6,7 @@ import pytest
 from hypstruct import diagnostics as dg
 from hypstruct import geometry as geo
 from hypstruct import hierarchy as hi
+from hypstruct import spectral as sp
 from hypstruct.errors import DegenerateVariance, InsufficientVertices
 
 
@@ -64,3 +65,24 @@ def test_cpcc_rejects_unknown_mode():
     tree = hi.builtin_cifar10_tree()
     with pytest.raises(ValueError):
         dg.test_cpcc(np.zeros((4, 2)), [0, 1, 5, 6], tree, distance_mode="cosine")
+
+
+def test_knn_coarse_level_is_the_depth_one_ancestor():
+    # on (1,2,4,8) a leaf's parent (depth 2) and its coarse class (depth 1)
+    # differ; the coarse kNN votes and scores on the depth-1 ancestor, the
+    # grouping spectral.class_sorted_order sorts by
+    tree = hi.balanced_tree((1, 2, 4, 8))
+    leaf = tree.leaf_of_class
+    classes = np.arange(tree.n_classes)
+    coarse = tree.coarse_labels(classes)
+    assert len(set(coarse.tolist())) == 2
+    assert len({tree.parent[leaf(int(k))] for k in classes}) == 4
+    cousin = next(int(k) for k in classes if coarse[k] == coarse[0]
+                  and tree.parent[leaf(int(k))] != tree.parent[leaf(0)])
+    other = next(int(k) for k in classes if coarse[k] != coarse[0])
+    train = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+    preds, acc = dg.knn_classify(train, [cousin, cousin, other, other], np.array([[0.05, 0.0]]),
+                                 k=2, level="coarse", tree=tree, query_labels=[0])
+    assert preds.tolist() == [coarse[0]] and acc == 1.0
+    order = sp.class_sorted_order(classes, tree)
+    assert coarse[order].tolist() == sorted(coarse.tolist())

@@ -9,6 +9,9 @@ from hypstruct import autodiff as ad
 from hypstruct import geometry as geo
 from hypstruct.errors import DimensionMismatch, EmptyInput, MixedCurvature, OutsideBall
 
+import composed_ops as composed
+from conftest import central_difference, weighted_grad
+
 
 def rand_ball_point(rng, dim, c=1.0, max_norm=0.9):
     v = rng.standard_normal(dim)
@@ -256,3 +259,94 @@ def test_unit_norm_clip_is_rescaled():
     # ||v|| == 1 sits on the boundary and must take the rescale branch
     p = geo.clip_to_ball(np.array([1.0, 0.0]))
     assert np.linalg.norm(p.coords) == pytest.approx(1.0 - 1e-5, abs=1e-12)
+
+
+# fused backward passes against the composed references -------------------------
+
+# rows along the last axis, unbatched and with a leading restart axis
+FUSED_SHAPES = [(5, 3), (3, 4, 2)]
+
+
+def assert_fused_matches(fused, composed, x, weights):
+    """Fused and composed gradients agree to 1e-10; both match finite differences."""
+    g_fused = weighted_grad(fused, x, weights)
+    g_composed = weighted_grad(composed, x, weights)
+    want = central_difference(lambda v: float(np.sum(ad.val(fused(v)) * weights)), x)
+    np.testing.assert_allclose(g_fused, g_composed, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(g_fused, want, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(g_composed, want, rtol=0, atol=1e-7)
+    return g_fused
+
+
+class TestFusedBackward:
+    @pytest.mark.parametrize("shape", FUSED_SHAPES)
+    @pytest.mark.parametrize("c", [1.0, 0.6])
+    def test_exp0(self, shape, c):
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal(shape)
+        w = rng.standard_normal(shape)
+        np.testing.assert_array_equal(geo.exp0(v, c), composed.exp0(v, c))
+        assert_fused_matches(lambda x: geo.exp0(x, c), lambda x: composed.exp0(x, c), v, w)
+
+    def test_exp0_tanh_cap(self):
+        # tanh(s) caps below 1 for s >~ 19: no gradient flows through the cap,
+        # so the radial derivative is zero and only the direction moves
+        rng = np.random.default_rng(22)
+        v = 40.0 * rng.standard_normal((4, 3))
+        w = rng.standard_normal((4, 3))
+        g = assert_fused_matches(lambda x: geo.exp0(x, 1.0),
+                                 lambda x: composed.exp0(x, 1.0), v, w)
+        np.testing.assert_allclose(np.sum(g * v, axis=-1), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", FUSED_SHAPES)
+    @pytest.mark.parametrize("c", [1.0, 0.6])
+    def test_dist_rows(self, shape, c):
+        # both operands gathered from one leaf, as the pair distances are
+        rng = np.random.default_rng(23)
+        z = 0.8 * geo.exp0(rng.standard_normal(shape), c)
+        ii, jj = np.triu_indices(shape[-2], 1)
+        w = rng.standard_normal(shape[:-2] + ii.shape)
+
+        def pairs(impl):
+            return lambda x: impl.dist_rows(ad.take(x, ii, axis=-2), ad.take(x, jj, axis=-2), c)
+
+        np.testing.assert_array_equal(pairs(geo)(z), pairs(composed)(z))
+        assert_fused_matches(pairs(geo), pairs(composed), z, w)
+
+    def test_dist_rows_single_operand(self):
+        rng = np.random.default_rng(24)
+        z1 = 0.8 * geo.exp0(rng.standard_normal((6, 3)), 1.0)
+        z2 = 0.8 * geo.exp0(rng.standard_normal((6, 3)), 1.0)
+        w = rng.standard_normal(6)
+        assert_fused_matches(lambda x: geo.dist_rows(z1, x, 1.0),
+                             lambda x: composed.dist_rows(z1, x, 1.0), z2, w)
+        assert_fused_matches(lambda x: geo.dist_rows(x, z2, 1.0),
+                             lambda x: composed.dist_rows(x, z2, 1.0), z1, w)
+
+    def test_dist_rows_boundary_clamp(self):
+        # pair 0 lies well inside; pair 1 joins antipodal points one ulp inside
+        # the unit circle, where the atanh argument clamps
+        edge = np.nextafter(1.0, 0.0)
+        z = np.array([[0.3, 0.1], [edge, 0.0], [-0.2, 0.4], [-edge, 0.0]])
+        ii, jj = np.array([0, 1]), np.array([2, 3])
+        w = np.array([1.0, 1.0])
+        seen = {}
+        for name, impl in (("fused", geo), ("composed", composed)):
+            ad.reset_events()
+            before = ad.total_atanh_clamps()
+            g = weighted_grad(lambda x: impl.dist_rows(ad.take(x, ii), ad.take(x, jj), 1.0), z, w)
+            seen[name] = (g, ad.events_active(), ad.total_atanh_clamps() - before)
+        g, active, clamps = seen["fused"]
+        assert (active, clamps) == seen["composed"][1:] == (True, 1)
+        np.testing.assert_allclose(g, seen["composed"][0], rtol=0, atol=1e-10)
+        assert np.all(g[[1, 3]] == 0.0)
+        assert np.all(g[[0, 2]] != 0.0)
+
+        def inner_pair(v):
+            rows = z.copy()
+            rows[[0, 2]] = v.reshape(2, 2)
+            return float(np.sum(geo.dist_rows(rows[ii], rows[jj], 1.0)))
+
+        np.testing.assert_allclose(g[[0, 2]].ravel(),
+                                   central_difference(inner_pair, z[[0, 2]].ravel()),
+                                   rtol=0, atol=1e-7)

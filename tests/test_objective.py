@@ -18,7 +18,8 @@ from hypstruct.errors import (
     UnnormalizedInput,
 )
 
-from conftest import central_difference
+import composed_ops as composed
+from conftest import central_difference, weighted_grad
 
 
 def brute_force_pearson(t, f):
@@ -65,6 +66,67 @@ class TestCpcc:
             obj.cpcc([1, 2, 3], [2, 2, 2])
         with pytest.raises(LengthMismatch):
             obj.cpcc([1, 2, 3], [1, 2])
+
+
+class TestCpccFusedBackward:
+    """The one-node cpcc_core against the composed Pearson correlation."""
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)])
+    def test_matches_composed_and_finite_differences(self, shape):
+        rng = np.random.default_rng(31)
+        t = rng.uniform(1, 5, size=shape[-1])
+        f = rng.uniform(0, 3, size=shape)
+        w = rng.uniform(0.5, 2.0, size=shape[:-1])
+        np.testing.assert_array_equal(obj.cpcc_core(t, f), composed.cpcc_core(t, f))
+        for wrt, fused, comp, x in (
+                ("features", lambda v: obj.cpcc_core(t, v),
+                 lambda v: composed.cpcc_core(t, v), f),
+                ("tree", lambda v: obj.cpcc_core(v, f),
+                 lambda v: composed.cpcc_core(v, f), t)):
+            g = weighted_grad(fused, x, w)
+            want = central_difference(lambda v: float(np.sum(fused(v) * w)), x)
+            np.testing.assert_allclose(g, weighted_grad(comp, x, w), rtol=0, atol=1e-10,
+                                       err_msg=wrt)
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-7, err_msg=wrt)
+            np.testing.assert_allclose(weighted_grad(comp, x, w), want, rtol=0, atol=1e-7,
+                                       err_msg=wrt)
+
+    def test_leading_axis_is_a_batch(self):
+        rng = np.random.default_rng(32)
+        t = rng.uniform(1, 5, size=15)
+        f = rng.uniform(0, 3, size=(4, 15))
+        batched = obj.cpcc_core(t, f)
+        g = weighted_grad(lambda v: obj.cpcc_core(t, v), f, np.ones(4))
+        for r in range(4):
+            assert batched[r] == obj.cpcc_core(t, f[r])
+            np.testing.assert_array_equal(g[r], obj.gradient(lambda v: obj.cpcc_core(t, v), f[r]))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_clamped_pairs_through_fused_chain(self, batched):
+        # CPCC over Poincare pair distances where points 1 and 3 sit one ulp
+        # inside the unit circle: the atanh of each of their 7 pairs clamps
+        edge = np.nextafter(1.0, 0.0)
+        z = np.array([[0.3, 0.1], [edge, 0.0], [-0.2, 0.4], [-edge, 0.0], [0.1, -0.5]])
+        ii, jj = np.triu_indices(5, 1)
+        t = np.arange(1.0, 11.0) % 4 + 1.0
+        if batched:
+            z = np.stack([z, z[::-1]])
+        seen = {}
+        for name, dist, corr in (("fused", geo.dist_rows, obj.cpcc_core),
+                                 ("composed", composed.dist_rows, composed.cpcc_core)):
+            ad.reset_events()
+            before = ad.total_atanh_clamps()
+
+            def chain(x):
+                return corr(t, dist(ad.take(x, ii, axis=-2), ad.take(x, jj, axis=-2), 1.0))
+
+            g = weighted_grad(chain, z, np.ones(z.shape[:-2]))
+            seen[name] = (g, ad.events_active(), ad.total_atanh_clamps() - before)
+        g, active, clamps = seen["fused"]
+        assert (active, clamps) == seen["composed"][1:] == (True, 14 if batched else 7)
+        np.testing.assert_allclose(g, seen["composed"][0], rtol=0, atol=1e-10)
+        assert np.all(g[..., [1, 3], :] == 0.0)
+        assert np.all(g[..., [0, 2, 4], :] != 0.0)
 
 
 class TestL2DatasetDistance:

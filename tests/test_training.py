@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from hypstruct import autodiff as ad
 from hypstruct import diagnostics as dg
+from hypstruct import geometry as geo
 from hypstruct import hierarchy as hi
 from hypstruct import objective as obj
 from hypstruct import training as tr
@@ -159,6 +161,90 @@ class TestEmbedTreeDirect:
         res = tr.embed_tree_direct(tree, 2, "l2", cfg,
                                    tr.EmbedBudget(restarts=1, steps=100, seed=0))
         assert set(res.coords.keys()) == set(tree.leaf_classes)
+
+
+def sequential_embed(tree, dim, distance_mode, cfg, budget):
+    """One restart at a time, one tape per step: the unbatched reference.
+
+    Returns per-restart final CPCC, final tangent/free coordinates and the
+    step at which each restart stopped on a non-finite gradient (None if it
+    ran every step).
+    """
+    vertices = obj.scope_vertices(tree, cfg.tree_scope)
+    k = len(vertices)
+    vids = np.asarray(vertices)
+    ii, jj = np.triu_indices(k, 1)
+    tdist = hi.tree_metric(tree).dist[vids[ii], vids[jj]]
+
+    def objective(leaf):
+        x = ad.reshape(leaf, (k, dim))
+        if distance_mode == "poincare":
+            pts = geo.exp0(x, cfg.c)
+            fdist = geo.dist_rows(ad.take(pts, ii), ad.take(pts, jj), cfg.c)
+        else:
+            diff = ad.take(x, ii) - ad.take(x, jj)
+            fdist = ad.sqrt(ad.maximum(geo.sq_norm(diff), 1e-300))
+        return obj.cpcc_core(tdist, fdist)
+
+    finals, coords, stops = [], [], []
+    for seq in np.random.SeedSequence(budget.seed).spawn(budget.restarts):
+        x = (budget.init_scale * np.random.default_rng(seq).standard_normal((k, dim))).ravel()
+        final, stop = -2.0, None
+        for step in range(budget.steps):
+            leaf = ad.Node(x)
+            out = objective(leaf)
+            g = ad.grad(out, [leaf])[0]
+            if not np.all(np.isfinite(g)):
+                stop = step
+                break
+            x = x + budget.lr * g
+            final = float(ad.val(out))
+        last = float(ad.val(objective(ad.Node(x))))
+        if np.isfinite(last):
+            final = last
+        finals.append(final)
+        coords.append(x.reshape(k, dim))
+        stops.append(stop)
+    return finals, coords, stops
+
+
+# Batched and sequential runs agree bit for bit on these cases (measured
+# difference 0.0 in per-restart CPCC, best CPCC and coordinates, up to 1,000
+# steps); the bound leaves room for a numpy whose reductions round differently.
+EMBED_TOL = 1e-12
+
+
+def assert_matches_sequential(tree, mode, cfg, budget):
+    finals, coords, stops = sequential_embed(tree, 2, mode, cfg, budget)
+    res = tr.embed_tree_direct(tree, 2, mode, cfg, budget)
+    np.testing.assert_allclose(res.per_restart, finals, rtol=0, atol=EMBED_TOL)
+    best = int(np.argmax(finals))
+    assert res.cpcc == pytest.approx(finals[best], abs=EMBED_TOL)
+    want = coords[best]
+    if mode == "poincare":
+        want = np.asarray(geo.exp0(want, cfg.c))
+    for i, v in enumerate(obj.scope_vertices(tree, cfg.tree_scope)):
+        np.testing.assert_allclose(res.coords[v], want[i], rtol=0, atol=EMBED_TOL)
+    return stops, res
+
+
+class TestBatchedRestartsMatchSequential:
+    @pytest.mark.parametrize("scope", obj.TREE_SCOPES)
+    @pytest.mark.parametrize("mode", ["poincare", "l2"])
+    def test_matches(self, tree, mode, scope):
+        cfg = obj.ObjectiveConfig(tree_scope=scope)
+        stops, _ = assert_matches_sequential(tree, mode, cfg,
+                                             tr.EmbedBudget(restarts=3, steps=150, seed=4))
+        assert stops == [None] * 3
+
+    def test_non_finite_restart_freezes_alone(self, tree):
+        # at this step size the first update overflows two of the four restarts
+        # (their next gradient is non-finite); the other two keep going
+        budget = tr.EmbedBudget(restarts=4, steps=30, lr=4e154, seed=0)
+        with np.errstate(all="ignore"):
+            stops, res = assert_matches_sequential(tree, "l2", obj.ObjectiveConfig(), budget)
+        assert stops == [1, None, 1, None]
+        assert all(np.isfinite(res.per_restart))
 
 
 def test_history_csv_format(tree):
