@@ -3,7 +3,8 @@
 Embeds weighted label hierarchies into learned feature spaces via CPCC-style
 losses on the Poincare ball, with diagnostics (delta-hyperbolicity, test
 CPCC, kNN accuracy, Mahalanobis OOD scoring) and a block-correlation
-eigenspectrum toolkit verified against a self-contained numerical oracle.
+eigenspectrum toolkit whose closed forms the tests check against LAPACK and an
+independent Jacobi solver.
 """
 
 __version__ = "0.1.0"

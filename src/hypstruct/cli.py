@@ -60,6 +60,10 @@ def _csv_text(rows):
     """CSV text; strings and ints verbatim, every other cell as a round-trip float."""
     buf = io.StringIO()
     writer = csv.writer(buf)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        # csv writes a Python float with repr, as float_text does
+        writer.writerows(rows.tolist())
+        return buf.getvalue()
     for row in rows:
         writer.writerow([x if isinstance(x, (str, int)) else tr.float_text(x) for x in row])
     return buf.getvalue()

@@ -77,7 +77,12 @@ def _delta_exact(d: np.ndarray) -> float:
 
 
 def _delta_sampled(d: np.ndarray, k: int, seed) -> float:
+    # Each quadruple has 6 distinct distances: gather each once by flat index
+    # and build the three Gromov products in place (no per-product arrays).
+    # Every product is 0.5 * ((d_wa + d_wb) - d_ab), the same float operations
+    # as the direct formula, so delta is bitwise equal to it.
     n = d.shape[0]
+    flat = d.ravel()
     rng = np.random.default_rng(seed)
     best = 0.0
     chunk = 1_000_000
@@ -86,11 +91,24 @@ def _delta_sampled(d: np.ndarray, k: int, seed) -> float:
         take = min(chunk, remaining)
         remaining -= take
         w, x, y, z = rng.integers(0, n, size=(4, take))
-        gxy = 0.5 * (d[w, x] + d[w, y] - d[x, y])
-        gyz = 0.5 * (d[w, y] + d[w, z] - d[y, z])
-        gxz = 0.5 * (d[w, x] + d[w, z] - d[x, z])
-        vals = np.minimum(gxy, gyz) - gxz
-        best = max(best, float(vals.max(initial=0.0)))
+        w *= n
+        gxz = flat[w + x]
+        gyz = flat[w + y]
+        gxy = gxz + gyz
+        dwz = flat[w + z]
+        gxz += dwz
+        gyz += dwz
+        del dwz
+        x *= n
+        gxy -= flat[x + y]
+        gxz -= flat[x + z]
+        y *= n
+        gyz -= flat[y + z]
+        for g in (gxy, gyz, gxz):
+            g *= 0.5
+        np.minimum(gxy, gyz, out=gxy)
+        gxy -= gxz
+        best = max(best, float(gxy.max(initial=0.0)))
     return best
 
 
@@ -264,16 +282,11 @@ def auroc(id_scores, ood_scores) -> float:
     combined = np.concatenate([a, b])
     order = np.argsort(combined, kind="stable")
     ranks = np.empty_like(combined)
-    # average ranks over ties
+    # a run of equal values at sorted positions i..j shares the rank (i + j) / 2 + 1
     sorted_vals = combined[order]
-    i = 0
-    n = combined.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
+    ends = np.append(starts[1:], combined.size) - 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum_ood = ranks[a.size:].sum()
     u = rank_sum_ood - b.size * (b.size + 1) / 2.0
     return float(u / (a.size * b.size))

@@ -103,6 +103,10 @@ class NotSymmetric(HypstructError):
     """An eigensolver input is not symmetric within tolerance."""
 
 
+class NonFiniteMatrix(HypstructError):
+    """An eigensolver input has a NaN or infinite entry."""
+
+
 class DegenerateRow(HypstructError):
     """A feature row is zero after centering."""
 

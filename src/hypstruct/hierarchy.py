@@ -120,6 +120,11 @@ class LabelTree:
         for i, classes in enumerate(self._subtree_classes):
             self.membership[i, list(classes)] = 1.0
         self.membership.setflags(write=False)
+        # fine class of each vertex (-1 for internal vertices); lca_height's
+        # class-pair LCA depths are built on its first call
+        self._leaf_class = np.full(n, -1, dtype=np.int64)
+        self._leaf_class[self.leaf_classes] = np.arange(self.n_classes)
+        self._class_lca_depth = None
 
     def _collect_classes(self, v):
         stack = [v]
@@ -183,27 +188,33 @@ class LabelTree:
         return np.array([self.coarse_ancestor(self.leaf_of_class(int(k))) for k in labels],
                         dtype=np.int64)
 
-    def lca(self, u, v):
-        du, dv = self._depth[u], self._depth[v]
-        while du > dv:
-            u = self.parent[u]
-            du -= 1
-        while dv > du:
-            v = self.parent[v]
-            dv -= 1
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
-        return u
-
     def lca_height(self, leaf_i, leaf_j):
-        """Height (levels above the leaf layer) of the LCA of two leaves."""
-        if not self.is_leaf(leaf_i):
-            raise NotALeaf(f"{self.names[leaf_i]} is not a leaf")
-        if not self.is_leaf(leaf_j):
-            raise NotALeaf(f"{self.names[leaf_j]} is not a leaf")
-        a = self.lca(leaf_i, leaf_j)
-        return max(self._depth[leaf_i], self._depth[leaf_j]) - self._depth[a]
+        """Height (levels above the leaf layer) of the LCA of two leaves.
+
+        ``leaf_i`` and ``leaf_j`` are leaf vertex ids or integer arrays of them,
+        broadcast against each other; scalar ids give an ``int``.  The common
+        ancestors of two leaves are the root-to-LCA path, so
+        ``membership.T @ membership - 1`` (built on first use) is the LCA depth
+        of every pair of fine classes.
+        """
+        if self._class_lca_depth is None:
+            lca_depth = (self.membership.T @ self.membership).astype(np.int64) - 1
+            lca_depth.setflags(write=False)
+            self._class_lca_depth = lca_depth
+        ci, cj = self._leaf_class[leaf_i], self._leaf_class[leaf_j]
+        for leaf, c in ((leaf_i, ci), (leaf_j, cj)):
+            if np.any(c < 0):
+                bad = int(np.asarray(leaf)[c < 0].flat[0])
+                raise NotALeaf(f"{self.names[bad]} is not a leaf")
+        depth = np.diagonal(self._class_lca_depth)
+        h = np.maximum(depth[ci], depth[cj]) - self._class_lca_depth[ci, cj]
+        return int(h) if h.ndim == 0 else h
+
+    def leaf_lca_heights(self):
+        """``(n_classes, n_classes)`` int matrix of ``lca_height`` between the
+        leaves of fine classes i and j (0 on the diagonal)."""
+        leaves = np.array(self.leaf_classes)
+        return self.lca_height(leaves[:, None], leaves[None, :])
 
     def serialize(self):
         """JSON document whose parse yields an identical tree."""

@@ -11,8 +11,10 @@ closed form built from two reductions:
   and the spectrum of a small k x k matrix with ``a_ii = 1 + (p_i - 1) r_ii``
   and ``a_ij = sqrt(p_i p_j) r_ij``.
 
-The numerical oracle is a self-contained cyclic Jacobi eigensolver; nothing in
-the closed forms feeds it.
+``numerical_eigenvalues`` computes spectra with LAPACK's symmetric solver
+(``np.linalg.eigvalsh``); nothing in the closed forms feeds it.  The tests
+check both against an independent cyclic Jacobi solver kept in
+``tests/jacobi_oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRow,
+    NonFiniteMatrix,
     NotSymmetric,
     PreconditionViolated,
     TemplateMismatch,
@@ -47,18 +50,13 @@ class BlockCorrelationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
-        heights = {self.tree.lca_height(u, v)
-                   for u in self.tree.leaves() for v in self.tree.leaves() if u != v}
-        max_h = max(heights) if heights else 0
+        max_h = int(self.tree.leaf_lca_heights().max(initial=0))
         if len(self.r) < max_h:
             raise ValueError(f"need r values for heights 1..{max_h}, got {len(self.r)}")
         rs = self.r[:max_h]
         if any(b > a for a, b in zip(rs, rs[1:])) or (rs and rs[-1] < 0):
             warnings.warn("r values are not descending nonnegative; "
                           "closed-form preconditions may not hold", stacklevel=2)
-
-    def entry(self, height):
-        return 1.0 if height == 0 else self.r[height - 1]
 
 
 @dataclass(frozen=True)
@@ -108,14 +106,7 @@ class EigenSpectrum:
 
 def build_block_matrix(spec: BlockCorrelationSpec) -> np.ndarray:
     """K[i, j] = 1 on the diagonal, else r^(LCA height of leaves i and j)."""
-    tree = spec.tree
-    leaves = [tree.leaf_of_class(k) for k in range(tree.n_classes)]
-    n = len(leaves)
-    out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = spec.entry(tree.lca_height(leaves[i], leaves[j]))
-    return out
+    return np.array((1.0, *spec.r))[spec.tree.leaf_lca_heights()]
 
 
 def balanced_eigenvalues_closed_form(level_counts, r) -> EigenSpectrum:
@@ -226,60 +217,22 @@ def generic_gap_condition(M, m, delta, p_max, C_h) -> bool:
     return m <= (M - 2.0 * delta * (p_max - 1)) / (p_max * (C_h - 1))
 
 
-# numerical oracle -----------------------------------------------------------------
-
-def jacobi_eigenvalues(K, tol=1e-12, max_sweeps=100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol * ||K||_F``.
-    Independent of any closed form; this is the package's numerical oracle.
-    """
-    a = np.array(K, dtype=np.float64)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    norm0 = np.linalg.norm(a)
-    if norm0 == 0.0:
-        return np.zeros(n)
-    target = tol * norm0
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, np.linalg.norm(a) ** 2 - np.sum(np.diag(a) ** 2)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return np.sort(np.diag(a))[::-1]
-
-
 def numerical_eigenvalues(K) -> EigenSpectrum:
-    """Jacobi-oracle spectrum of a symmetric matrix, multiplicities merged."""
+    """Spectrum of a symmetric matrix, multiplicities merged.
+
+    Rejects non-square input, NaN or infinite entries and asymmetry beyond
+    1e-12 (relative to the largest entry), then solves the symmetrised matrix
+    with LAPACK (``np.linalg.eigvalsh``).
+    """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise NonFiniteMatrix("matrix has a NaN or infinite entry")
     if np.max(np.abs(K - K.T)) > SYMMETRY_ATOL * max(1.0, np.max(np.abs(K))):
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     sym = 0.5 * (K + K.T)
-    return EigenSpectrum.from_values(jacobi_eigenvalues(sym))
+    return EigenSpectrum.from_values(np.linalg.eigvalsh(sym))
 
 
 def class_sorted_order(labels, tree: LabelTree) -> np.ndarray:

@@ -55,6 +55,16 @@ def test_train_eval_spectra_pipeline(trained, tmp_path):
     assert report["n"] == 20
 
 
+
+def test_spectra_rejects_a_non_finite_matrix_csv(tmp_path, capsys):
+    matrix = tmp_path / "nan.csv"
+    matrix.write_text("1,nan\nnan,1\n")
+    config = tmp_path / "spectra.json"
+    config.write_text(json.dumps({"matrix_csv": str(matrix)}))
+    code = cli.main(["spectra", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_ERROR
+    assert "NonFiniteMatrix" in capsys.readouterr().err
+
 def test_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
     again = run("train", TRAIN, tmp_path, "again")
     names = sorted(p.name for p in trained.iterdir())
@@ -95,6 +105,31 @@ def test_embed_tree_same_seed_gives_byte_identical_artifacts(tmp_path):
     again = run("embed-tree", config, tmp_path, "again")
     names = sorted(p.name for p in first.iterdir())
     assert "cpcc.json" in names and "poincare_disk.svg" in names
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_float_matrix_csv_matches_the_per_cell_path(dtype):
+    rng = np.random.default_rng(8)
+    span = np.finfo(dtype).maxexp // 4
+    K = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-span, span, (6, 5))
+    K[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
+    K = K.astype(dtype)
+    per_cell = cli._csv_text(list(K))
+    assert cli._csv_text(K) == per_cell
+    assert per_cell.splitlines()[1] == ",".join(tr.float_text(x) for x in K[1])
+
+
+def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
+    config = {"hierarchy": TREE, "seed": 3, "checkpoint": str(trained / "checkpoint.json"),
+              "train_dataset": DATA, "eval_dataset": {"synthetic": {"n_per_leaf": 5, "dim": 4}},
+              "knn_k": 5, "gram_csv": True}
+    first = run("eval", config, tmp_path, "first")
+    again = run("eval", config, tmp_path, "again")
+    names = sorted(p.name for p in first.iterdir())
+    assert "gram.csv" in names and "metrics.json" in names
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name

@@ -1,4 +1,5 @@
-"""Test-set CPCC against a per-class reference."""
+"""Diagnostics against independent references: test CPCC, sampled delta,
+AUROC, Borda count and the Gaussian fit."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypstruct import diagnostics as dg
 from hypstruct import geometry as geo
 from hypstruct import hierarchy as hi
 from hypstruct import spectral as sp
-from hypstruct.errors import DegenerateVariance, InsufficientVertices
+from hypstruct.errors import DegenerateVariance, EmptyInput, InsufficientVertices, MissingEntry
 
 
 def reference_test_cpcc(features, labels, tree, distance_mode, c):
@@ -86,3 +87,110 @@ def test_knn_coarse_level_is_the_depth_one_ancestor():
     assert preds.tolist() == [coarse[0]] and acc == 1.0
     order = sp.class_sorted_order(classes, tree)
     assert coarse[order].tolist() == sorted(coarse.tolist())
+
+
+def nine_gather_delta_sampled(d, k, seed):
+    """Reference sampled estimator: the direct formula, nine gathers per quadruple."""
+    n = d.shape[0]
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    remaining = int(k)
+    while remaining > 0:
+        take = min(1_000_000, remaining)
+        remaining -= take
+        w, x, y, z = rng.integers(0, n, size=(4, take))
+        gxy = 0.5 * (d[w, x] + d[w, y] - d[x, y])
+        gyz = 0.5 * (d[w, y] + d[w, z] - d[y, z])
+        gxz = 0.5 * (d[w, x] + d[w, z] - d[x, z])
+        vals = np.minimum(gxy, gyz) - gxz
+        best = max(best, float(vals.max(initial=0.0)))
+    return best
+
+
+@pytest.mark.parametrize("seed,k", [(0, 5_001), (3, 777), (11, 1_000_003)])
+def test_sampled_delta_equals_nine_gather_form(seed, k):
+    rng = np.random.default_rng(seed)
+    dm = dg.pairwise_l2(rng.standard_normal((37, 3)))
+    delta, delta_rel = dg.delta_hyperbolicity(dm, mode="sampled", k=k, seed=seed)
+    assert delta > 0.0
+    assert delta == nine_gather_delta_sampled(dm.dist, k, seed)
+    assert delta_rel == 2.0 * delta / dm.diameter
+
+
+def test_sampled_delta_equals_nine_gather_form_per_quadruple():
+    # with one or two quadruples the maximum is no single extreme value, so a
+    # reordered sum that rounds differently shows up as a mismatch
+    dm = dg.pairwise_l2(np.random.default_rng(5).standard_normal((9, 3)))
+    for seed in range(400):
+        k = 1 + seed % 2
+        assert dg.delta_hyperbolicity(dm, mode="sampled", k=k, seed=seed)[0] == \
+            nine_gather_delta_sampled(dm.dist, k, seed)
+
+
+def loop_auroc(id_scores, ood_scores):
+    """Reference AUROC: tie ranks averaged by a Python loop over the sorted values."""
+    a = np.asarray(id_scores, dtype=np.float64)
+    b = np.asarray(ood_scores, dtype=np.float64)
+    combined = np.concatenate([a, b])
+    order = np.argsort(combined, kind="stable")
+    ranks = np.empty_like(combined)
+    sorted_vals = combined[order]
+    i = 0
+    n = combined.size
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[a.size:].sum() - b.size * (b.size + 1) / 2.0
+    return float(u / (a.size * b.size))
+
+
+def test_auroc_matches_pairwise_count_with_ties():
+    rng = np.random.default_rng(4)
+    for size_a, size_b in [(1, 1), (7, 3), (40, 55)]:
+        a = rng.integers(0, 6, size_a).astype(float)
+        b = rng.integers(2, 8, size_b).astype(float)
+        pairs = (b[None, :] > a[:, None]) + 0.5 * (b[None, :] == a[:, None])
+        got = dg.auroc(a, b)
+        assert got == pytest.approx(pairs.mean(), abs=1e-12)
+        assert got == loop_auroc(a, b)
+    scores = rng.standard_normal(50)
+    assert dg.auroc(scores, scores) == 0.5
+    assert dg.auroc([1.0, 1.0], [1.0, 1.0, 1.0]) == 0.5
+    assert dg.auroc([0.0, 1.0], [2.0, 3.0]) == 1.0
+
+
+def test_auroc_needs_both_score_lists():
+    with pytest.raises(EmptyInput):
+        dg.auroc([], [1.0])
+
+
+def test_borda_count_shares_points_across_ties():
+    table = {"a": {"d1": 0.9, "d2": 0.7},
+             "b": {"d1": 0.9, "d2": 0.6},
+             "c": {"d1": 0.5, "d2": 0.8}}
+    # d1: a and b tie for ranks 0 and 1, so each gets (2 + 1) / 2
+    assert dg.borda_count(table) == {"a": 2.5, "b": 1.5, "c": 2.0}
+    even = {m: {"d1": 0.7} for m in "abcd"}
+    assert dg.borda_count(even) == {m: 1.5 for m in "abcd"}
+    with pytest.raises(MissingEntry):
+        dg.borda_count({"a": {"d1": 0.9}, "b": {"d2": 0.9}})
+    with pytest.raises(MissingEntry):
+        dg.borda_count({"a": {"d1": 0.9}, "b": {"d1": None}})
+
+
+def test_fit_gaussian_ridge_inverts_a_zero_covariance():
+    fit = dg.fit_gaussian(np.tile([1.0, -2.0, 0.5], (4, 1)))
+    assert fit.ridge == 1e-12
+    assert np.array_equal(fit.sigma, np.zeros((3, 3)))
+    np.testing.assert_allclose(fit.sigma_inv, np.eye(3) / 1e-12, rtol=1e-12)
+    assert dg.mahalanobis_score(fit.mu + [1e-6, 0.0, 0.0], fit) == pytest.approx(1.0)
+
+    x = np.random.default_rng(2).standard_normal((30, 3)) * [1.0, 2.0, 3.0]
+    fit = dg.fit_gaussian(x)
+    assert fit.ridge == pytest.approx(1e-6 * np.trace(fit.sigma) / 3, rel=1e-15)
+    rows = x[:5]
+    assert np.allclose(dg.mahalanobis_scores(rows, fit),
+                       [dg.mahalanobis_score(row, fit) for row in rows], rtol=1e-12)
