@@ -5,7 +5,9 @@ Two layers live here.  The typed layer (:class:`PoincarePoint`,
 the open-ball invariant ``c * ||z||^2 < 1`` and raises the package error types
 on misuse.  The array layer (``exp0``, ``log0``, ``dist_rows``, ...) works on
 raw arrays, accepts tape nodes as well as numpy arrays, and is what the
-objective and training code build on.
+objective and training code build on.  ``pair_distances`` gives all i < j
+distances of a set of rows as one tape node; ``dist_rows`` pairs rows one to
+one.  Both share one Poincare distance formula.
 
 Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
 radius is ``1/sqrt(c)``.  The exponential and logarithm maps are taken at the
@@ -13,7 +15,8 @@ origin only; general-basepoint maps are intentionally absent.
 
 Closed forms::
 
-    d(z1, z2)  = (2/sqrt(c)) atanh(sqrt(c) * ||(-z1) (+) z2||)      (Mobius form)
+    d(z1, z2)  = (2/sqrt(c)) atanh(sqrt(c) * sqrt(s / den)),        (difference form)
+                 s = ||z1 - z2||^2,  den = (1 - c||z1||^2)(1 - c||z2||^2) + c s
     exp0(v)    = tanh(sqrt(c)||v||) * v / (sqrt(c)||v||)
     log0(u)    = atanh(sqrt(c)||u||) * u / (sqrt(c)||u||)
     z_K        = 2 z_B / (1 + c||z_B||^2)
@@ -184,50 +187,104 @@ def einstein_mid(k_rows, c, groups):
     return ad.matmul(groups, g * k_rows) / ad.matmul(groups, g)
 
 
+def _poincare_from_sq(s, ni, nj, c):
+    """Poincare distance from ``s = ||z_i - z_j||^2`` and the squared row norms.
+
+    Returns the distances and ``back(g) -> (g_s, g_ni, g_nj)``, the gradient
+    with respect to the three inputs.  The denominator floor and the atanh
+    clamp are constants of the backward pass: a pair whose argument clamps
+    gets zero gradient.  So does a coincident pair (``s == 0``), where the
+    distance has a kink.
+    """
+    den = np.maximum((1.0 - c * ni) * (1.0 - c * nj) + c * s, _TINY_SQ)
+    m = np.sqrt(s / den)
+    arg = np.sqrt(c) * m
+    out = (2.0 / np.sqrt(c)) * ad.atanh(arg)
+
+    def back(g):
+        # dd/ds = 1/(m den), dd/dn_i = c m / (1 - c n_i)
+        live = (arg < ad.ATANH_MAX) & (s > 0.0)
+        gm = np.where(live, g * (c * m), 0.0)
+
+        def safe(num, by):
+            return np.divide(num, by, out=np.zeros(live.shape), where=live)
+
+        return safe(g, m * den), safe(gm, 1.0 - c * ni), safe(gm, 1.0 - c * nj)
+
+    return out, back
+
+
 def dist_rows(z1, z2, c):
     """Poincare distance between paired rows (last axis); one tape node.
 
-    The backward pass is the closed-form gradient of the Mobius-form distance
-    (cf. Nickel & Kiela 2017, Ganea et al. 2018).  The squared-norm and
-    denominator floors and the atanh clamp are constants of the backward pass:
-    a pair whose argument clamps gets zero gradient.
+    Works from the difference ``z1 - z2``, so close pairs keep full relative
+    accuracy (the Mobius-form numerator cancels there).
     """
     x1, x2 = ad.val(z1), ad.val(z2)
-    dots = np.sum(x1 * x2, axis=-1)
-    n1 = np.sum(x1 * x1, axis=-1)
-    n2 = np.sum(x2 * x2, axis=-1)
-    a = 1.0 - 2.0 * c * dots + c * n2
-    b = 1.0 - c * n1
-    num = b[..., None] * x2 - a[..., None] * x1
-    # den = (1 - c n1)(1 - c n2) + c ||z1 - z2||^2 > 0 inside the ball; the
-    # floor guards boundary-saturated inputs (atanh then clamps, so the
-    # distance stays finite and its gradient is zero there)
-    den_raw = 1.0 - 2.0 * c * dots + (c * c) * n1 * n2
-    den = np.maximum(den_raw, _TINY_SQ)
-    nn = np.sum(num * num, axis=-1)
-    r = np.sqrt(np.maximum(nn, _TINY_SQ))
-    m = r / den
-    arg = np.sqrt(c) * m
-    out = (2.0 / np.sqrt(c)) * ad.atanh(arg)
+    diff = x1 - x2
+    out, back = _poincare_from_sq(np.sum(diff * diff, axis=-1), np.sum(x1 * x1, axis=-1),
+                                  np.sum(x2 * x2, axis=-1), c)
     if not (ad.is_node(z1) or ad.is_node(z2)):
         return out
 
     def vjp(g):
-        # d = (2/sqrt(c)) atanh(sqrt(c) r / den), r = ||num||
-        x = np.clip(arg, -ad.ATANH_MAX, ad.ATANH_MAX)
-        g_m = np.where(np.abs(arg) < ad.ATANH_MAX, 2.0 * g / (1.0 - x * x), 0.0)
-        g_den = np.where(den_raw >= _TINY_SQ, -g_m * m / den, 0.0)
-        g_nn = np.where(nn >= _TINY_SQ, g_m / den / (2.0 * r), 0.0)
-        g_num = (2.0 * g_nn)[..., None] * num
-        g_a = -np.sum(g_num * x1, axis=-1)
-        g_b = np.sum(g_num * x2, axis=-1)
-        g_dots = (-2.0 * c * (g_a + g_den))[..., None]
-        g_n1 = (2.0 * ((c * c) * n2 * g_den - c * g_b))[..., None]
-        g_n2 = (2.0 * ((c * c) * n1 * g_den + c * g_a))[..., None]
-        return (g_dots * x2 + g_n1 * x1 - a[..., None] * g_num,
-                g_dots * x1 + g_n2 * x2 + b[..., None] * g_num)
+        g_s, g_n1, g_n2 = back(g)
+        g_diff = (2.0 * g_s)[..., None] * diff
+        return (g_diff + (2.0 * g_n1)[..., None] * x1,
+                (2.0 * g_n2)[..., None] * x2 - g_diff)
 
     return ad.make_joint_node(out, (z1, z2), vjp)
+
+
+PAIR_MODES = ("poincare", "l2")
+
+
+def pair_distances(rows, mode, c=1.0):
+    """Distances of all row pairs ``i < j`` of ``(..., k, d)`` rows; one tape node.
+
+    Returns ``(..., P)``, ``P = k(k-1)/2``, in ``np.triu_indices(k, 1)``
+    order; ``mode`` is ``"poincare"`` (curvature ``c``) or ``"l2"``.  Both
+    modes start from the ``(..., k, k, d)`` difference tensor ``D``, so close
+    pairs stay accurate and identical rows give exactly 0 with zero gradient.
+    The backward pass scatters the per-pair gradients into ``(k, k)``
+    matrices and contracts them with ``D``: no gathered ``(P, d)`` arrays.
+    Memory is ``O(k^2 d)``.
+    """
+    if mode not in PAIR_MODES:
+        raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
+    x = ad.val(rows)
+    k = x.shape[-2]
+    ii, jj = np.triu_indices(k, 1)
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    # np.take keeps the pair axis C-ordered, so the per-row reductions that
+    # follow sum in the same order whatever the leading axes
+    s = np.take(np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(x.shape[:-2] + (k * k,)),
+                ii * k + jj, axis=-1)
+    if mode == "l2":
+        dist = np.sqrt(s)
+
+        def back(g):
+            return np.divide(0.5 * g, dist, out=np.zeros(s.shape), where=s > 0.0), None, None
+    else:
+        n = np.einsum("...id,...id->...i", x, x)
+        dist, back = _poincare_from_sq(s, np.take(n, ii, axis=-1), np.take(n, jj, axis=-1), c)
+    if not ad.is_node(rows):
+        return dist
+
+    def vjp(g):
+        g_s, g_ni, g_nj = back(g)
+        w = np.zeros(x.shape[:-1] + (k,))
+        w[..., ii, jj] = g_s
+        w[..., jj, ii] = g_s
+        g_x = 2.0 * np.einsum("...ij,...ijd->...id", w, diff)
+        if g_ni is not None:
+            # row-norm term: row a collects dd/dn_a over every pair it is in
+            w[..., ii, jj] = g_ni
+            w[..., jj, ii] = g_nj
+            g_x += (2.0 * np.sum(w, axis=-1))[..., None] * x
+        return g_x
+
+    return ad.make_node(dist, (rows, vjp))
 
 
 # typed layer ------------------------------------------------------------------
@@ -235,8 +292,6 @@ def dist_rows(z1, z2, c):
 def poincare_distance(a: PoincarePoint, b: PoincarePoint) -> float:
     """Geodesic distance on the Poincare ball; symmetric, zero iff a == b."""
     _check_pair(a, b)
-    if np.array_equal(a.coords, b.coords):
-        return 0.0
     return float(dist_rows(a.coords[None, :], b.coords[None, :], a.c)[0])
 
 

@@ -34,7 +34,7 @@ TREE_SCOPES = ("full_tree", "leaf_only")
 CENTROID_MODES = ("klein_average", "euclidean_then_map")
 MAP_MODES = ("exp_map", "clip")
 FLAT_LOSSES = ("cross_entropy", "supcon")
-CPCC_DISTANCES = ("poincare", "l2")
+CPCC_DISTANCES = geo.PAIR_MODES
 
 MIN_CPCC_PAIRS = 3
 
@@ -226,10 +226,6 @@ def hyp_prototypes(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> Proto
     return Prototypes(points=points, present=frozenset(present))
 
 
-def _pair_indices(k):
-    return np.triu_indices(k, 1)
-
-
 def cpcc_term_core(features, labels, tree, cfg, metric=None):
     """CPCC between tree distances and prototype distances over present pairs.
 
@@ -243,19 +239,16 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
             f"{k} present vertices give {k * (k - 1) // 2} pairs; need {MIN_CPCC_PAIRS}"
         )
     tm = metric if metric is not None else tree_metric(tree)
-    ii, jj = _pair_indices(k)
+    ii, jj = np.triu_indices(k, 1)
     vids = np.asarray(present)
     tdist = tm.dist[vids[ii], vids[jj]]
     if np.ptp(tdist) == 0.0:
         raise DegenerateVariance("tree distances over present vertices are constant")
     if cfg.cpcc_distance == "poincare":
         protos = prototype_rows(features, labels, tree, cfg, present)
-        fdist = geo.dist_rows(ad.take(protos, ii), ad.take(protos, jj), cfg.c)
     else:
         protos = euclidean_prototype_rows(features, labels, tree, present)
-        diff = ad.take(protos, ii) - ad.take(protos, jj)
-        fdist = ad.sqrt(ad.maximum(geo.sq_norm(diff), 1e-300))
-    return cpcc_core(tdist, fdist)
+    return cpcc_core(tdist, geo.pair_distances(protos, cfg.cpcc_distance, cfg.c))
 
 
 def hypcpcc_loss(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> float:

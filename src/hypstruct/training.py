@@ -443,13 +443,8 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
 
     def objective(x):
         """Per-restart CPCC of ``(restarts, k, dim)`` coordinates."""
-        if distance_mode == "poincare":
-            pts = geo.exp0(x, cfg.c)
-            fdist = geo.dist_rows(ad.take(pts, ii, axis=1), ad.take(pts, jj, axis=1), cfg.c)
-        else:
-            diff = ad.take(x, ii, axis=1) - ad.take(x, jj, axis=1)
-            fdist = ad.sqrt(ad.maximum(geo.sq_norm(diff), 1e-300))
-        return obj.cpcc_core(tdist, fdist)
+        pts = geo.exp0(x, cfg.c) if distance_mode == "poincare" else x
+        return obj.cpcc_core(tdist, geo.pair_distances(pts, distance_mode, cfg.c))
 
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
     x = np.stack([budget.init_scale * np.random.default_rng(seq).standard_normal((k, dim))

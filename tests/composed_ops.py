@@ -1,8 +1,8 @@
 """Composed-op references for the fused tape operations.
 
-These build the same values as ``geometry.exp0``, ``geometry.dist_rows`` and
-``objective.cpcc_core`` out of elementary tape operations, one node per
-step, so the tape derives their gradients.  The tests compare the fused
+These build the same values as ``geometry.exp0``, ``geometry.dist_rows``,
+``geometry.pair_distances`` and ``objective.cpcc_core`` out of elementary
+tape operations, one node per step, so the tape derives their gradients.  The tests compare the fused
 hand-written backward passes against them.  ``cpcc_core`` here reduces along
 the last axis like the fused version.
 """
@@ -28,15 +28,21 @@ def exp0(v, c):
 
 
 def dist_rows(z1, z2, c):
-    dots = ad.sum(z1 * z2, axis=-1)
-    n1 = geo.sq_norm(z1)
-    n2 = geo.sq_norm(z2)
-    a = 1.0 - 2.0 * c * dots + c * n2
-    b = 1.0 - c * n1
-    num = ad.reshape(b, b.shape + (1,)) * z2 - ad.reshape(a, a.shape + (1,)) * z1
-    den = ad.maximum(1.0 - 2.0 * c * dots + (c * c) * n1 * n2, geo._TINY_SQ)
-    m = ad.sqrt(ad.maximum(geo.sq_norm(num), geo._TINY_SQ)) / den
+    diff = z1 - z2
+    s = geo.sq_norm(diff)
+    den = ad.maximum((1.0 - c * geo.sq_norm(z1)) * (1.0 - c * geo.sq_norm(z2)) + c * s,
+                     geo._TINY_SQ)
+    m = ad.sqrt(ad.maximum(s / den, geo._TINY_SQ))
     return (2.0 / np.sqrt(c)) * ad.atanh(np.sqrt(c) * m)
+
+
+def pair_distances(rows, mode, c=1.0):
+    # gather both ends of every i < j pair, then the paired distance
+    ii, jj = np.triu_indices(ad.val(rows).shape[-2], 1)
+    z1, z2 = ad.take(rows, ii, axis=-2), ad.take(rows, jj, axis=-2)
+    if mode == "poincare":
+        return dist_rows(z1, z2, c)
+    return ad.sqrt(ad.maximum(geo.sq_norm(z1 - z2), geo._TINY_SQ))
 
 
 def cpcc_core(tree_dists, feat_dists):

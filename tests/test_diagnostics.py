@@ -89,6 +89,36 @@ def test_knn_coarse_level_is_the_depth_one_ancestor():
     assert coarse[order].tolist() == sorted(coarse.tolist())
 
 
+# four training rows at exactly squared distance 1 from the origin query, and a
+# far one; equal distances resolve to the smaller training index
+TIED_TRAIN = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [3.0, 0.0]])
+ORIGIN = np.zeros((1, 2))
+
+
+@pytest.mark.parametrize("k,want", [
+    (1, 4),  # row 0 wins the distance tie although its class is larger
+    (2, 1),  # one vote each for classes 4 and 1: the smaller class wins
+    (3, 4),  # rows 0-2 (not row 3): classes 4, 1, 4, so 4 wins outright
+])
+def test_knn_fine_tie_breaking(k, want):
+    preds, _ = dg.knn_classify(TIED_TRAIN, [4, 1, 4, 1, 0], ORIGIN, k=k)
+    assert preds.tolist() == [want]
+
+
+def test_knn_coarse_tie_breaking():
+    tree = hi.balanced_tree((1, 2, 4))
+    coarse = tree.coarse_labels(np.arange(4))
+    lo, hi_ = min(coarse), max(coarse)
+    small = int(np.flatnonzero(coarse == lo)[0])
+    large = np.flatnonzero(coarse == hi_)
+    labels = [large[0], small, large[1], small, small]
+    got = [dg.knn_classify(TIED_TRAIN, labels, ORIGIN, k=k, level="coarse", tree=tree)[0]
+           .tolist() for k in (1, 2, 3)]
+    # row 0 wins the distance tie; a 1-1 vote goes to the smaller coarse
+    # class; rows 0-2 (not row 3) give the larger coarse class two votes
+    assert got == [[hi_], [lo], [hi_]]
+
+
 def nine_gather_delta_sampled(d, k, seed):
     """Reference sampled estimator: the direct formula, nine gathers per quadruple."""
     n = d.shape[0]

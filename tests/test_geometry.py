@@ -350,3 +350,105 @@ class TestFusedBackward:
         np.testing.assert_allclose(g[[0, 2]].ravel(),
                                    central_difference(inner_pair, z[[0, 2]].ravel()),
                                    rtol=0, atol=1e-7)
+
+
+# all-pairs kernel ---------------------------------------------------------------
+
+class TestPairDistances:
+    @pytest.mark.parametrize("shape", FUSED_SHAPES)
+    @pytest.mark.parametrize("mode,c", [("poincare", 1.0), ("poincare", 0.6), ("l2", 1.0)])
+    def test_matches_gathered_pairs(self, shape, mode, c):
+        # well-separated rows: the kernel against gather + paired distance
+        rng = np.random.default_rng(25)
+        z = 0.8 * geo.exp0(rng.standard_normal(shape), c)
+        w = rng.standard_normal(shape[:-2] + (shape[-2] * (shape[-2] - 1) // 2,))
+        np.testing.assert_allclose(geo.pair_distances(z, mode, c),
+                                   composed.pair_distances(z, mode, c), rtol=1e-14, atol=0)
+        assert_fused_matches(lambda x: geo.pair_distances(x, mode, c),
+                             lambda x: composed.pair_distances(x, mode, c), z, w)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            geo.pair_distances(np.zeros((3, 2)), "cosine")
+
+
+# close and coincident pairs -------------------------------------------------------
+
+SEPARATIONS = [10.0 ** -e for e in range(3, 13)]
+
+
+def colinear_pair(r, sep, dim):
+    """Rows ``r e1`` and ``r2 e1`` with ``r2 - r`` exact in floating point."""
+    r2 = r + sep
+    z = np.zeros((2, dim))
+    z[0, 0], z[1, 0] = r, r2
+    return z, r2
+
+
+def exact_colinear(r, r2, c):
+    # d = (2/sqrt(c)) atanh(sqrt(c)(r2 - r)/(1 - c r r2)), dd/dr2 = 2/(1 - c r2^2)
+    sc = math.sqrt(c)
+    d = (2.0 / sc) * math.atanh(sc * (r2 - r) / (1.0 - c * r * r2))
+    return d, 2.0 / (1.0 - c * r2 * r2), -2.0 / (1.0 - c * r * r)
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("c", [1.0, 0.6])
+    @pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+    @pytest.mark.parametrize("sep", SEPARATIONS)
+    def test_kernel_and_dist_rows_against_exact_colinear(self, sep, r, c):
+        z, r2 = colinear_pair(r, sep, 3)
+        d, dd_r2, dd_r = exact_colinear(r, r2, c)
+        kernels = {
+            "pair_distances": lambda x: geo.pair_distances(x, "poincare", c),
+            "dist_rows": lambda x: geo.dist_rows(x[0:1], x[1:2], c),
+        }
+        for name, fn in kernels.items():
+            got = float(ad.val(fn(z))[0])
+            g = weighted_grad(fn, z, np.ones(1))
+            assert abs(got - d) <= 1e-13 * d, name
+            assert abs(g[1, 0] - dd_r2) <= 1e-13 * abs(dd_r2), name
+            assert abs(g[0, 0] - dd_r) <= 1e-13 * abs(dd_r), name
+            np.testing.assert_array_equal(g[:, 1:], 0.0)
+
+    @pytest.mark.parametrize("sep", SEPARATIONS)
+    def test_l2_kernel_exact_for_close_pairs(self, sep):
+        z, r2 = colinear_pair(0.5, sep, 2)
+        got = float(geo.pair_distances(z, "l2")[0])
+        assert abs(got - (r2 - 0.5)) <= 1e-15 * (r2 - 0.5)
+        g = weighted_grad(lambda x: geo.pair_distances(x, "l2"), z, np.ones(1))
+        np.testing.assert_allclose(g[:, 0], [-1.0, 1.0], rtol=1e-15, atol=0)
+
+
+class TestCoincidentRows:
+    @pytest.mark.parametrize("mode", geo.PAIR_MODES)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_zero_distance_and_gradient(self, mode, batched):
+        # rows 0 and 2 coincide; pair (0, 2) is index 1 in triu order
+        z = np.array([[0.2, -0.3], [0.5, 0.1], [0.2, -0.3], [-0.4, 0.0]])
+        if batched:
+            z = np.stack([z, z[[2, 1, 0, 3]]])
+        lead = z.shape[:-2]
+        only_tie = np.zeros(lead + (6,))
+        only_tie[..., 1] = 1.0
+        ad.reset_events()
+        before = ad.total_atanh_clamps()
+        out = geo.pair_distances(z, mode)
+        assert np.all(out[..., 1] == 0.0)
+        assert np.all(out[..., [0, 2, 3, 4, 5]] > 0.0)
+        np.testing.assert_array_equal(
+            weighted_grad(lambda x: geo.pair_distances(x, mode), z, only_tie), 0.0)
+        w = np.random.default_rng(26).standard_normal(lead + (6,))
+        g = weighted_grad(lambda x: geo.pair_distances(x, mode), z, w)
+        assert np.all(np.isfinite(g))
+        np.testing.assert_allclose(
+            g, weighted_grad(lambda x: composed.pair_distances(x, mode), z, w),
+            rtol=0, atol=1e-10)
+        assert not ad.events_active() and ad.total_atanh_clamps() == before
+
+    def test_dist_rows_identical_rows(self):
+        z = np.array([[0.2, -0.3], [0.0, 0.0]])
+        before = ad.total_atanh_clamps()
+        assert np.all(geo.dist_rows(z, z, 1.0) == 0.0)
+        assert np.all(weighted_grad(lambda x: geo.dist_rows(x, z, 1.0), z, np.ones(2)) == 0.0)
+        assert ad.total_atanh_clamps() == before

@@ -129,6 +129,29 @@ class TestCpccFusedBackward:
         assert np.all(g[..., [0, 2, 4], :] != 0.0)
 
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_clamped_pairs_through_pair_kernel(self, batched):
+        # the same chain with the all-pairs kernel in place of gather + dist_rows
+        edge = np.nextafter(1.0, 0.0)
+        z = np.array([[0.3, 0.1], [edge, 0.0], [-0.2, 0.4], [-edge, 0.0], [0.1, -0.5]])
+        t = np.arange(1.0, 11.0) % 4 + 1.0
+        if batched:
+            z = np.stack([z, z[::-1]])
+        seen = {}
+        for name, impl, corr in (("fused", geo, obj.cpcc_core),
+                                 ("composed", composed, composed.cpcc_core)):
+            ad.reset_events()
+            before = ad.total_atanh_clamps()
+            g = weighted_grad(lambda x: corr(t, impl.pair_distances(x, "poincare", 1.0)),
+                              z, np.ones(z.shape[:-2]))
+            seen[name] = (g, ad.events_active(), ad.total_atanh_clamps() - before)
+        g, active, clamps = seen["fused"]
+        assert (active, clamps) == seen["composed"][1:] == (True, 14 if batched else 7)
+        np.testing.assert_allclose(g, seen["composed"][0], rtol=0, atol=1e-10)
+        assert np.all(g[..., [1, 3], :] == 0.0)
+        assert np.all(g[..., [0, 2, 4], :] != 0.0)
+
+
 class TestL2DatasetDistance:
     def test_identical_groups(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -302,6 +325,34 @@ class TestPrototypeOracle:
         g = obj.gradient(closure, feats.ravel())
         want = central_difference(lambda v: float(ad.val(closure(v))), feats.ravel())
         assert np.max(np.abs(g - want) / np.maximum(np.abs(want), 1e-4)) <= 1e-4
+
+
+def test_coincident_parent_and_child_prototypes():
+    # on (1,20,100) coarse vertex 1 keeps a single present leaf, so its
+    # prototype and that leaf's are the same point: their distance is exactly
+    # 0, and the CPCC gradient stays finite with no atanh clamp
+    tree = hi.balanced_tree((1, 20, 100))
+    rng = np.random.default_rng(33)
+    coarse = tree.coarse_labels(np.arange(tree.n_classes))
+    lone = int(np.flatnonzero(coarse == coarse[0])[0])
+    classes = np.concatenate([[lone], np.flatnonzero(coarse != coarse[0])])
+    labels = np.repeat(classes, 2)
+    feats = 0.3 * rng.standard_normal((labels.size, 16))
+    cfg = obj.ObjectiveConfig(cpcc_distance="poincare")
+    present = obj.present_vertices(tree, labels, cfg.tree_scope)
+    a = present.index(tree.parent[tree.leaf_of_class(lone)])
+    b = present.index(tree.leaf_of_class(lone))
+    rows = obj.prototype_rows(feats, labels, tree, cfg, present)
+    np.testing.assert_array_equal(rows[a], rows[b])
+    ii, jj = np.triu_indices(len(present), 1)
+    dists = geo.pair_distances(rows, "poincare", cfg.c)
+    assert dists[(ii == min(a, b)) & (jj == max(a, b))] == [0.0]
+    assert np.count_nonzero(dists == 0.0) == 1
+    before = ad.total_atanh_clamps()
+    g, nondiff = obj.gradient(lambda x: obj.cpcc_term_core(x, labels, tree, cfg), feats,
+                              return_nondifferentiable=True)
+    assert np.all(np.isfinite(g)) and np.any(g != 0.0)
+    assert not nondiff and ad.total_atanh_clamps() == before
 
 
 class TestCpccLosses:

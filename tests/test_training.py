@@ -178,13 +178,8 @@ def sequential_embed(tree, dim, distance_mode, cfg, budget):
 
     def objective(leaf):
         x = ad.reshape(leaf, (k, dim))
-        if distance_mode == "poincare":
-            pts = geo.exp0(x, cfg.c)
-            fdist = geo.dist_rows(ad.take(pts, ii), ad.take(pts, jj), cfg.c)
-        else:
-            diff = ad.take(x, ii) - ad.take(x, jj)
-            fdist = ad.sqrt(ad.maximum(geo.sq_norm(diff), 1e-300))
-        return obj.cpcc_core(tdist, fdist)
+        pts = geo.exp0(x, cfg.c) if distance_mode == "poincare" else x
+        return obj.cpcc_core(tdist, geo.pair_distances(pts, distance_mode, cfg.c))
 
     finals, coords, stops = [], [], []
     for seq in np.random.SeedSequence(budget.seed).spawn(budget.restarts):
@@ -256,3 +251,50 @@ def test_history_csv_format(tree):
     lines = text.strip().splitlines()
     assert lines[0] == "epoch,flat,cpcc,center,lr"
     assert len(lines) == 3
+
+
+# tape size of one training step -------------------------------------------------------
+
+def tape_nodes(out):
+    """Unique tape nodes reachable from ``out`` (as the traced benchmark counts them)."""
+    seen = {}
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(parent for parent, _ in node.parents)
+    return list(seen.values())
+
+
+# one composite_core step of train-c100's shape built 92 nodes before the
+# all-pairs distance kernel and 90 with it
+MAX_STEP_NODES = 90
+
+
+def test_train_step_tape_size_on_cifar100_shape():
+    tree = hi.balanced_tree((1, 20, 100))
+    ds = tr.generate_hierarchical_gaussians(
+        tr.SyntheticSpec(tree=tree, dim=32, n_per_leaf=2, seed=1))
+    enc = tr.EncoderSpec(input_dim=32, hidden_dim=64, output_dim=16, seed=2)
+    cfg = obj.ObjectiveConfig(cpcc_distance="poincare")
+    layout = tr.build_layout(enc, cfg, tree.n_classes)
+    idx = np.random.default_rng(0).permutation(ds.n)[:128]
+    xb, yb = ds.features[idx], ds.labels[idx]
+    leaf = ad.Node(tr.init_params(layout, enc.seed))
+    feats = tr.encode(leaf, layout, enc, xb)
+    total, _ = obj.composite_core(feats, yb, tree, cfg,
+                                  obj.FlatInputs(logits=tr.class_logits(leaf, layout, feats)))
+    nodes = tape_nodes(total)
+    assert len(nodes) <= MAX_STEP_NODES
+
+    # the pair distances are one node whose only parent is the prototype node
+    present = obj.present_vertices(tree, yb, cfg.tree_scope)
+    n_pairs = len(present) * (len(present) - 1) // 2
+    pair_nodes = [n for n in nodes if n.shape == (n_pairs,)]
+    assert len(pair_nodes) == 1
+    (proto, _), = pair_nodes[0].parents
+    np.testing.assert_array_equal(
+        proto.value, obj.prototype_rows(np.asarray(feats.value), yb, tree, cfg, present))
+    np.testing.assert_array_equal(pair_nodes[0].value,
+                                  geo.pair_distances(proto.value, "poincare", cfg.c))
