@@ -398,16 +398,6 @@ def gather_cols(a, cols):
     return make_node(va[rows, cols], (a, vjp))
 
 
-def stack(items, axis=0):
-    values = [val(x) for x in items]
-    if not any(isinstance(x, Node) for x in items):
-        return np.stack(values, axis=axis)
-    pairs = []
-    for i, x in enumerate(items):
-        pairs.append((x, lambda g, k=i: np.take(g, k, axis=axis)))
-    return make_node(np.stack(values, axis=axis), *pairs)
-
-
 def _getitem(a, key):
     va = a.value
     out = va[key]
@@ -436,19 +426,19 @@ def grad(out, wrt):
 
     topo = []
     seen = set()
-    stack_ = [(out, False)]
-    while stack_:
-        node, done = stack_.pop()
+    stack = [(out, False)]
+    while stack:
+        node, done = stack.pop()
         if done:
             topo.append(node)
             continue
         if id(node) in seen:
             continue
         seen.add(id(node))
-        stack_.append((node, True))
+        stack.append((node, True))
         for parent, _ in node.parents:
             if id(parent) not in seen:
-                stack_.append((parent, False))
+                stack.append((parent, False))
 
     grads = {id(out): np.ones_like(out.value)}
     for node in reversed(topo):

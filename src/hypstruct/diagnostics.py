@@ -12,9 +12,7 @@ from . import autodiff as ad
 from . import objective as obj
 from .errors import (
     DegenerateVariance,
-    DimensionMismatch,
     EmptyInput,
-    IndexOutOfRange,
     MissingEntry,
     SingularAfterRegularization,
     ZeroDiameter,
@@ -50,16 +48,6 @@ class DistanceMatrix:
     @property
     def diameter(self):
         return float(self.dist.max(initial=0.0))
-
-
-def gromov_product(dm: DistanceMatrix, x, y, z) -> float:
-    """(y, z) product at basepoint x: (d(x,y) + d(x,z) - d(y,z)) / 2."""
-    n = dm.n
-    for i in (x, y, z):
-        if not (0 <= i < n):
-            raise IndexOutOfRange(f"index {i} outside [0, {n})")
-    d = dm.dist
-    return 0.5 * (d[x, y] + d[x, z] - d[y, z])
 
 
 def _delta_exact(d: np.ndarray) -> float:
@@ -240,15 +228,6 @@ def fit_gaussian(features) -> GaussianFit:
     if not np.all(np.isfinite(sigma_inv)):
         raise SingularAfterRegularization("inverse contains non-finite entries")
     return GaussianFit(mu=mu, sigma=sigma, sigma_inv=sigma_inv, ridge=ridge)
-
-
-def mahalanobis_score(x, fit: GaussianFit) -> float:
-    """Quadratic-form anomaly score; higher means more out-of-distribution."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != fit.mu.shape:
-        raise DimensionMismatch(f"x has shape {x.shape}, fit expects {fit.mu.shape}")
-    diff = x - fit.mu
-    return float(diff @ fit.sigma_inv @ diff)
 
 
 def mahalanobis_scores(rows, fit: GaussianFit) -> np.ndarray:

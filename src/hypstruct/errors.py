@@ -5,24 +5,6 @@ class HypstructError(Exception):
     """Base class for all package-specific errors."""
 
 
-# geometry
-
-class MixedCurvature(HypstructError):
-    """Operands carry different curvature constants."""
-
-
-class OutsideBall(HypstructError):
-    """A point violates the open-ball invariant c * ||z||^2 < 1."""
-
-
-class DimensionMismatch(HypstructError):
-    """Operands have incompatible vector dimensions."""
-
-
-class EmptyInput(HypstructError):
-    """An aggregate operation received no points."""
-
-
 # hierarchy
 
 class ParseError(HypstructError):
@@ -54,24 +36,8 @@ class DegenerateVariance(HypstructError):
     """A correlation operand is constant."""
 
 
-class LengthMismatch(HypstructError):
-    """Paired collections differ in length."""
-
-
-class EmptyGroup(HypstructError):
-    """A dataset-distance group has no rows."""
-
-
-class EmptyBatch(HypstructError):
-    """An operation requires at least one sample."""
-
-
 class InsufficientVertices(HypstructError):
     """Fewer than three vertex pairs are available for a CPCC term."""
-
-
-class UnnormalizedInput(HypstructError):
-    """Contrastive embeddings are not unit-norm rows."""
 
 
 class ClassWithoutPositive(HypstructError):
@@ -95,10 +61,6 @@ class PreconditionViolated(HypstructError):
     """A closed-form theorem precondition does not hold."""
 
 
-class TemplateMismatch(HypstructError):
-    """A matrix does not match the declared block template."""
-
-
 class NotSymmetric(HypstructError):
     """An eigensolver input is not symmetric within tolerance."""
 
@@ -113,8 +75,8 @@ class DegenerateRow(HypstructError):
 
 # diagnostics
 
-class IndexOutOfRange(HypstructError):
-    """A point index is outside the distance matrix."""
+class EmptyInput(HypstructError):
+    """An aggregate operation (AUROC, Borda count) received no values."""
 
 
 class ZeroDiameter(HypstructError):

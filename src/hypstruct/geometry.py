@@ -1,24 +1,20 @@
-"""Poincare-ball and Klein-model primitives.
+"""Poincare-ball and Klein-model primitives on raw arrays.
 
-Two layers live here.  The typed layer (:class:`PoincarePoint`,
-:class:`KleinPoint` and the operations on them) validates every input against
-the open-ball invariant ``c * ||z||^2 < 1`` and raises the package error types
-on misuse.  The array layer (``exp0``, ``log0``, ``dist_rows``, ...) works on
-raw arrays, accepts tape nodes as well as numpy arrays, and is what the
-objective and training code build on.  ``pair_distances`` gives all i < j
-distances of a set of rows as one tape node; ``dist_rows`` pairs rows one to
-one.  Both share one Poincare distance formula.
+Every function takes rows along the last axis, accepts tape nodes as well as
+numpy arrays, and is what the objective and training code build on.
+``pair_distances`` gives all i < j distances of a set of rows as one tape
+node; ``dist_rows`` pairs rows one to one.  Both share one Poincare distance
+formula.
 
 Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
-radius is ``1/sqrt(c)``.  The exponential and logarithm maps are taken at the
-origin only; general-basepoint maps are intentionally absent.
+radius is ``1/sqrt(c)``.  The exponential map is taken at the origin only;
+general-basepoint maps are intentionally absent.
 
 Closed forms::
 
     d(z1, z2)  = (2/sqrt(c)) atanh(sqrt(c) * sqrt(s / den)),        (difference form)
                  s = ||z1 - z2||^2,  den = (1 - c||z1||^2)(1 - c||z2||^2) + c s
     exp0(v)    = tanh(sqrt(c)||v||) * v / (sqrt(c)||v||)
-    log0(u)    = atanh(sqrt(c)||u||) * u / (sqrt(c)||u||)
     z_K        = 2 z_B / (1 + c||z_B||^2)
     z_B        = z_K / (1 + sqrt(1 - c||z_K||^2))
     midpoint   = sum_i gamma_i z_i / sum_i gamma_i,  gamma_i = 1/sqrt(1 - c||z_i||^2)
@@ -26,12 +22,9 @@ Closed forms::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionMismatch, EmptyInput, MixedCurvature, OutsideBall
 
 DEFAULT_CLIP_EPSILON = 1e-5
 
@@ -43,73 +36,6 @@ _TINY_SQ = 1e-300
 # so exp0 output always satisfies the strict ball invariant.
 _TANH_MAX = np.nextafter(1.0, 0.0)
 
-
-def _as_vector(x):
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise OutsideBall("coordinates must be finite")
-    return v
-
-
-def _check_curvature(c):
-    c = float(c)
-    if not (c > 0.0 and np.isfinite(c)):
-        raise ValueError(f"curvature must be a positive finite real, got {c}")
-    return c
-
-
-@dataclass(frozen=True)
-class PoincarePoint:
-    """A point strictly inside the curvature-``c`` Poincare ball."""
-
-    coords: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
-        object.__setattr__(self, "c", _check_curvature(self.c))
-        if self.c * float(np.dot(self.coords, self.coords)) >= 1.0:
-            raise OutsideBall(
-                f"c*||z||^2 = {self.c * float(np.dot(self.coords, self.coords)):.17g} >= 1"
-            )
-        self.coords.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.coords.size
-
-
-@dataclass(frozen=True)
-class KleinPoint:
-    """A point strictly inside the curvature-``c`` Klein ball."""
-
-    coords: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
-        object.__setattr__(self, "c", _check_curvature(self.c))
-        if self.c * float(np.dot(self.coords, self.coords)) >= 1.0:
-            raise OutsideBall(
-                f"c*||z||^2 = {self.c * float(np.dot(self.coords, self.coords)):.17g} >= 1"
-            )
-        self.coords.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.coords.size
-
-
-def _check_pair(a, b):
-    if a.c != b.c:
-        raise MixedCurvature(f"curvatures differ: {a.c} vs {b.c}")
-    if a.coords.size != b.coords.size:
-        raise DimensionMismatch(f"dimensions differ: {a.coords.size} vs {b.coords.size}")
-
-
-# array layer -----------------------------------------------------------------
 
 def sq_norm(x, axis=-1, keepdims=False):
     return ad.sum(x * x, axis=axis, keepdims=keepdims)
@@ -140,12 +66,6 @@ def exp0(v, c):
         return coef * g + 2.0 * np.where(sq >= _TINY_SQ, g_sq, 0.0) * x
 
     return ad.make_node(out, (v, vjp))
-
-
-def log0(u, c):
-    """Logarithm map at the origin, rows along the last axis."""
-    a = ad.sqrt(ad.maximum(sq_norm(u, keepdims=True), _TINY_SQ)) * np.sqrt(c)
-    return (ad.atanh(a) / a) * u
 
 
 def clip0(v, c, epsilon=DEFAULT_CLIP_EPSILON):
@@ -286,65 +206,3 @@ def pair_distances(rows, mode, c=1.0):
 
     return ad.make_node(dist, (rows, vjp))
 
-
-# typed layer ------------------------------------------------------------------
-
-def poincare_distance(a: PoincarePoint, b: PoincarePoint) -> float:
-    """Geodesic distance on the Poincare ball; symmetric, zero iff a == b."""
-    _check_pair(a, b)
-    return float(dist_rows(a.coords[None, :], b.coords[None, :], a.c)[0])
-
-
-def exp_map_origin(v, c: float = 1.0) -> PoincarePoint:
-    """Map a tangent vector at the origin onto the ball; 0 maps to the origin."""
-    c = _check_curvature(c)
-    v = _as_vector(v)
-    return PoincarePoint(exp0(v, c), c)
-
-
-def log_map_origin(u: PoincarePoint) -> np.ndarray:
-    """Inverse of :func:`exp_map_origin`; the origin maps to the zero vector."""
-    return np.asarray(log0(u.coords, u.c))
-
-
-def clip_to_ball(v, c: float = 1.0, epsilon: float = DEFAULT_CLIP_EPSILON) -> PoincarePoint:
-    """Identity below the ball radius, rescale to ``1/sqrt(c) - epsilon`` otherwise."""
-    c = _check_curvature(c)
-    if not (0.0 < epsilon < 1.0 / np.sqrt(c)):
-        raise ValueError("epsilon must lie in (0, 1/sqrt(c))")
-    v = _as_vector(v)
-    return PoincarePoint(clip0(v, c, epsilon), c)
-
-
-def poincare_to_klein(z: PoincarePoint) -> KleinPoint:
-    return KleinPoint(to_klein(z.coords, z.c), z.c)
-
-
-def klein_to_poincare(z: KleinPoint) -> PoincarePoint:
-    return PoincarePoint(to_poincare(z.coords, z.c), z.c)
-
-
-def einstein_midpoint(points) -> KleinPoint:
-    """Lorentz-factor weighted average of Klein points.
-
-    Reordering the points only reorders two floating-point sums, so by the
-    recursive-summation error bound any two orderings of n points agree per
-    coordinate to within about ``4 (n - 1) u / sqrt(c)``, with ``u = 2**-53``
-    (5e-15 for 12 points at c = 1).  The result is not bit-exactly
-    permutation invariant.
-    """
-    points = list(points)
-    if not points:
-        raise EmptyInput("einstein_midpoint needs at least one point")
-    first = points[0]
-    for p in points[1:]:
-        _check_pair(first, p)
-    rows = np.stack([p.coords for p in points])
-    mid = einstein_mid(rows, first.c, np.ones((1, len(points))))
-    return KleinPoint(mid[0], first.c)
-
-
-def hyp_ave_poincare(points) -> PoincarePoint:
-    """Poincare prototype: convert to Klein, Einstein midpoint, convert back."""
-    mid = einstein_midpoint([poincare_to_klein(p) for p in points])
-    return klein_to_poincare(mid)

@@ -254,10 +254,6 @@ def tree_metric(tree: LabelTree) -> TreeMetric:
     return TreeMetric(dist)
 
 
-def lca_height(tree: LabelTree, leaf_i, leaf_j):
-    return tree.lca_height(leaf_i, leaf_j)
-
-
 def balanced_tree(level_counts) -> LabelTree:
     """Balanced tree from root-first level counts, e.g. (1, 2, 4).
 

@@ -4,30 +4,20 @@ The composite objective is ``flat_loss - alpha * CPCC + beta * centering``
 where the CPCC term correlates tree-metric distances with feature-space
 distances over class prototypes (Poincare or Euclidean, per configuration).
 
-Every loss here has two faces: the public operation takes numpy inputs and
-returns a float, while the ``*_core`` form also accepts tape nodes so the same
-code path serves gradient evaluation.
+Every ``*_core`` term accepts tape nodes as well as numpy arrays, so one code
+path serves training (on the tape) and evaluation (plain values).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
-from .errors import (
-    ClassWithoutPositive,
-    DegenerateVariance,
-    EmptyBatch,
-    EmptyGroup,
-    InsufficientVertices,
-    LengthMismatch,
-    UnnormalizedInput,
-)
-from .geometry import PoincarePoint
+from .errors import ClassWithoutPositive, DegenerateVariance, InsufficientVertices
 from .hierarchy import LabelTree, tree_metric
 
 TREE_SCOPES = ("full_tree", "leaf_only")
@@ -76,35 +66,6 @@ class ObjectiveConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@dataclass
-class Batch:
-    """Encoder outputs with fine-class labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if ad.val(self.features).ndim != 2:
-            raise ValueError("features must be a 2-D (n, d) array")
-        if ad.val(self.features).shape[0] != self.labels.shape[0]:
-            raise LengthMismatch("features and labels disagree on n")
-        if self.labels.shape[0] < 1:
-            raise EmptyBatch("batch must contain at least one sample")
-
-    @property
-    def n(self):
-        return self.labels.shape[0]
-
-
-@dataclass(frozen=True)
-class Prototypes:
-    """Per-vertex Poincare prototypes for the vertices present in a batch."""
-
-    points: dict
-    present: frozenset
-
-
 @dataclass(frozen=True)
 class FlatInputs:
     """Inputs of the flat term: logits for CE, unit-norm embeddings for SupCon."""
@@ -141,34 +102,6 @@ def cpcc_core(tree_dists, feat_dists):
         return g_t, centered(fd, td, s_ff, f.shape)
 
     return ad.make_joint_node(r, (tree_dists, feat_dists), vjp)
-
-
-def cpcc(tree_dists, feat_dists) -> float:
-    """Pearson correlation between paired distance collections, in [-1, 1]."""
-    t = np.asarray(tree_dists, dtype=np.float64)
-    f = np.asarray(ad.val(feat_dists), dtype=np.float64)
-    if t.shape != f.shape or t.ndim != 1:
-        raise LengthMismatch(f"paired distance vectors required, got {t.shape} vs {f.shape}")
-    if t.size < 2:
-        raise LengthMismatch("need at least two pairs")
-    if np.ptp(t) == 0.0:
-        raise DegenerateVariance("tree distances are constant")
-    if np.ptp(f) == 0.0:
-        raise DegenerateVariance("feature distances are constant")
-    return float(ad.val(cpcc_core(t, feat_dists)))
-
-
-def l2_dataset_distance(group_a, group_b) -> float:
-    """Euclidean distance between the two group centroids."""
-    a = np.asarray(group_a, dtype=np.float64)
-    b = np.asarray(group_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise EmptyGroup("both groups must be nonempty")
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise LengthMismatch(f"dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
 
 
 # prototypes -------------------------------------------------------------------
@@ -216,16 +149,6 @@ def prototype_rows(features, labels, tree, cfg, vertices):
     return _map_rows(euclidean_prototype_rows(features, labels, tree, vertices), cfg)
 
 
-def hyp_prototypes(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> Prototypes:
-    """Per-vertex hyperbolic class prototypes for the in-scope present vertices."""
-    if batch.n < 1:
-        raise EmptyBatch("batch must contain at least one sample")
-    present = present_vertices(tree, batch.labels, cfg.tree_scope)
-    rows = np.asarray(ad.val(prototype_rows(batch.features, batch.labels, tree, cfg, present)))
-    points = {v: PoincarePoint(rows[i], cfg.c) for i, v in enumerate(present)}
-    return Prototypes(points=points, present=frozenset(present))
-
-
 def cpcc_term_core(features, labels, tree, cfg, metric=None):
     """CPCC between tree distances and prototype distances over present pairs.
 
@@ -251,18 +174,6 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
     return cpcc_core(tdist, geo.pair_distances(protos, cfg.cpcc_distance, cfg.c))
 
 
-def hypcpcc_loss(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> float:
-    """CPCC between d_T and Poincare prototype distances over present pairs."""
-    hyp_cfg = cfg if cfg.cpcc_distance == "poincare" else replace(cfg, cpcc_distance="poincare")
-    return float(ad.val(cpcc_term_core(batch.features, batch.labels, tree, hyp_cfg)))
-
-
-def l2_cpcc_loss(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig) -> float:
-    """CPCC between d_T and Euclidean centroid distances over present pairs."""
-    l2_cfg = cfg if cfg.cpcc_distance == "l2" else replace(cfg, cpcc_distance="l2")
-    return float(ad.val(cpcc_term_core(batch.features, batch.labels, tree, l2_cfg)))
-
-
 # centering ---------------------------------------------------------------------
 
 def centering_core(features, cfg):
@@ -276,13 +187,6 @@ def centering_core(features, cfg):
     return ad.sqrt(ad.maximum(geo.sq_norm(root, axis=None), 1e-300))
 
 
-def centering_loss(batch: Batch, cfg: ObjectiveConfig) -> float:
-    """Norm of the batch-level hyperbolic (or Euclidean) mean representation."""
-    if batch.n < 1:
-        raise EmptyBatch("batch must contain at least one sample")
-    return float(ad.val(centering_core(batch.features, cfg)))
-
-
 # flat losses --------------------------------------------------------------------
 
 def cross_entropy_core(logits, labels):
@@ -292,17 +196,6 @@ def cross_entropy_core(logits, labels):
     lse = ad.log(ad.sum(ad.exp(s), axis=1))
     picked = ad.gather_cols(s, labels)
     return ad.mean(lse - picked)
-
-
-def cross_entropy(logits, labels) -> float:
-    """Mean negative log softmax probability of the true class."""
-    logits = np.asarray(ad.val(logits), dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
-        raise LengthMismatch("logits must be (n, k) aligned with labels")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[1]:
-        raise ValueError("labels out of range")
-    return float(ad.val(cross_entropy_core(logits, labels)))
 
 
 def supcon_core(embeddings, labels, tau):
@@ -330,20 +223,6 @@ def supcon_core(embeddings, labels, tau):
     return ad.mean(ad.log(denom) - ad.log(numer))
 
 
-def supcon_loss(embeddings, labels, tau) -> float:
-    """SupCon loss; rows must be unit-norm within 1e-6."""
-    u = np.asarray(ad.val(embeddings), dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if u.ndim != 2 or u.shape[0] != labels.shape[0]:
-        raise LengthMismatch("embeddings must be (n, p) aligned with labels")
-    norms = np.linalg.norm(u, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise UnnormalizedInput(f"row norms deviate from 1 by up to {np.abs(norms - 1).max():.3g}")
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
-    return float(ad.val(supcon_core(embeddings, labels, tau)))
-
-
 # composite -----------------------------------------------------------------------
 
 def composite_core(features, labels, tree, cfg, flat: FlatInputs, metric=None):
@@ -363,35 +242,3 @@ def composite_core(features, labels, tree, cfg, flat: FlatInputs, metric=None):
         total = total + cfg.beta * centering_core(features, cfg)
     return total, flat_term
 
-
-def composite_objective(batch: Batch, tree: LabelTree, cfg: ObjectiveConfig,
-                        flat_inputs: FlatInputs) -> float:
-    """Composite objective value on plain numpy inputs; sub-errors propagate."""
-    if cfg.flat_loss == "supcon" and flat_inputs.embeddings is not None:
-        norms = np.linalg.norm(np.asarray(ad.val(flat_inputs.embeddings)), axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise UnnormalizedInput("supcon embeddings must be unit-norm rows")
-    total, _ = composite_core(batch.features, batch.labels, tree, cfg, flat_inputs)
-    return float(ad.val(total))
-
-
-# gradient --------------------------------------------------------------------------
-
-def gradient(closure, params, *, return_nondifferentiable=False):
-    """Exact gradient of ``closure(params)`` via the reverse-mode tape.
-
-    ``closure`` must map a parameter Node (same shape as ``params``) to a
-    scalar Node.  With ``return_nondifferentiable=True`` also returns whether
-    a clip branch or atanh clamp fired during the forward pass, in which case
-    the clamp was treated as a constant.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    ad.reset_events()
-    leaf = ad.Node(params)
-    out = closure(leaf)
-    if not ad.is_node(out):
-        raise TypeError("closure must return a tape Node; did it detach the parameters?")
-    g = ad.grad(out, [leaf])[0]
-    if return_nondifferentiable:
-        return g, ad.events_active()
-    return g

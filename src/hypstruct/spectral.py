@@ -3,7 +3,8 @@
 A class-ordered similarity matrix of perfectly structured features takes the
 value ``r^h`` at entry (i, j), where ``h`` is the height of the lowest common
 ancestor of the two samples' leaves.  For balanced trees the spectrum has a
-closed form built from two reductions:
+closed form (``balanced_eigenvalues_closed_form``), derived by applying two
+reductions level by level:
 
 * a constant-correlation block of size d with off-diagonal p has eigenvalues
   ``1 + p(d-1)`` (once) and ``1 - p`` (d-1 times);
@@ -24,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateRow,
-    NonFiniteMatrix,
-    NotSymmetric,
-    PreconditionViolated,
-    TemplateMismatch,
-)
+from .errors import DegenerateRow, NonFiniteMatrix, NotSymmetric, PreconditionViolated
 from .hierarchy import LabelTree
 
 MULTIPLICITY_RTOL = 1e-9
@@ -154,67 +149,6 @@ def balanced_eigenvalues_closed_form(level_counts, r) -> EigenSpectrum:
             merged_v.append(v)
             merged_m.append(m)
     return EigenSpectrum(tuple(merged_v), tuple(merged_m))
-
-
-def star_matrix_eigenvalues(d: int, p: float) -> EigenSpectrum:
-    """Spectrum of the d x d constant-correlation matrix with off-diagonal p."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    top = 1.0 + p * (d - 1)
-    rest = 1.0 - p
-    if abs(top - rest) <= MULTIPLICITY_RTOL * max(1.0, abs(top)):
-        return EigenSpectrum((top,), (d,))
-    if top > rest:
-        return EigenSpectrum((top, rest), (1, d - 1))
-    return EigenSpectrum((rest, top), (d - 1, 1))
-
-
-def two_level_block_reduction(K, group_sizes, within, across):
-    """Split a two-level block matrix into within-group eigenvalues and a
-    reduced k x k matrix whose spectrum supplies the remaining eigenvalues.
-
-    ``within[i]`` is the common correlation inside group i, ``across[i][j]``
-    between groups i and j.  ``K`` must match this template within 1e-12.
-    Returns ``(within_eigs, A)`` with ``within_eigs`` expanded (1 - r_ii with
-    multiplicity p_i - 1).
-    """
-    K = np.asarray(K, dtype=np.float64)
-    sizes = [int(p) for p in group_sizes]
-    within = [float(w) for w in within]
-    across = np.asarray(across, dtype=np.float64)
-    k = len(sizes)
-    n = sum(sizes)
-    if K.shape != (n, n) or len(within) != k or across.shape != (k, k):
-        raise TemplateMismatch("shapes disagree with the group structure")
-    expected = np.zeros((n, n))
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    for i in range(k):
-        si = slice(starts[i], starts[i + 1])
-        block = np.full((sizes[i], sizes[i]), within[i])
-        np.fill_diagonal(block, 1.0)
-        expected[si, si] = block
-        for j in range(i + 1, k):
-            sj = slice(starts[j], starts[j + 1])
-            expected[si, sj] = across[i, j]
-            expected[sj, si] = across[i, j]
-    if np.max(np.abs(K - expected)) > 1e-12:
-        raise TemplateMismatch("matrix does not match the two-level template")
-    within_eigs = np.concatenate([np.full(p - 1, 1.0 - w)
-                                  for p, w in zip(sizes, within) if p > 1]
-                                 or [np.empty(0)])
-    a = np.zeros((k, k))
-    for i in range(k):
-        a[i, i] = 1.0 + (sizes[i] - 1) * within[i]
-        for j in range(i + 1, k):
-            a[i, j] = a[j, i] = np.sqrt(sizes[i] * sizes[j]) * across[i, j]
-    return within_eigs, a
-
-
-def generic_gap_condition(M, m, delta, p_max, C_h) -> bool:
-    """Sufficient across-group smallness for the eigenvalue group separation."""
-    if p_max < 1 or C_h < 2:
-        raise ValueError("need p_max >= 1 and C_h >= 2")
-    return m <= (M - 2.0 * delta * (p_max - 1)) / (p_max * (C_h - 1))
 
 
 def numerical_eigenvalues(K) -> EigenSpectrum:

@@ -1,12 +1,22 @@
 """Hand-emitted SVG scatter and Poincare-disk plots (no plotting dependency).
 
 All coordinates are formatted to 6 significant digits, so identical inputs
-yield byte-identical documents.
+yield byte-identical documents.  Titles, axis labels and vertex names are
+XML-escaped, so any name gives a well-formed document.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _text(s):
+    """``s`` as XML character data: ``&``, ``<`` and ``>`` escaped.
+
+    The same replacements as ``xml.sax.saxutils.escape``, without its import
+    (which pulls in ``urllib.request``) at the start of every CLI process.
+    """
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x):
@@ -43,15 +53,15 @@ def scatter_svg(x, y, xlabel="", ylabel="", title="", width=480, height=360):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{_text(title)}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         f'stroke="black"/>',
         f'<text x="{width // 2}" y="{height - 10}" text-anchor="middle" '
-        f'font-size="12">{xlabel}</text>',
+        f'font-size="12">{_text(xlabel)}</text>',
         f'<text x="15" y="{height // 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 15 {height // 2})">{ylabel}</text>',
+        f'transform="rotate(-90 15 {height // 2})">{_text(ylabel)}</text>',
     ]
     for t in _ticks(x_lo + x_pad, x_hi - x_pad):
         px = sx(t)
@@ -87,7 +97,7 @@ def disk_svg(named_points, title="", size=480):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<text x="{center}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{center}" y="18" text-anchor="middle" font-size="14">{_text(title)}</text>',
         f'<circle cx="{center}" cy="{center}" r="{_fmt(radius)}" fill="none" '
         f'stroke="black"/>',
     ]
@@ -96,6 +106,6 @@ def disk_svg(named_points, title="", size=480):
         parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="4" '
                      f'fill="crimson"/>')
         parts.append(f'<text x="{_fmt(sx(x) + 6)}" y="{_fmt(sy(y) - 4)}" '
-                     f'font-size="10">{name}</text>')
+                     f'font-size="10">{_text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -2,9 +2,12 @@
 
 These build the same values as ``geometry.exp0``, ``geometry.dist_rows``,
 ``geometry.pair_distances`` and ``objective.cpcc_core`` out of elementary
-tape operations, one node per step, so the tape derives their gradients.  The tests compare the fused
-hand-written backward passes against them.  ``cpcc_core`` here reduces along
-the last axis like the fused version.
+tape operations, one node per step, so the tape derives their gradients.  The
+tests compare the fused hand-written backward passes against them.
+``cpcc_core`` here reduces along the last axis like the fused version.
+``log0``, the inverse of ``exp0``, and ``poincare_midpoint``, one Poincare
+prototype from the Klein round trip, serve the round-trip and per-class
+reference tests.
 """
 
 import numpy as np
@@ -25,6 +28,19 @@ def capped_tanh(s):
 def exp0(v, c):
     s = ad.sqrt(ad.maximum(geo.sq_norm(v, keepdims=True), geo._TINY_SQ)) * np.sqrt(c)
     return (capped_tanh(s) / s) * v
+
+
+def log0(u, c):
+    """Logarithm map at the origin, rows along the last axis."""
+    a = ad.sqrt(ad.maximum(geo.sq_norm(u, keepdims=True), geo._TINY_SQ)) * np.sqrt(c)
+    return (ad.atanh(a) / a) * u
+
+
+def poincare_midpoint(rows, c):
+    """Einstein midpoint of Poincare ``(n, d)`` rows, mapped back to the ball."""
+    rows = np.asarray(rows, dtype=np.float64)
+    everyone = np.ones((1, rows.shape[0]))
+    return geo.to_poincare(geo.einstein_mid(geo.to_klein(rows, c), c, everyone), c)[0]
 
 
 def dist_rows(z1, z2, c):

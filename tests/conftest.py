@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from hypstruct import autodiff as ad
+from hypstruct import training as tr
 
 
 def central_difference(fn, params, step=1e-5):
@@ -21,6 +24,39 @@ def weighted_grad(fn, x, weights):
     """Tape gradient of ``sum(fn(x) * weights)`` with respect to ``x``."""
     leaf = ad.Node(x)
     return ad.grad(ad.sum(fn(leaf) * weights), [leaf])[0]
+
+
+def gradient(closure, params, *, return_nondifferentiable=False):
+    """Exact gradient of ``closure(params)`` via the reverse-mode tape.
+
+    ``closure`` must map a parameter Node (same shape as ``params``) to a
+    scalar Node.  With ``return_nondifferentiable=True`` also returns whether
+    a clip branch or atanh clamp fired during the forward pass, in which case
+    the clamp was treated as a constant.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    ad.reset_events()
+    leaf = ad.Node(params)
+    out = closure(leaf)
+    if not ad.is_node(out):
+        raise TypeError("closure must return a tape Node; did it detach the parameters?")
+    g = ad.grad(out, [leaf])[0]
+    if return_nondifferentiable:
+        return g, ad.events_active()
+    return g
+
+
+def save_dataset_csv(path, dataset, tree):
+    """CSV with header label,f0,...,f{d-1}; labels are leaf names.
+
+    The format the CLI's ``{"csv": path}`` datasets read back.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
+        for row, lab in zip(dataset.features, dataset.labels):
+            writer.writerow([tree.names[tree.leaf_of_class(int(lab))]]
+                            + [tr.float_text(x) for x in row])
 
 
 @pytest.fixture

@@ -100,9 +100,7 @@ def test_joint_node_shares_one_backward_pass():
     assert len(calls) == 1
 
 
-def test_stack_where_maximum_slice():
-    check(lambda x: ad.sum(ad.stack([x * 2.0, x + 1.0], axis=0) ** 2),
-          rng.standard_normal(4))
+def test_where_maximum_slice():
     mask = np.array([True, False, True])
     check(lambda x: ad.sum(ad.where(mask, x * 3.0, x * 0.5)), rng.standard_normal(3))
     check(lambda x: ad.sum(ad.maximum(x, 0.2) ** 2), rng.standard_normal(6))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from hypstruct import cli
 from hypstruct import training as tr
 from hypstruct.hierarchy import balanced_tree
+
+from conftest import save_dataset_csv
 
 TREE = json.loads(balanced_tree((1, 2, 4)).serialize())
 DATA = {"synthetic": {"n_per_leaf": 10, "dim": 4}}
@@ -93,7 +96,7 @@ def test_spectra_reads_features_csv(tmp_path):
     spec = tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=6, seed=2)
     dataset = tr.generate_hierarchical_gaussians(spec)
     path = tmp_path / "features.csv"
-    tr.save_dataset_csv(path, dataset, tree)
+    save_dataset_csv(path, dataset, tree)
     spectra = run("spectra", {"features_csv": str(path), "hierarchy": TREE}, tmp_path, "spectra")
     report = json.loads((spectra / "report.json").read_text())
     assert report["n"] == dataset.n == 24
@@ -130,6 +133,70 @@ def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
     again = run("eval", config, tmp_path, "again")
     names = sorted(p.name for p in first.iterdir())
     assert "gram.csv" in names and "metrics.json" in names
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_svg_text_is_escaped(tmp_path):
+    # markup characters in vertex names must not break the SVG documents
+    names = ["a&b", "<x>", "y\"z", "c", "d", "e"]
+    tree = {"name": "root", "children": [
+        {"name": names[0], "children": [{"name": names[1]}, {"name": names[2]}]},
+        {"name": names[3], "children": [{"name": names[4]}, {"name": names[5]}]}]}
+    out = run("embed-tree", {"hierarchy": tree, "seed": 1, "dim": 2, "restarts": 2,
+                             "steps": 20}, tmp_path, "embed")
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    for name in ("poincare_disk.svg", "scatter_poincare.svg", "scatter_l2.svg"):
+        ElementTree.parse(out / name)
+    disk = ElementTree.parse(out / "poincare_disk.svg").getroot()
+    labels = {el.text for el in disk.iter(f"{svg_ns}text")}
+    assert set(names) | {"root"} <= labels
+
+
+def run_code(command, config_path, tmp_path):
+    return cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+
+
+def test_missing_config_file_is_an_error(tmp_path, capsys):
+    assert run_code("train", tmp_path / "absent.json", tmp_path) == cli.EXIT_ERROR
+    assert "config file not found" in capsys.readouterr().err
+
+
+def test_malformed_config_json_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"seed": 1,')
+    assert run_code("train", path, tmp_path) == cli.EXIT_ERROR
+    assert "bad config JSON" in capsys.readouterr().err
+
+
+def test_diverging_train_exits_with_the_diverged_code(tmp_path, capsys):
+    config = dict(TRAIN, objective={"variant": "flat"},
+                  train={"epochs": 50, "batch_size": 16, "lr0": 1e12, "weight_decay": 0.0})
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(config))
+    assert run_code("train", path, tmp_path) == cli.EXIT_DIVERGED
+    assert "DivergedError" in capsys.readouterr().err
+
+
+def oodsim_config(trained):
+    return {"hierarchy": TREE, "seed": 3, "checkpoint": str(trained / "checkpoint.json"),
+            "id_train": DATA, "id_eval": {"synthetic": {"n_per_leaf": 5, "dim": 4}},
+            "ood_sets": {"far": {"far_cluster": {"n": 20}}, "same": {"id_eval": True}}}
+
+
+def test_oodsim_writes_aurocs_in_the_unit_interval(trained, tmp_path):
+    out = run("oodsim", oodsim_config(trained), tmp_path, "oodsim")
+    table = json.loads((out / "auroc.json").read_text())["auroc"]
+    assert set(table["method"]) == {"far", "same"}
+    assert all(0.0 <= value <= 1.0 for value in table["method"].values())
+
+
+def test_oodsim_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
+    first = run("oodsim", oodsim_config(trained), tmp_path, "first")
+    again = run("oodsim", oodsim_config(trained), tmp_path, "again")
+    names = sorted(p.name for p in first.iterdir())
+    assert "auroc.json" in names and "score_histograms.csv" in names
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name

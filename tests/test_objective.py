@@ -1,6 +1,7 @@
 """CPCC, flat losses, prototypes, composite objective, and gradient contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,17 +10,10 @@ from hypstruct import autodiff as ad
 from hypstruct import geometry as geo
 from hypstruct import hierarchy as hi
 from hypstruct import objective as obj
-from hypstruct.errors import (
-    ClassWithoutPositive,
-    DegenerateVariance,
-    EmptyGroup,
-    InsufficientVertices,
-    LengthMismatch,
-    UnnormalizedInput,
-)
+from hypstruct.errors import ClassWithoutPositive, InsufficientVertices
 
 import composed_ops as composed
-from conftest import central_difference, weighted_grad
+from conftest import central_difference, gradient, weighted_grad
 
 
 def brute_force_pearson(t, f):
@@ -30,14 +24,19 @@ def brute_force_pearson(t, f):
     return float((td * fd).sum() / math.sqrt((td ** 2).sum() * (fd ** 2).sum()))
 
 
+def cpcc(t, f):
+    """Pearson correlation of two paired distance lists, as a float."""
+    return float(obj.cpcc_core(t, f))
+
+
 class TestCpcc:
     def test_exact_linear_relations(self):
-        assert obj.cpcc([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
-        assert obj.cpcc([1, 2], [2, 1]) == pytest.approx(-1.0, abs=1e-12)
+        assert cpcc([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
+        assert cpcc([1, 2], [2, 1]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         want = 13.0 / 14.0
-        assert obj.cpcc([1, 2, 4], [1, 3, 4]) == pytest.approx(want, abs=1e-12)
+        assert cpcc([1, 2, 4], [1, 3, 4]) == pytest.approx(want, abs=1e-12)
         assert brute_force_pearson([1, 2, 4], [1, 3, 4]) == pytest.approx(want, abs=1e-12)
 
     def test_matches_brute_force_on_random(self):
@@ -45,7 +44,7 @@ class TestCpcc:
         for _ in range(50):
             t = rng.uniform(1, 5, size=10)
             f = rng.uniform(0, 3, size=10)
-            assert obj.cpcc(t, f) == pytest.approx(brute_force_pearson(t, f), abs=1e-12)
+            assert cpcc(t, f) == pytest.approx(brute_force_pearson(t, f), abs=1e-12)
 
     def test_affine_invariance_and_symmetry(self):
         rng = np.random.default_rng(1)
@@ -54,18 +53,10 @@ class TestCpcc:
             f = rng.uniform(0, 3, size=8)
             a = rng.uniform(0.1, 4.0)
             b = rng.uniform(-2.0, 2.0)
-            base = obj.cpcc(t, f)
-            assert obj.cpcc(t, a * f + b) == pytest.approx(base, abs=1e-12)
-            assert obj.cpcc(t, -a * f + b) == pytest.approx(-base, abs=1e-12)
-            assert obj.cpcc(f, t) == pytest.approx(base, abs=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(DegenerateVariance):
-            obj.cpcc([1, 1, 1], [1, 2, 3])
-        with pytest.raises(DegenerateVariance):
-            obj.cpcc([1, 2, 3], [2, 2, 2])
-        with pytest.raises(LengthMismatch):
-            obj.cpcc([1, 2, 3], [1, 2])
+            base = cpcc(t, f)
+            assert cpcc(t, a * f + b) == pytest.approx(base, abs=1e-12)
+            assert cpcc(t, -a * f + b) == pytest.approx(-base, abs=1e-12)
+            assert cpcc(f, t) == pytest.approx(base, abs=1e-12)
 
 
 class TestCpccFusedBackward:
@@ -99,7 +90,7 @@ class TestCpccFusedBackward:
         g = weighted_grad(lambda v: obj.cpcc_core(t, v), f, np.ones(4))
         for r in range(4):
             assert batched[r] == obj.cpcc_core(t, f[r])
-            np.testing.assert_array_equal(g[r], obj.gradient(lambda v: obj.cpcc_core(t, v), f[r]))
+            np.testing.assert_array_equal(g[r], gradient(lambda v: obj.cpcc_core(t, v), f[r]))
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_clamped_pairs_through_fused_chain(self, batched):
@@ -152,22 +143,34 @@ class TestCpccFusedBackward:
         assert np.all(g[..., [0, 2, 4], :] != 0.0)
 
 
+def centroid_distance(group_a, group_b):
+    """l2 distance between two class centroids, as the l2 CPCC term measures it."""
+    tree = hi.balanced_tree((1, 2))
+    a, b = np.atleast_2d(group_a), np.atleast_2d(group_b)
+    labels = [0] * len(a) + [1] * len(b)
+    rows = obj.euclidean_prototype_rows(np.vstack([a, b]), labels, tree, tree.leaf_classes)
+    return float(geo.pair_distances(rows, "l2")[0])
+
+
 class TestL2DatasetDistance:
     def test_identical_groups(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert obj.l2_dataset_distance(g, g) == 0.0
+        assert centroid_distance(g, g) == 0.0
 
     def test_single_points(self):
-        assert obj.l2_dataset_distance([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
+        assert centroid_distance([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
 
     def test_centroids(self):
         a = [[0.0, 0.0], [2.0, 0.0]]
         b = [[5.0, 0.0], [7.0, 0.0]]
-        assert obj.l2_dataset_distance(a, b) == pytest.approx(5.0)
+        assert centroid_distance(a, b) == pytest.approx(5.0)
 
-    def test_empty(self):
-        with pytest.raises(EmptyGroup):
-            obj.l2_dataset_distance(np.empty((0, 2)), [[1.0, 2.0]])
+
+def prototypes(features, labels, tree, cfg):
+    """Poincare prototype of each present in-scope vertex, keyed by vertex."""
+    present = obj.present_vertices(tree, labels, cfg.tree_scope)
+    return dict(zip(present, obj.prototype_rows(np.asarray(features, dtype=np.float64),
+                                                labels, tree, cfg, present)))
 
 
 class TestPrototypes:
@@ -176,51 +179,42 @@ class TestPrototypes:
 
     def test_single_sample_leaf_only(self):
         z = np.array([[0.2, 0.1]])
-        batch = obj.Batch(z, [0])
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only")
-        protos = obj.hyp_prototypes(batch, self.tree, cfg)
+        protos = prototypes(z, [0], self.tree, cfg)
         leaf = self.tree.leaf_of_class(0)
-        assert protos.present == {leaf}
-        np.testing.assert_allclose(protos.points[leaf].coords,
-                                   geo.exp_map_origin(z[0]).coords, atol=1e-12)
+        assert set(protos) == {leaf}
+        np.testing.assert_allclose(protos[leaf], geo.exp0(z[0], 1.0), atol=1e-12)
 
     def test_euclidean_mean_of_opposites_is_origin(self):
         z = np.array([[0.4, 0.0], [-0.4, 0.0]])
-        batch = obj.Batch(z, [2, 2])
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only",
                                   centroid_mode="euclidean_then_map")
-        protos = obj.hyp_prototypes(batch, self.tree, cfg)
-        leaf = self.tree.leaf_of_class(2)
-        np.testing.assert_allclose(protos.points[leaf].coords, 0.0, atol=1e-15)
+        protos = prototypes(z, [2, 2], self.tree, cfg)
+        np.testing.assert_allclose(protos[self.tree.leaf_of_class(2)], 0.0, atol=1e-15)
 
     def test_klein_average_of_opposites_is_origin(self):
         z = np.array([[0.4, 0.0], [-0.4, 0.0]])
-        batch = obj.Batch(z, [2, 2])
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only", centroid_mode="klein_average")
-        protos = obj.hyp_prototypes(batch, self.tree, cfg)
-        leaf = self.tree.leaf_of_class(2)
-        np.testing.assert_allclose(protos.points[leaf].coords, 0.0, atol=1e-15)
+        protos = prototypes(z, [2, 2], self.tree, cfg)
+        np.testing.assert_allclose(protos[self.tree.leaf_of_class(2)], 0.0, atol=1e-15)
 
     def test_full_tree_includes_internals_and_root(self):
         rng = np.random.default_rng(2)
-        batch = obj.Batch(rng.standard_normal((20, 3)) * 0.2,
-                          rng.integers(0, 10, size=20))
         cfg = obj.ObjectiveConfig(tree_scope="full_tree")
-        protos = obj.hyp_prototypes(batch, self.tree, cfg)
-        assert self.tree.root in protos.present
-        assert self.tree.id_of("animal") in protos.present
+        protos = prototypes(rng.standard_normal((20, 3)) * 0.2, rng.integers(0, 10, size=20),
+                            self.tree, cfg)
+        assert self.tree.root in protos
+        assert self.tree.id_of("animal") in protos
 
     def test_internal_prototype_aggregates_descendants(self):
         # all transportation samples sit at +v, all animal samples at -v
         z = np.array([[0.3, 0.0], [0.3, 0.0], [-0.3, 0.0], [-0.3, 0.0]])
-        batch = obj.Batch(z, [0, 1, 4, 5])
         cfg = obj.ObjectiveConfig(tree_scope="full_tree")
-        protos = obj.hyp_prototypes(batch, self.tree, cfg)
+        protos = prototypes(z, [0, 1, 4, 5], self.tree, cfg)
         trans = self.tree.id_of("transportation")
-        np.testing.assert_allclose(protos.points[trans].coords,
-                                   geo.exp_map_origin(np.array([0.3, 0.0])).coords,
+        np.testing.assert_allclose(protos[trans], geo.exp0(np.array([0.3, 0.0]), 1.0),
                                    atol=1e-12)
-        np.testing.assert_allclose(protos.points[self.tree.root].coords, 0.0, atol=1e-12)
+        np.testing.assert_allclose(protos[self.tree.root], 0.0, atol=1e-12)
 
 
 def reference_present_vertices(tree, labels, scope):
@@ -322,7 +316,7 @@ class TestPrototypeOracle:
                                       present)
             return ad.sum(rows * weights)
 
-        g = obj.gradient(closure, feats.ravel())
+        g = gradient(closure, feats.ravel())
         want = central_difference(lambda v: float(ad.val(closure(v))), feats.ravel())
         assert np.max(np.abs(g - want) / np.maximum(np.abs(want), 1e-4)) <= 1e-4
 
@@ -349,7 +343,7 @@ def test_coincident_parent_and_child_prototypes():
     assert dists[(ii == min(a, b)) & (jj == max(a, b))] == [0.0]
     assert np.count_nonzero(dists == 0.0) == 1
     before = ad.total_atanh_clamps()
-    g, nondiff = obj.gradient(lambda x: obj.cpcc_term_core(x, labels, tree, cfg), feats,
+    g, nondiff = gradient(lambda x: obj.cpcc_term_core(x, labels, tree, cfg), feats,
                               return_nondifferentiable=True)
     assert np.all(np.isfinite(g)) and np.any(g != 0.0)
     assert not nondiff and ad.total_atanh_clamps() == before
@@ -368,60 +362,56 @@ class TestCpccLosses:
                                    obj.ObjectiveConfig(tree_scope="leaf_only"),
                                    tr.EmbedBudget(restarts=2, steps=500, seed=1))
         feats = np.stack([res.coords[self.tree.leaf_of_class(k)] for k in range(10)])
-        batch = obj.Batch(feats * 0.05, np.arange(10))
-        cfg = obj.ObjectiveConfig(tree_scope="leaf_only")
-        val = obj.l2_cpcc_loss(batch, self.tree, cfg)
+        cfg = obj.ObjectiveConfig(tree_scope="leaf_only", cpcc_distance="l2")
+        val = float(obj.cpcc_term_core(feats * 0.05, np.arange(10), self.tree, cfg))
         assert val >= res.cpcc - 1e-6
 
     def test_insufficient_vertices(self):
-        batch = obj.Batch(np.array([[0.1, 0.0], [0.0, 0.1]]), [0, 1])
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only")
         with pytest.raises(InsufficientVertices):
-            obj.hypcpcc_loss(batch, self.tree, cfg)
+            obj.cpcc_term_core(np.array([[0.1, 0.0], [0.0, 0.1]]), [0, 1], self.tree, cfg)
 
     def test_l2_and_hyp_agree_in_flat_limit(self):
         rng = np.random.default_rng(4)
-        batch = obj.Batch(rng.standard_normal((30, 4)) * 0.3,
-                          rng.integers(0, 10, size=30))
+        feats = rng.standard_normal((30, 4)) * 0.3
+        labels = rng.integers(0, 10, size=30)
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only", c=1e-8,
                                   centroid_mode="euclidean_then_map")
-        hyp = obj.hypcpcc_loss(batch, self.tree, cfg)
-        l2 = obj.l2_cpcc_loss(batch, self.tree, cfg)
+        hyp = float(obj.cpcc_term_core(feats, labels, self.tree, cfg))
+        l2 = float(obj.cpcc_term_core(feats, labels, self.tree,
+                                      replace(cfg, cpcc_distance="l2")))
         assert hyp == pytest.approx(l2, abs=1e-3)
 
 
 class TestCenteringLoss:
     def test_zero_batch_at_origin(self):
-        batch = obj.Batch(np.zeros((3, 2)), [0, 1, 2])
-        tree = hi.builtin_cifar10_tree()
         for mode in ("klein_average", "euclidean_then_map"):
             cfg = obj.ObjectiveConfig(centroid_mode=mode)
-            assert obj.centering_loss(batch, cfg) <= 1e-140
+            assert obj.centering_core(np.zeros((3, 2)), cfg) <= 1e-140
 
     def test_symmetric_pair(self):
-        batch = obj.Batch(np.array([[0.5, 0.1], [-0.5, -0.1]]), [0, 1])
         for mode in ("klein_average", "euclidean_then_map"):
             cfg = obj.ObjectiveConfig(centroid_mode=mode)
-            assert obj.centering_loss(batch, cfg) <= 1e-12
+            assert obj.centering_core(np.array([[0.5, 0.1], [-0.5, -0.1]]), cfg) <= 1e-12
 
     def test_single_sample_euclidean(self):
-        batch = obj.Batch(np.array([[0.5, 0.0]]), [0])
         cfg = obj.ObjectiveConfig(centroid_mode="euclidean_then_map")
-        assert obj.centering_loss(batch, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert obj.centering_core(np.array([[0.5, 0.0]]), cfg) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCrossEntropy:
     def test_confident_correct_is_near_zero(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
-        assert obj.cross_entropy(logits, [0, 1]) == pytest.approx(0.0, abs=1e-12)
+        assert obj.cross_entropy_core(logits, [0, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform(self):
-        assert obj.cross_entropy(np.zeros((5, 4)), [0, 1, 2, 3, 0]) == pytest.approx(
+        assert obj.cross_entropy_core(np.zeros((5, 4)), [0, 1, 2, 3, 0]) == pytest.approx(
             math.log(4.0), abs=1e-12)
 
     def test_two_class_value(self):
         want = -math.log(math.e / (math.e + 1.0))
-        assert obj.cross_entropy(np.array([[1.0, 0.0]]), [0]) == pytest.approx(want, abs=1e-12)
+        got = obj.cross_entropy_core(np.array([[1.0, 0.0]]), [0])
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def brute_force_supcon_from_sims(S, labels):
@@ -446,21 +436,21 @@ class TestSupCon:
         for tau in (0.1, 0.5, 1.0):
             u = rng.standard_normal((2, 6))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
-            assert obj.supcon_loss(u, [3, 3], tau) == pytest.approx(0.0, abs=1e-12)
+            assert obj.supcon_core(u, [3, 3], tau) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_single_class_batch(self):
         # all similarities equal, so the ratio collapses to 1/(2N_y - 1) and
         # the loss is log(2N_y - 1) = log 3; cross-checked by the double loop
         u = np.tile(np.array([[0.6, 0.8]]), (4, 1))
         want = math.log(3.0)
-        assert obj.supcon_loss(u, [0, 0, 0, 0], 0.7) == pytest.approx(want, abs=1e-12)
+        assert obj.supcon_core(u, [0, 0, 0, 0], 0.7) == pytest.approx(want, abs=1e-12)
         S = (u @ u.T) / 0.7
         assert brute_force_supcon_from_sims(S, [0, 0, 0, 0]) == pytest.approx(want, abs=1e-12)
 
     def test_orthogonal_two_class_value(self):
         u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         want = -math.log(math.e / (math.e + 2.0))
-        assert obj.supcon_loss(u, [0, 0, 1, 1], 1.0) == pytest.approx(want, abs=1e-12)
+        assert obj.supcon_core(u, [0, 0, 1, 1], 1.0) == pytest.approx(want, abs=1e-12)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(6)
@@ -474,7 +464,7 @@ class TestSupCon:
             tau = float(rng.uniform(0.1, 1.0))
             S = (u @ u.T) / tau
             want = brute_force_supcon_from_sims(S, list(labels))
-            assert obj.supcon_loss(u, labels, tau) == pytest.approx(want, abs=1e-9)
+            assert obj.supcon_core(u, labels, tau) == pytest.approx(want, abs=1e-9)
 
     def test_cross_class_similarity_direction(self):
         # the loss strictly decreases when any cross-class similarity drops
@@ -492,18 +482,14 @@ class TestSupCon:
                     bumped[i][k] -= 1e-4
                     assert brute_force_supcon_from_sims(bumped, labels) < base
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(UnnormalizedInput):
-            obj.supcon_loss(np.array([[2.0, 0.0], [1.0, 0.0]]), [0, 0], 1.0)
-
     def test_no_positives_raises(self):
         u = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ClassWithoutPositive):
-            obj.supcon_loss(u, [0, 1], 1.0)
+            obj.supcon_core(u, [0, 1], 1.0)
 
     def test_isolated_anchor_excluded(self):
         u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        got = obj.supcon_loss(u, [0, 0, 9], 1.0)
+        got = obj.supcon_core(u, [0, 0, 9], 1.0)
         S = (u @ u.T) / 1.0
         assert got == pytest.approx(brute_force_supcon_from_sims(S, [0, 0, 9]), abs=1e-12)
 
@@ -529,33 +515,37 @@ class TestComposite:
     def setup_method(self):
         self.tree = hi.builtin_cifar10_tree()
         rng = np.random.default_rng(9)
-        self.batch = obj.Batch(rng.standard_normal((20, 4)) * 0.3,
-                               rng.integers(0, 10, size=20))
+        self.features = rng.standard_normal((20, 4)) * 0.3
+        self.labels = rng.integers(0, 10, size=20)
         self.logits = rng.standard_normal((20, 10))
+
+    def composite(self, cfg):
+        total, _ = obj.composite_core(self.features, self.labels, self.tree, cfg,
+                                      obj.FlatInputs(logits=self.logits))
+        return float(total)
+
+    def cpcc_term(self, cfg):
+        return float(obj.cpcc_term_core(self.features, self.labels, self.tree, cfg))
 
     def test_alpha_beta_zero_equals_flat(self):
         cfg = obj.ObjectiveConfig(alpha=0.0, beta=0.0)
-        got = obj.composite_objective(self.batch, self.tree, cfg,
-                                      obj.FlatInputs(logits=self.logits))
-        assert got == pytest.approx(obj.cross_entropy(self.logits, self.batch.labels),
+        got = self.composite(cfg)
+        assert got == pytest.approx(obj.cross_entropy_core(self.logits, self.labels),
                                     abs=1e-12)
 
     def test_perfect_cpcc_subtracts_alpha(self):
         cfg = obj.ObjectiveConfig(alpha=1.0, beta=0.0)
-        flat = obj.cross_entropy(self.logits, self.batch.labels)
-        cpcc_val = obj.hypcpcc_loss(self.batch, self.tree, cfg)
-        got = obj.composite_objective(self.batch, self.tree, cfg,
-                                      obj.FlatInputs(logits=self.logits))
+        flat = float(obj.cross_entropy_core(self.logits, self.labels))
+        cpcc_val = self.cpcc_term(cfg)
+        got = self.composite(cfg)
         assert got == pytest.approx(flat - cpcc_val, abs=1e-12)
 
     def test_monotone_in_alpha_for_positive_cpcc(self):
         cfg1 = obj.ObjectiveConfig(alpha=0.5, beta=0.0)
         cfg2 = obj.ObjectiveConfig(alpha=1.5, beta=0.0)
-        cpcc_val = obj.hypcpcc_loss(self.batch, self.tree, cfg1)
-        v1 = obj.composite_objective(self.batch, self.tree, cfg1,
-                                     obj.FlatInputs(logits=self.logits))
-        v2 = obj.composite_objective(self.batch, self.tree, cfg2,
-                                     obj.FlatInputs(logits=self.logits))
+        cpcc_val = self.cpcc_term(cfg1)
+        v1 = self.composite(cfg1)
+        v2 = self.composite(cfg2)
         if cpcc_val > 0:
             assert v2 < v1
 
@@ -567,7 +557,7 @@ class TestComposite:
 
 class TestGradient:
     def test_norm_gradient(self):
-        g = obj.gradient(lambda p: ad.sqrt(ad.sum(p * p)), np.array([3.0, 4.0]))
+        g = gradient(lambda p: ad.sqrt(ad.sum(p * p)), np.array([3.0, 4.0]))
         np.testing.assert_allclose(g, [0.6, 0.8], atol=1e-12)
 
     def test_cpcc_scale_direction_is_flat(self):
@@ -575,7 +565,7 @@ class TestGradient:
         # any point, in particular at a perfectly correlated configuration
         t = np.array([1.0, 2.0, 3.0, 4.0, 2.0, 5.0])
         f = 2.0 * t + 1.0
-        g = obj.gradient(lambda p: obj.cpcc_core(t, p), f)
+        g = gradient(lambda p: obj.cpcc_core(t, p), f)
         assert abs(float(g @ f)) <= 1e-10
 
     def test_random_composite_matches_finite_differences(self, fd_oracle):
@@ -598,7 +588,7 @@ class TestGradient:
                 return total
 
             params = feats0.ravel()
-            g, nondiff = obj.gradient(closure, params, return_nondifferentiable=True)
+            g, nondiff = gradient(closure, params, return_nondifferentiable=True)
             assert not nondiff
             want = fd_oracle(lambda v: float(ad.val(closure(ad.Node(v)))), params)
             denom = np.maximum(np.abs(want), 1e-4)
@@ -618,5 +608,5 @@ class TestGradient:
                                           obj.FlatInputs(logits=logits))
             return total
 
-        _, nondiff = obj.gradient(closure, feats0.ravel(), return_nondifferentiable=True)
+        _, nondiff = gradient(closure, feats0.ravel(), return_nondifferentiable=True)
         assert nondiff

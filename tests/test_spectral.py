@@ -7,7 +7,7 @@ import pytest
 
 from hypstruct import hierarchy as hi
 from hypstruct import spectral as sp
-from hypstruct.errors import NonFiniteMatrix, NotALeaf, NotSymmetric, TemplateMismatch
+from hypstruct.errors import NonFiniteMatrix, NotALeaf, NotSymmetric
 
 from jacobi_oracle import jacobi_eigenvalues
 from test_hierarchy import brute_force_lca_height
@@ -56,11 +56,16 @@ def test_solver_matches_closed_form_at_n_200():
 
 @pytest.mark.parametrize("d,p", [(5, 0.3), (4, -0.2), (3, 0.0)])
 def test_star_matrix_eigenvalues(d, p):
+    # the first reduction: one constant-correlation block has eigenvalues
+    # 1 + p(d-1) once and 1 - p (d-1) times
     K = np.full((d, d), p)
     np.fill_diagonal(K, 1.0)
-    assert_same_spectrum(sp.star_matrix_eigenvalues(d, p), oracle_spectrum(K), 1e-12)
-    with pytest.raises(ValueError):
-        sp.star_matrix_eigenvalues(1, p)
+    star = sp.EigenSpectrum.from_values([1.0 + p * (d - 1)] + [1.0 - p] * (d - 1))
+    assert_same_spectrum(star, oracle_spectrum(K), 1e-12)
+    assert_same_spectrum(sp.numerical_eigenvalues(K), star, 1e-12)
+    if p >= 0:
+        # a star is the one-level balanced tree
+        assert_same_spectrum(sp.balanced_eigenvalues_closed_form((d, 1), (p,)), star, 1e-12)
 
 
 def test_two_level_block_reduction_supplies_the_spectrum():
@@ -73,18 +78,17 @@ def test_two_level_block_reduction_supplies_the_spectrum():
             K[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = (
                 within[i] if i == j else across[i, j])
     np.fill_diagonal(K, 1.0)
-    within_eigs, A = sp.two_level_block_reduction(K, sizes, within, across)
+    # the second reduction: 1 - r_ii (p_i - 1 times) plus the spectrum of A,
+    # a_ii = 1 + (p_i - 1) r_ii and a_ij = sqrt(p_i p_j) r_ij
+    within_eigs = np.concatenate([np.full(p - 1, 1.0 - w) for p, w in zip(sizes, within)])
+    A = np.diag([1.0 + (p - 1) * w for p, w in zip(sizes, within)])
+    for i, j in zip(*np.triu_indices(3, 1)):
+        A[i, j] = A[j, i] = np.sqrt(sizes[i] * sizes[j]) * across[i, j]
     assert sorted(within_eigs) == pytest.approx([0.3] * 3 + [0.4] + [0.5] * 2)
-    combined = np.concatenate([within_eigs, jacobi_eigenvalues(A)])
-    np.testing.assert_allclose(np.sort(combined), np.sort(jacobi_eigenvalues(K)),
+    combined = np.sort(np.concatenate([within_eigs, jacobi_eigenvalues(A)]))
+    np.testing.assert_allclose(combined, np.sort(jacobi_eigenvalues(K)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(combined, sp.numerical_eigenvalues(K).expand()[::-1],
                                rtol=0, atol=1e-12)
-
-    bumped = K.copy()
-    bumped[0, 5] = bumped[5, 0] = 0.25
-    with pytest.raises(TemplateMismatch):
-        sp.two_level_block_reduction(bumped, sizes, within, across)
-    with pytest.raises(TemplateMismatch):
-        sp.two_level_block_reduction(K, (2, 3, 3), within, across)
 
 
 def test_phase_transition_detect():
