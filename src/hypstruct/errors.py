@@ -62,7 +62,7 @@ class PreconditionViolated(HypstructError):
 
 
 class NotSymmetric(HypstructError):
-    """An eigensolver input is not symmetric within tolerance."""
+    """A matrix that must be symmetric (eigensolver input, gram.csv) is not."""
 
 
 class NonFiniteMatrix(HypstructError):

@@ -9,6 +9,7 @@ import pytest
 
 from hypstruct import cli
 from hypstruct import training as tr
+from hypstruct.errors import NotSymmetric
 from hypstruct.hierarchy import balanced_tree
 
 from conftest import save_dataset_csv
@@ -113,16 +114,20 @@ def test_embed_tree_same_seed_gives_byte_identical_artifacts(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_float_matrix_csv_matches_the_per_cell_path(dtype):
+def test_symmetric_matrix_csv_matches_the_per_cell_path():
     rng = np.random.default_rng(8)
-    span = np.finfo(dtype).maxexp // 4
-    K = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-span, span, (6, 5))
+    span = np.finfo(np.float64).maxexp // 4
+    K = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-span, span, (6, 6))
     K[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
-    K = K.astype(dtype)
+    K[3, 3] = -np.inf
+    K = np.triu(K) + np.triu(K, 1).T
+    K[1:4, 0] = K[0, 1:4]  # np.triu(K, 1).T added 0.0 to -0.0 below the diagonal
+    assert K.tobytes() == K.T.tobytes()
     per_cell = cli._csv_text(list(K))
-    assert cli._csv_text(K) == per_cell
+    assert cli._symmetric_csv_text(K) == per_cell
     assert per_cell.splitlines()[1] == ",".join(tr.float_text(x) for x in K[1])
+    with pytest.raises(NotSymmetric):
+        cli._symmetric_csv_text(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
 
 
 def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
@@ -200,3 +205,34 @@ def test_oodsim_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def eval_config(trained, tmp_path, eval_dataset, **overrides):
+    config = {"hierarchy": TREE, "seed": 3, "checkpoint": str(trained / "checkpoint.json"),
+              "train_dataset": DATA, "eval_dataset": eval_dataset, "knn_k": 5,
+              "delta": {"mode": "auto", "k": 1000}}
+    config.update(overrides)
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_eval_rejects_a_zero_knn_k(trained, tmp_path, capsys):
+    path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}}, knn_k=0)
+    assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
+    assert "k must lie in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_eval,want", [(20, "exact"), (201, "sampled")])
+def test_eval_auto_delta_is_exact_up_to_200_rows(trained, tmp_path, n_eval, want):
+    tree = balanced_tree((1, 2, 4))
+    spec = tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=51, seed=3, noise_seed=13)
+    full = tr.generate_hierarchical_gaussians(spec)
+    rows = np.arange(n_eval) % 4 * 51 + np.arange(n_eval) // 4  # classes interleaved
+    held_out = tr.LabeledDataset(full.features[rows], full.labels[rows])
+    csv_path = tmp_path / "held_out.csv"
+    save_dataset_csv(csv_path, held_out, tree)
+    path = eval_config(trained, tmp_path, {"csv": str(csv_path)})
+    assert run_code("eval", path, tmp_path) == cli.EXIT_OK
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert (metrics["n_eval"], metrics["delta_mode"]) == (n_eval, want)

@@ -1,4 +1,4 @@
-"""Diagnostics against independent references: test CPCC, sampled delta,
+"""Diagnostics against independent references: test CPCC, kNN, sampled delta,
 AUROC, Borda count and the Gaussian fit."""
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypstruct import spectral as sp
 from hypstruct.errors import DegenerateVariance, EmptyInput, InsufficientVertices, MissingEntry
 
 import composed_ops as composed
+from knn_oracle import knn_predict
 
 
 def reference_test_cpcc(features, labels, tree, distance_mode, c):
@@ -72,8 +73,8 @@ def test_cpcc_rejects_unknown_mode():
 
 def test_knn_coarse_level_is_the_depth_one_ancestor():
     # on (1,2,4,8) a leaf's parent (depth 2) and its coarse class (depth 1)
-    # differ; the coarse kNN votes and scores on the depth-1 ancestor, the
-    # grouping spectral.class_sorted_order sorts by
+    # differ; the coarse kNN votes on the depth-1 ancestor, the grouping
+    # spectral.class_sorted_order sorts by
     tree = hi.balanced_tree((1, 2, 4, 8))
     leaf = tree.leaf_of_class
     classes = np.arange(tree.n_classes)
@@ -84,9 +85,10 @@ def test_knn_coarse_level_is_the_depth_one_ancestor():
                   and tree.parent[leaf(int(k))] != tree.parent[leaf(0)])
     other = next(int(k) for k in classes if coarse[k] != coarse[0])
     train = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
-    preds, acc = dg.knn_classify(train, [cousin, cousin, other, other], np.array([[0.05, 0.0]]),
-                                 k=2, level="coarse", tree=tree, query_labels=[0])
-    assert preds.tolist() == [coarse[0]] and acc == 1.0
+    fine_labels = [cousin, cousin, other, other]
+    (preds,) = dg.knn_classify(train, [tree.coarse_labels(fine_labels)],
+                               np.array([[0.05, 0.0]]), k=2)
+    assert preds.tolist() == [coarse[0]]
     order = sp.class_sorted_order(classes, tree)
     assert coarse[order].tolist() == sorted(coarse.tolist())
 
@@ -103,7 +105,7 @@ ORIGIN = np.zeros((1, 2))
     (3, 4),  # rows 0-2 (not row 3): classes 4, 1, 4, so 4 wins outright
 ])
 def test_knn_fine_tie_breaking(k, want):
-    preds, _ = dg.knn_classify(TIED_TRAIN, [4, 1, 4, 1, 0], ORIGIN, k=k)
+    (preds,) = dg.knn_classify(TIED_TRAIN, [[4, 1, 4, 1, 0]], ORIGIN, k=k)
     assert preds.tolist() == [want]
 
 
@@ -113,12 +115,40 @@ def test_knn_coarse_tie_breaking():
     lo, hi_ = min(coarse), max(coarse)
     small = int(np.flatnonzero(coarse == lo)[0])
     large = np.flatnonzero(coarse == hi_)
-    labels = [large[0], small, large[1], small, small]
-    got = [dg.knn_classify(TIED_TRAIN, labels, ORIGIN, k=k, level="coarse", tree=tree)[0]
-           .tolist() for k in (1, 2, 3)]
+    labels = tree.coarse_labels([large[0], small, large[1], small, small])
+    got = [dg.knn_classify(TIED_TRAIN, [labels], ORIGIN, k=k)[0].tolist() for k in (1, 2, 3)]
     # row 0 wins the distance tie; a 1-1 vote goes to the smaller coarse
     # class; rows 0-2 (not row 3) give the larger coarse class two votes
     assert got == [[hi_], [lo], [hi_]]
+
+
+@pytest.mark.parametrize("integer_valued", [True, False])
+def test_knn_matches_the_per_query_loop(integer_valued):
+    # integer features make every squared distance exact, so many neighbours
+    # tie at the k-th distance and many votes tie; both label sets are checked
+    tree = hi.balanced_tree((1, 3, 9))
+    rng = np.random.default_rng(12)
+    for trial in range(12):
+        n, m, d = rng.integers(1, 40), rng.integers(1, 25), rng.integers(1, 4)
+        if integer_valued:
+            train = rng.integers(-2, 3, (n, d)).astype(float)
+            queries = rng.integers(-2, 3, (m, d)).astype(float)
+        else:
+            train = rng.standard_normal((n, d))
+            queries = rng.standard_normal((m, d))
+        fine = rng.integers(0, tree.n_classes, n)
+        label_sets = (fine, tree.coarse_labels(fine))
+        for k in sorted({1, min(7, n), n}):
+            got = dg.knn_classify(train, label_sets, queries, k)
+            assert len(got) == 2
+            for preds, labels in zip(got, label_sets):
+                assert preds.tolist() == knn_predict(train, labels, queries, k).tolist()
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_knn_rejects_k_outside_the_training_rows(k):
+    with pytest.raises(ValueError):
+        dg.knn_classify(np.zeros((5, 2)), [np.zeros(5, dtype=int)], np.zeros((1, 2)), k)
 
 
 def nine_gather_delta_sampled(d, k, seed):
