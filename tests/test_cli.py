@@ -114,20 +114,24 @@ def test_embed_tree_same_seed_gives_byte_identical_artifacts(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
-def test_symmetric_matrix_csv_matches_the_per_cell_path():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_float_matrix_csv_matches_the_per_cell_path(dtype):
     rng = np.random.default_rng(8)
-    span = np.finfo(np.float64).maxexp // 4
+    span = np.finfo(dtype).maxexp // 4
     K = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-span, span, (6, 6))
     K[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
     K[3, 3] = -np.inf
     K = np.triu(K) + np.triu(K, 1).T
     K[1:4, 0] = K[0, 1:4]  # np.triu(K, 1).T added 0.0 to -0.0 below the diagonal
+    K = K.astype(dtype)
     assert K.tobytes() == K.T.tobytes()
     per_cell = cli._csv_text(list(K))
     assert cli._symmetric_csv_text(K) == per_cell
     assert per_cell.splitlines()[1] == ",".join(tr.float_text(x) for x in K[1])
+    off = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=dtype)
+    off[1, 0] = np.nextafter(off[1, 0], dtype(3.0))
     with pytest.raises(NotSymmetric):
-        cli._symmetric_csv_text(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
+        cli._symmetric_csv_text(off)
 
 
 def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
