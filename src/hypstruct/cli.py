@@ -25,7 +25,7 @@ from . import diagnostics as dg
 from . import spectral as sp
 from . import svg
 from . import training as tr
-from .errors import DivergedError, HypstructError, NotSymmetric
+from .errors import DivergedError, HypstructError
 from .hierarchy import LabelTree, balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 from .objective import ObjectiveConfig
 from .training import EmbedBudget, EncoderSpec, LabeledDataset, SyntheticSpec, TrainConfig
@@ -58,27 +58,15 @@ def _write_json(path: Path, payload: dict, resolved_config: dict):
 
 def _csv_text(rows):
     """CSV text; strings and ints verbatim, every other cell as a round-trip float."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        # the csv.writer text: it writes a Python float with repr, as
+        # float_text does, and quotes none of its characters
+        return "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
     buf = io.StringIO()
     writer = csv.writer(buf)
     for row in rows:
         writer.writerow([x if isinstance(x, (str, int)) else tr.float_text(x) for x in row])
     return buf.getvalue()
-
-
-def _symmetric_csv_text(K):
-    """``_csv_text`` of an exactly symmetric float matrix, one repr per unordered pair.
-
-    csv writes a Python float with repr and quotes none of its characters, so
-    each line is the cells joined by "," and ended by "\\r\\n".
-    """
-    if K.tobytes() != K.T.tobytes():
-        raise NotSymmetric("matrix is not exactly symmetric")
-    # upper[i] holds the texts of row i from the diagonal on, so the cell
-    # (i, j) with j < i is upper[j][i - j]
-    upper = [list(map(repr, row[i:])) for i, row in enumerate(K.tolist())]
-    lines = [",".join([upper[j][i - j] for j in range(i)] + upper[i])
-             for i in range(len(upper))]
-    return "\r\n".join(lines) + "\r\n"
 
 
 def load_hierarchy(spec) -> LabelTree:
@@ -347,11 +335,9 @@ def cmd_eval(config: dict, out: Path) -> int:
     if delta_mode == "auto":
         delta_mode = "exact" if n <= dg.AUTO_EXACT_DELTA_MAX_N else "sampled"
     _, delta_rel = dg.delta_hyperbolicity(dm, mode=delta_mode, k=delta_k, seed=delta_seed)
-    fine_pred, coarse_pred = dg.knn_classify(
-        feats_train, (train_ds.labels, tree.coarse_labels(train_ds.labels)), feats_eval,
-        k=min(knn_k, feats_train.shape[0]))
-    fine_acc = float(np.mean(fine_pred == eval_ds.labels))
-    coarse_acc = float(np.mean(coarse_pred == tree.coarse_labels(eval_ds.labels)))
+    fine_acc, coarse_acc = dg.knn_accuracies(feats_train, train_ds.labels, feats_eval,
+                                             eval_ds.labels, tree,
+                                             k=min(knn_k, feats_train.shape[0]))
     _write_json(out / "metrics.json", {
         "delta_rel": delta_rel,
         "test_cpcc": cpcc_val,
@@ -363,7 +349,7 @@ def cmd_eval(config: dict, out: Path) -> int:
     if emit_gram:
         # headerless, so that spectra's matrix_csv reads it back with np.loadtxt
         K = sp.gram_matrix(feats_eval, eval_ds.labels, tree)
-        _write_text(out / "gram.csv", _symmetric_csv_text(K))
+        _write_text(out / "gram.csv", _csv_text(K))
     return EXIT_OK
 
 

@@ -25,6 +25,8 @@ AUTO_EXACT_DELTA_MAX_N = 200
 # sampled delta: quadruples drawn per RNG call, and evaluated per block
 DELTA_DRAW_CHUNK = 1_000_000
 DELTA_BLOCK = 65_536
+# kNN: distance cells per block of query rows
+KNN_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -177,36 +179,51 @@ def knn_classify(train_feats, label_sets, query_feats, k: int):
     labels and their ``LabelTree.coarse_labels``), and the result holds one
     prediction array per set.  Neighbour-distance ties break toward the
     smallest training index; vote ties break toward the smallest label.
+    Queries are searched KNN_BLOCK_CELLS // len(train_feats) rows at a time.
     """
     train_feats = np.asarray(train_feats, dtype=np.float64)
     query_feats = np.asarray(query_feats, dtype=np.float64)
     n = train_feats.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}]")
-    # one matrix-vector product per query, as a stacked matmul: BLAS then sums
-    # each dot in the same order as ``train_feats @ q`` and ``q @ q`` do (one
-    # ``Q @ T.T`` product does not), so distances and their ties are bit for
-    # bit those of a per-query evaluation
-    q_col = query_feats[:, :, None]
+    label_sets = [np.asarray(labels, dtype=np.int64) for labels in label_sets]
+    n_labels = [int(labels.max()) + 1 for labels in label_sets]
+    preds = [np.empty(query_feats.shape[0], dtype=np.int64) for _ in label_sets]
     sq_t = np.sum(train_feats * train_feats, axis=1)
-    sq_q = np.matmul(query_feats[:, None, :], q_col)[:, 0]
-    d2 = sq_t - 2.0 * np.matmul(train_feats, q_col)[:, :, 0] + sq_q
-    # the k-th smallest distance per row; take every distance below it, then
-    # the smallest training indices equal to it
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    nearest = d2 < kth
-    missing = k - np.count_nonzero(nearest, axis=1)
-    at_kth = d2 == kth
-    nearest |= at_kth & (np.cumsum(at_kth, axis=1) <= missing[:, None])
-    rows, cols = np.nonzero(nearest)
-    preds = []
-    for labels in label_sets:
-        labels = np.asarray(labels, dtype=np.int64)
-        n_labels = int(labels.max()) + 1
-        votes = np.bincount(rows * n_labels + labels[cols],
-                            minlength=d2.shape[0] * n_labels)
-        preds.append(votes.reshape(-1, n_labels).argmax(axis=1))
+    step = max(1, KNN_BLOCK_CELLS // n)
+    for start in range(0, query_feats.shape[0], step):
+        block = query_feats[start:start + step]
+        # one matrix-vector product per query, as a stacked matmul: BLAS then
+        # sums each dot in the same order as ``train_feats @ q`` and ``q @ q``
+        # do (one ``Q @ T.T`` product does not), so distances and their ties
+        # are bit for bit those of a per-query evaluation
+        q_col = block[:, :, None]
+        sq_q = np.matmul(block[:, None, :], q_col)[:, 0]
+        d2 = sq_t - 2.0 * np.matmul(train_feats, q_col)[:, :, 0] + sq_q
+        # the k-th smallest distance per row; take every distance below it,
+        # then the smallest training indices equal to it
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        nearest = d2 < kth
+        missing = k - np.count_nonzero(nearest, axis=1)
+        at_kth = d2 == kth
+        nearest |= at_kth & (np.cumsum(at_kth, axis=1) <= missing[:, None])
+        rows, cols = np.nonzero(nearest)
+        for labels, c, out in zip(label_sets, n_labels, preds):
+            votes = np.bincount(rows * c + labels[cols], minlength=block.shape[0] * c)
+            out[start:start + step] = votes.reshape(-1, c).argmax(axis=1)
     return preds
+
+
+def knn_accuracies(train_feats, train_labels, query_feats, query_labels,
+                   tree: LabelTree, k: int):
+    """Fine and coarse kNN accuracy from one neighbour search.
+
+    The coarse level votes and scores on each class's depth-1 ancestor.
+    """
+    fine, coarse = knn_classify(train_feats, (train_labels, tree.coarse_labels(train_labels)),
+                                query_feats, k)
+    return (float(np.mean(fine == np.asarray(query_labels))),
+            float(np.mean(coarse == tree.coarse_labels(query_labels))))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class PreconditionViolated(HypstructError):
 
 
 class NotSymmetric(HypstructError):
-    """A matrix that must be symmetric (eigensolver input, gram.csv) is not."""
+    """An eigensolver input is not symmetric within tolerance."""
 
 
 class NonFiniteMatrix(HypstructError):

@@ -73,7 +73,7 @@ def test_cpcc_rejects_unknown_mode():
 
 def test_knn_coarse_level_is_the_depth_one_ancestor():
     # on (1,2,4,8) a leaf's parent (depth 2) and its coarse class (depth 1)
-    # differ; the coarse kNN votes on the depth-1 ancestor, the grouping
+    # differ; the coarse kNN votes and scores on the depth-1 ancestor, the grouping
     # spectral.class_sorted_order sorts by
     tree = hi.balanced_tree((1, 2, 4, 8))
     leaf = tree.leaf_of_class
@@ -86,9 +86,12 @@ def test_knn_coarse_level_is_the_depth_one_ancestor():
     other = next(int(k) for k in classes if coarse[k] != coarse[0])
     train = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
     fine_labels = [cousin, cousin, other, other]
-    (preds,) = dg.knn_classify(train, [tree.coarse_labels(fine_labels)],
-                               np.array([[0.05, 0.0]]), k=2)
+    query = np.array([[0.05, 0.0]])
+    (preds,) = dg.knn_classify(train, [tree.coarse_labels(fine_labels)], query, k=2)
     assert preds.tolist() == [coarse[0]]
+    # eval's scores: the fine vote (cousin) misses class 0, the coarse vote
+    # is scored against class 0's depth-1 ancestor and hits
+    assert dg.knn_accuracies(train, fine_labels, query, [0], tree, k=2) == (0.0, 1.0)
     order = sp.class_sorted_order(classes, tree)
     assert coarse[order].tolist() == sorted(coarse.tolist())
 
@@ -122,10 +125,13 @@ def test_knn_coarse_tie_breaking():
     assert got == [[hi_], [lo], [hi_]]
 
 
+@pytest.mark.parametrize("block_cells", [1, 37, dg.KNN_BLOCK_CELLS])
 @pytest.mark.parametrize("integer_valued", [True, False])
-def test_knn_matches_the_per_query_loop(integer_valued):
+def test_knn_matches_the_per_query_loop(integer_valued, block_cells, monkeypatch):
     # integer features make every squared distance exact, so many neighbours
-    # tie at the k-th distance and many votes tie; both label sets are checked
+    # tie at the k-th distance and many votes tie; both label sets are
+    # checked, searched one query row per block, a few rows, and all at once
+    monkeypatch.setattr(dg, "KNN_BLOCK_CELLS", block_cells)
     tree = hi.balanced_tree((1, 3, 9))
     rng = np.random.default_rng(12)
     for trial in range(12):

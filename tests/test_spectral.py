@@ -150,13 +150,3 @@ def test_lca_height_broadcasts_over_leaf_arrays():
     assert isinstance(tree.lca_height(tree.id_of("x"), tree.id_of("y")), int)
     with pytest.raises(NotALeaf):
         tree.lca_height(np.array([tree.id_of("x"), tree.id_of("a")]), tree.id_of("y"))
-
-
-def test_gram_matrix_is_exactly_symmetric():
-    # the gram.csv writer formats one triangle and mirrors it, so it relies on
-    # X @ X.T being symmetric to the last bit
-    tree = hi.balanced_tree((1, 3, 9))
-    rng = np.random.default_rng(6)
-    for n, d in [(2, 1), (9, 4), (60, 16), (300, 32)]:
-        K = sp.gram_matrix(rng.standard_normal((n, d)) * 3.0, rng.integers(0, 9, n), tree)
-        assert K.tobytes() == K.T.copy().tobytes()
