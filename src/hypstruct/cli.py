@@ -58,15 +58,23 @@ def _write_json(path: Path, payload: dict, resolved_config: dict):
 
 def _csv_text(rows):
     """CSV text; strings and ints verbatim, every other cell as a round-trip float."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        # the csv.writer text: it writes a Python float with repr, as
-        # float_text does, and quotes none of its characters
-        return "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
     buf = io.StringIO()
     writer = csv.writer(buf)
     for row in rows:
         writer.writerow([x if isinstance(x, (str, int)) else tr.float_text(x) for x in row])
     return buf.getvalue()
+
+
+def _write_matrix_csv(path: Path, matrix: np.ndarray):
+    """Write a 2-D float matrix as headerless CSV, one row at a time.
+
+    The text is ``_csv_text``'s: csv.writer writes a Python float with repr,
+    as float_text does, quotes none of its characters and ends each row
+    with CRLF.  Only one row's text is held at a time.
+    """
+    with path.open("w") as f:
+        for row in matrix:
+            f.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def load_hierarchy(spec) -> LabelTree:
@@ -348,8 +356,7 @@ def cmd_eval(config: dict, out: Path) -> int:
     }, resolved)
     if emit_gram:
         # headerless, so that spectra's matrix_csv reads it back with np.loadtxt
-        K = sp.gram_matrix(feats_eval, eval_ds.labels, tree)
-        _write_text(out / "gram.csv", _csv_text(K))
+        _write_matrix_csv(out / "gram.csv", sp.gram_matrix(feats_eval, eval_ds.labels, tree))
     return EXIT_OK
 
 

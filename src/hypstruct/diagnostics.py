@@ -22,7 +22,10 @@ EXACT_DELTA_MAX_N = 400
 # delta mode "auto" (eval) scans exactly up to this n: the exact scan is
 # O(n^4), 2.8 s at n = 200 but 50 s at n = 400 on a 2-core Xeon
 AUTO_EXACT_DELTA_MAX_N = 200
-# sampled delta: quadruples drawn per RNG call, and evaluated per block
+# sampled delta: quadruples per chunk, and per scanned block.  A chunk of
+# ``take`` quadruples is the (4, take) C-order layout of one stream of
+# 4 * take draws (row 0 holds its first take values), so DELTA_DRAW_CHUNK is
+# part of the RNG stream: changing it changes delta.  DELTA_BLOCK is not.
 DELTA_DRAW_CHUNK = 1_000_000
 DELTA_BLOCK = 65_536
 # kNN: distance cells per block of query rows
@@ -39,7 +42,8 @@ class DistanceMatrix:
         d = np.asarray(self.dist, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"expected a square matrix, got {d.shape}")
-        if np.max(np.abs(d - d.T), initial=0.0) > 1e-12:
+        asym = d - d.T
+        if np.max(np.abs(asym, out=asym), initial=0.0) > 1e-12:
             raise ValueError("distance matrix is not symmetric within 1e-12")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("distance matrix must have a zero diagonal")
@@ -72,32 +76,39 @@ def _delta_exact(d: np.ndarray) -> float:
 
 
 def _delta_sampled(d: np.ndarray, k: int, seed) -> float:
-    # Quadruples are drawn DELTA_DRAW_CHUNK at a time; the chunk size is part
-    # of the RNG stream, so changing it changes delta.  No name holds a chunk
-    # once it is scanned, so the next draw does not double the peak memory.
+    # Each chunk's (4, take) layout is filled one row at a time, DELTA_BLOCK
+    # draws per ``integers`` call, into the smallest unsigned type that holds
+    # n - 1 (uint16 up to n = 65,536).  The calls continue one stream (PCG64
+    # keeps its spare 32-bit half-word between calls), so the values are
+    # those of one ``integers(0, n, size=(4, take))`` call.  Memory is the
+    # narrow chunk (8 MB at uint16) plus one widened block, whatever k is.
     n = d.shape[0]
     flat = d.ravel()
     rng = np.random.default_rng(seed)
+    draws = np.empty((4, min(DELTA_DRAW_CHUNK, k)), dtype=np.min_scalar_type(n - 1))
     best = 0.0
-    remaining = int(k)
-    while remaining > 0:
-        take = min(DELTA_DRAW_CHUNK, remaining)
-        remaining -= take
-        best = max(best, _four_point_slack(flat, n, rng.integers(0, n, size=(4, take))))
+    for first in range(0, k, DELTA_DRAW_CHUNK):
+        chunk = draws[:, :min(DELTA_DRAW_CHUNK, k - first)]
+        for row in chunk:
+            for start in range(0, row.size, DELTA_BLOCK):
+                piece = row[start:start + DELTA_BLOCK]
+                piece[:] = rng.integers(0, n, size=piece.size)
+        best = max(best, _four_point_slack(flat, n, chunk))
     return best
 
 
 def _four_point_slack(flat: np.ndarray, n: int, draws: np.ndarray) -> float:
     # Largest min(g_xy, g_yz) - g_xz over the drawn columns (w, x, y, z),
-    # DELTA_BLOCK columns at a time to bound the temporaries.  Each quadruple
+    # DELTA_BLOCK columns at a time to bound the temporaries; each block is
+    # widened to intp so that the flat indices do not overflow.  Each quadruple
     # has 6 distinct distances: gather each once by flat index and build the
     # three Gromov products in place (no per-product arrays).  Every product
     # is 0.5 * ((d_wa + d_wb) - d_ab), the same float operations as the direct
     # formula, so delta is bitwise equal to it.
     best = 0.0
     for start in range(0, draws.shape[1], DELTA_BLOCK):
-        w, x, y, z = draws[:, start:start + DELTA_BLOCK]
-        w = w * n
+        w, x, y, z = draws[:, start:start + DELTA_BLOCK].astype(np.intp)
+        w *= n
         gxz = flat[w + x]
         gyz = flat[w + y]
         gxy = gxz + gyz
@@ -105,7 +116,7 @@ def _four_point_slack(flat: np.ndarray, n: int, draws: np.ndarray) -> float:
         gxz += dwz
         gyz += dwz
         del dwz
-        x = x * n
+        x *= n
         gxy -= flat[x + y]
         gxz -= flat[x + z]
         gyz -= flat[y * n + z]
@@ -125,6 +136,10 @@ def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
     ``mode="exact"`` scans all quadruples (n <= 400); ``mode="sampled"`` draws
     ``k`` seeded quadruples and lower-bounds the exact value.
     """
+    if mode not in ("exact", "sampled"):
+        raise ValueError("mode must be 'exact' or 'sampled'")
+    if mode == "sampled" and k < 1:
+        raise ValueError(f"sampled mode needs k >= 1 quadruples, got {k}")
     n = dm.n
     diam = dm.diameter
     if diam == 0.0:
@@ -136,20 +151,27 @@ def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
             raise ValueError(f"exact mode is capped at n <= {EXACT_DELTA_MAX_N}; "
                              "use mode='sampled'")
         delta = _delta_exact(dm.dist)
-    elif mode == "sampled":
-        delta = _delta_sampled(dm.dist, k, seed)
     else:
-        raise ValueError("mode must be 'exact' or 'sampled'")
+        delta = _delta_sampled(dm.dist, int(k), seed)
     return delta, 2.0 * delta / diam
 
 
 def pairwise_l2(features) -> DistanceMatrix:
+    # sqrt(max((sq_i + sq_j) - 2 x_i.x_j, 0)), symmetrised as 0.5 * (d + d.T):
+    # the float operations of the direct expression, in two n x n buffers
     x = np.asarray(features, dtype=np.float64)
     sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    d = np.sqrt(d2)
+    d = x @ x.T
+    d *= 2.0
+    s = np.add(sq[:, None], sq[None, :])
+    np.subtract(s, d, out=d)
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(0.5 * (d + d.T))
+    np.add(d, d.T, out=s)
+    del d
+    s *= 0.5
+    return DistanceMatrix(s)
 
 
 def test_cpcc(features, labels, tree: LabelTree, distance_mode: str = "l2",

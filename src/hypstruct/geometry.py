@@ -22,6 +22,8 @@ Closed forms::
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -159,6 +161,23 @@ def dist_rows(z1, z2, c):
 PAIR_MODES = ("poincare", "l2")
 
 
+# two entries: an embed-tree step asks for one k throughout, and a training
+# step for one k twice (tree pairs, then distances).  Each entry holds
+# 24 bytes per pair (174 KB at k = 121), so a larger cache only adds memory.
+@functools.lru_cache(maxsize=2)
+def pair_index(k):
+    """Read-only ``(ii, jj, ii * k + jj)`` of the pairs ``i < j`` of ``k`` rows.
+
+    ``ii, jj`` are ``np.triu_indices(k, 1)``; the third array indexes the
+    same pairs in a flattened ``(k, k)`` matrix.
+    """
+    ii, jj = np.triu_indices(k, 1)
+    index = (ii, jj, ii * k + jj)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def pair_distances(rows, mode, c=1.0):
     """Distances of all row pairs ``i < j`` of ``(..., k, d)`` rows; one tape node.
 
@@ -174,12 +193,12 @@ def pair_distances(rows, mode, c=1.0):
         raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
     x = ad.val(rows)
     k = x.shape[-2]
-    ii, jj = np.triu_indices(k, 1)
+    ii, jj, flat = pair_index(k)
     diff = x[..., :, None, :] - x[..., None, :, :]
     # np.take keeps the pair axis C-ordered, so the per-row reductions that
     # follow sum in the same order whatever the leading axes
     s = np.take(np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(x.shape[:-2] + (k * k,)),
-                ii * k + jj, axis=-1)
+                flat, axis=-1)
     if mode == "l2":
         dist = np.sqrt(s)
 

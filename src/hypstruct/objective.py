@@ -162,7 +162,7 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
             f"{k} present vertices give {k * (k - 1) // 2} pairs; need {MIN_CPCC_PAIRS}"
         )
     tm = metric if metric is not None else tree_metric(tree)
-    ii, jj = np.triu_indices(k, 1)
+    ii, jj, _ = geo.pair_index(k)
     vids = np.asarray(present)
     tdist = tm.dist[vids[ii], vids[jj]]
     if np.ptp(tdist) == 0.0:

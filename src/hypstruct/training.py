@@ -431,7 +431,7 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
         raise InsufficientVertices(f"{k} in-scope vertices cannot form 3 pairs")
     metric = tree_metric(tree)
     vids = np.asarray(vertices)
-    ii, jj = np.triu_indices(k, 1)
+    ii, jj, _ = geo.pair_index(k)
     tdist = metric.dist[vids[ii], vids[jj]]
 
     def objective(x):

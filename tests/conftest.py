@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ def save_dataset_csv(path, dataset, tree):
         for row, lab in zip(dataset.features, dataset.labels):
             writer.writerow([tree.names[tree.leaf_of_class(int(lab))]]
                             + [tr.float_text(x) for x in row])
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """Peak traced allocation of ``fn(*args, **kwargs)`` in MB, above what was
+    live when it started; the returned value counts while it is alive."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from hypstruct import diagnostics as dg
 from hypstruct import training as tr
 from hypstruct.hierarchy import balanced_tree
 
-from conftest import save_dataset_csv
+from conftest import save_dataset_csv, traced_peak_mb
 
 TREE = json.loads(balanced_tree((1, 2, 4)).serialize())
 DATA = {"synthetic": {"n_per_leaf": 10, "dim": 4}}
@@ -115,15 +115,22 @@ def test_embed_tree_same_seed_gives_byte_identical_artifacts(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_float_matrix_csv_matches_the_per_cell_path(dtype):
+def test_float_matrix_csv_matches_the_per_cell_path(dtype, tmp_path):
     rng = np.random.default_rng(8)
     span = np.finfo(dtype).maxexp // 4
     K = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-span, span, (6, 5))
     K[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
     K = K.astype(dtype)
     per_cell = cli._csv_text(list(K))
-    assert cli._csv_text(K) == per_cell
+    cli._write_matrix_csv(tmp_path / "K.csv", K)
+    assert (tmp_path / "K.csv").read_bytes() == per_cell.encode()
     assert per_cell.splitlines()[1] == ",".join(tr.float_text(x) for x in K[1])
+
+
+def test_matrix_csv_writer_holds_one_row_of_text(tmp_path):
+    # the whole text of a 500 x 500 matrix is about 8 MB
+    K = np.random.default_rng(9).standard_normal((500, 500))
+    assert traced_peak_mb(cli._write_matrix_csv, tmp_path / "K.csv", K) < 2.0
 
 
 def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
@@ -217,6 +224,15 @@ def test_eval_rejects_a_zero_knn_k(trained, tmp_path, capsys):
     path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}}, knn_k=0)
     assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
     assert "k must lie in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_eval_rejects_a_sampled_delta_without_quadruples(trained, tmp_path, capsys, k):
+    path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}},
+                       delta={"mode": "sampled", "k": k})
+    assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
+    assert "k >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("n_eval,want", [(12, "exact"), (13, "sampled")])

@@ -11,6 +11,7 @@ from hypstruct import spectral as sp
 from hypstruct.errors import DegenerateVariance, EmptyInput, InsufficientVertices, MissingEntry
 
 import composed_ops as composed
+from conftest import traced_peak_mb
 from knn_oracle import knn_predict
 
 
@@ -193,6 +194,60 @@ def test_sampled_delta_equals_nine_gather_form_per_quadruple():
         k = 1 + seed % 2
         assert dg.delta_hyperbolicity(dm, mode="sampled", k=k, seed=seed)[0] == \
             nine_gather_delta_sampled(dm.dist, k, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 12345])
+def test_piecewise_integer_draws_continue_the_one_shot_stream(seed):
+    # sampled delta fills each (4, take) chunk row by row, a block of draws
+    # per ``Generator.integers`` call, and relies on these calls giving the
+    # values of one (4, take) call: PCG64 keeps its spare 32-bit half-word in
+    # the generator state between calls.  If a numpy release breaks this,
+    # delta_rel changes for every sampled run.
+    n, take, block = 37, 1_001, 64
+    want = np.random.default_rng(seed).integers(0, n, size=(4, take))
+    rng = np.random.default_rng(seed)
+    got = np.empty((4, take), dtype=np.uint16)
+    for row in got:
+        for start in range(0, take, block):
+            piece = row[start:start + block]
+            piece[:] = rng.integers(0, n, size=piece.size)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_sampled_delta_rejects_fewer_than_one_quadruple(k):
+    dm = dg.pairwise_l2(np.random.default_rng(0).standard_normal((9, 3)))
+    with pytest.raises(ValueError, match="k >= 1"):
+        dg.delta_hyperbolicity(dm, mode="sampled", k=k)
+
+
+def test_sampled_delta_memory_does_not_grow_with_the_draw():
+    # a million int64 quadruples alone are 32 MB; the narrow chunk is 8 MB
+    dm = dg.pairwise_l2(np.random.default_rng(4).standard_normal((500, 16)))
+    assert traced_peak_mb(dg.delta_hyperbolicity, dm, mode="sampled", k=1_000_000) < 20.0
+
+
+def direct_pairwise_l2(features):
+    """The pairwise distances as one expression, before the in-place form."""
+    x = np.asarray(features, dtype=np.float64)
+    sq = np.sum(x * x, axis=1)
+    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
+    np.fill_diagonal(d, 0.0)
+    return 0.5 * (d + d.T)
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (7, 2), (60, 16), (201, 5)])
+def test_pairwise_l2_is_bitwise_the_direct_expression(n, d):
+    x = np.random.default_rng(n).standard_normal((n, d)) * 10.0 ** (np.arange(d) - d // 2)
+    x[n // 2] = x[0]  # a repeated row: its distance rounds to 0 or clips
+    assert dg.pairwise_l2(x).dist.tobytes() == direct_pairwise_l2(x).tobytes()
+
+
+def test_pairwise_l2_memory_is_two_square_buffers():
+    # result, one scratch buffer and the symmetry check's difference: the
+    # direct expression peaks near five 2 MB temporaries at n = 500
+    x = np.random.default_rng(6).standard_normal((500, 16))
+    assert traced_peak_mb(dg.pairwise_l2, x) < 8.0
 
 
 def loop_auroc(id_scores, ood_scores):

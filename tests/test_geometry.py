@@ -346,6 +346,18 @@ class TestPairDistances:
         with pytest.raises(ValueError):
             geo.pair_distances(np.zeros((3, 2)), "cosine")
 
+    @pytest.mark.parametrize("k", [2, 13, 121])
+    def test_pair_index_is_the_cached_read_only_upper_triangle(self, k):
+        ii, jj, flat = geo.pair_index(k)
+        want_i, want_j = np.triu_indices(k, 1)
+        np.testing.assert_array_equal(ii, want_i)
+        np.testing.assert_array_equal(jj, want_j)
+        np.testing.assert_array_equal(flat, want_i * k + want_j)
+        assert geo.pair_index(k) is geo.pair_index(k)
+        for a in (ii, jj, flat):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
 
 # close and coincident pairs -------------------------------------------------------
 
