@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,11 @@ from .training import EmbedBudget, EncoderSpec, LabeledDataset, SyntheticSpec, T
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGED = 2
+
+# SyntheticSpec's generator settings and their defaults; the seeds are
+# resolved per command
+SYNTHETIC_SETTINGS = {f.name: f.default for f in fields(SyntheticSpec)
+                      if f.name not in ("tree", "seed", "noise_seed")}
 
 OBJECTIVE_VARIANTS = {
     "flat": {"alpha": 0.0, "beta": 0.0},
@@ -105,36 +110,23 @@ def load_dataset(spec, tree: LabelTree, default_seed, default_noise_seed=None) -
             _fail(f"dataset file not found: {path}")
         return tr.load_dataset_csv(path, tree)
     if "synthetic" in spec:
-        s = _synthetic_defaults(spec["synthetic"], default_seed, default_noise_seed)
+        s = resolve_synthetic_echo(spec, default_seed, default_noise_seed)["synthetic"]
         noise_seed = s.get("noise_seed")
-        synth = SyntheticSpec(tree=tree,
-                              dim=int(s.get("dim", 16)),
-                              coarse_spread=float(s.get("coarse_spread", 4.0)),
-                              fine_spread=float(s.get("fine_spread", 1.5)),
-                              noise_sigma=float(s.get("noise_sigma", 0.5)),
-                              n_per_leaf=int(s.get("n_per_leaf", 50)),
-                              seed=int(s["seed"]),
+        # each setting is cast to the type of its default
+        settings = {k: type(v)(s[k]) for k, v in SYNTHETIC_SETTINGS.items()}
+        synth = SyntheticSpec(tree=tree, **settings, seed=int(s["seed"]),
                               noise_seed=None if noise_seed is None else int(noise_seed))
         return tr.generate_hierarchical_gaussians(synth)
     _fail("dataset must provide 'csv' or 'synthetic'")
 
 
-def _synthetic_defaults(doc, default_seed, default_noise_seed):
-    s = dict(doc)
-    s.setdefault("seed", default_seed)
-    if default_noise_seed is not None:
-        s.setdefault("noise_seed", default_noise_seed)
-    return s
-
-
 def resolve_synthetic_echo(spec, default_seed, default_noise_seed=None):
+    """A synthetic spec with every setting and seed filled in; others as given."""
     if isinstance(spec, dict) and "synthetic" in spec:
-        s = _synthetic_defaults(spec["synthetic"], default_seed, default_noise_seed)
-        s.setdefault("dim", 16)
-        s.setdefault("coarse_spread", 4.0)
-        s.setdefault("fine_spread", 1.5)
-        s.setdefault("noise_sigma", 0.5)
-        s.setdefault("n_per_leaf", 50)
+        s = {**SYNTHETIC_SETTINGS, **spec["synthetic"]}
+        s.setdefault("seed", default_seed)
+        if default_noise_seed is not None:
+            s.setdefault("noise_seed", default_noise_seed)
         return {"synthetic": s}
     return spec
 
@@ -317,6 +309,11 @@ def cmd_eval(config: dict, out: Path) -> int:
     delta_mode = delta_doc.get("mode", "auto")
     delta_k = int(delta_doc.get("k", 2_000_000))
     delta_seed = int(delta_doc.get("seed", seed))
+    # auto resolves from the held-out row count; exact ignores k
+    run_mode = delta_mode
+    if run_mode == "auto":
+        run_mode = "exact" if eval_ds.n <= dg.AUTO_EXACT_DELTA_MAX_N else "sampled"
+    dg.check_delta_mode(run_mode, delta_k, eval_ds.n)
     cpcc_distance = config.get("cpcc_distance", "native")
     emit_gram = bool(config.get("gram_csv", False))
 
@@ -339,10 +336,7 @@ def cmd_eval(config: dict, out: Path) -> int:
     cpcc_val = dg.test_cpcc(feats_eval, eval_ds.labels, tree,
                             distance_mode=cpcc_distance, c=cfg.c)
     dm = dg.pairwise_l2(feats_eval)
-    n = dm.n
-    if delta_mode == "auto":
-        delta_mode = "exact" if n <= dg.AUTO_EXACT_DELTA_MAX_N else "sampled"
-    _, delta_rel = dg.delta_hyperbolicity(dm, mode=delta_mode, k=delta_k, seed=delta_seed)
+    _, delta_rel = dg.delta_hyperbolicity(dm, mode=run_mode, k=delta_k, seed=delta_seed)
     fine_acc, coarse_acc = dg.knn_accuracies(feats_train, train_ds.labels, feats_eval,
                                              eval_ds.labels, tree,
                                              k=min(knn_k, feats_train.shape[0]))
@@ -351,7 +345,7 @@ def cmd_eval(config: dict, out: Path) -> int:
         "test_cpcc": cpcc_val,
         "knn_fine_accuracy": fine_acc,
         "knn_coarse_accuracy": coarse_acc,
-        "delta_mode": delta_mode,
+        "delta_mode": run_mode,
         "n_eval": int(eval_ds.n),
     }, resolved)
     if emit_gram:

@@ -128,6 +128,18 @@ def _four_point_slack(flat: np.ndarray, n: int, draws: np.ndarray) -> float:
     return best
 
 
+def check_delta_mode(mode: str, k: int, n: int):
+    """Raise ValueError unless ``delta_hyperbolicity`` can run ``mode`` with
+    ``k`` quadruples on ``n`` points.  Exact mode ignores ``k``."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError("mode must be 'exact' or 'sampled'")
+    if mode == "exact" and n > EXACT_DELTA_MAX_N:
+        raise ValueError(f"exact mode is capped at n <= {EXACT_DELTA_MAX_N}; "
+                         "use mode='sampled'")
+    if mode == "sampled" and k < 1:
+        raise ValueError(f"sampled mode needs k >= 1 quadruples, got {k}")
+
+
 def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
                         k: int = 2_000_000, seed: int = 0):
     """Four-point-condition slack of a metric space.
@@ -136,20 +148,14 @@ def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
     ``mode="exact"`` scans all quadruples (n <= 400); ``mode="sampled"`` draws
     ``k`` seeded quadruples and lower-bounds the exact value.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError("mode must be 'exact' or 'sampled'")
-    if mode == "sampled" and k < 1:
-        raise ValueError(f"sampled mode needs k >= 1 quadruples, got {k}")
     n = dm.n
+    check_delta_mode(mode, k, n)
     diam = dm.diameter
     if diam == 0.0:
         raise ZeroDiameter("all points coincide; delta_rel undefined")
     if n < 4:
         return 0.0, 0.0
     if mode == "exact":
-        if n > EXACT_DELTA_MAX_N:
-            raise ValueError(f"exact mode is capped at n <= {EXACT_DELTA_MAX_N}; "
-                             "use mode='sampled'")
         delta = _delta_exact(dm.dist)
     else:
         delta = _delta_sampled(dm.dist, int(k), seed)

@@ -4,6 +4,11 @@ Vertices are integer ids assigned in document (preorder) order; the leaf order
 induced by the document is the canonical fine-class order used everywhere
 downstream (CPCC pair enumeration, block matrices, dataset labels).
 
+Each tree holds one vertex x vertex ancestor matrix ``A`` (``A[v, a] = 1``
+iff ``a`` is ``v`` or an ancestor of ``v``).  The tree metric, the
+vertex x class membership matrix, the class-pair LCA depths and the coarse
+labels are all products or slices of it.
+
 The on-disk hierarchy format is JSON::
 
     {"name": "root", "children": [
@@ -107,35 +112,32 @@ class LabelTree:
         if sorted(leaf_classes) != sorted(leaves):
             raise ValidationError("leaf_classes must cover exactly the leaves")
         self.leaf_classes = list(leaf_classes)
-        self._class_of_leaf = {v: k for k, v in enumerate(self.leaf_classes)}
         self._id_of_name = {nm: i for i, nm in enumerate(self.names)}
 
-        # fine-class indices of the leaves under each vertex
-        self._subtree_classes = [None] * n
-        for i in range(n):
-            self._subtree_classes[i] = tuple(self._collect_classes(i))
+        # ancestors[v, a] = 1 iff a is v or an ancestor of v.  Rows are filled
+        # in depth order, so each parent's row is complete before its children
+        # copy it (normalize_depths gives padded parents larger ids than their
+        # children, so id order would not do).
+        ancestors = np.zeros((n, n))
+        for v in sorted(range(n), key=self._depth.__getitem__):
+            if v != self.root:
+                ancestors[v] = ancestors[self.parent[v]]
+            ancestors[v, v] = 1.0
+        ancestors.setflags(write=False)
+        self.ancestors = ancestors
 
         # membership[v, k] = 1 iff fine class k is a leaf under vertex v
-        self.membership = np.zeros((n, self.n_classes))
-        for i, classes in enumerate(self._subtree_classes):
-            self.membership[i, list(classes)] = 1.0
+        self.membership = np.ascontiguousarray(ancestors[self.leaf_classes].T)
         self.membership.setflags(write=False)
         # fine class of each vertex (-1 for internal vertices); lca_height's
         # class-pair LCA depths are built on its first call
         self._leaf_class = np.full(n, -1, dtype=np.int64)
         self._leaf_class[self.leaf_classes] = np.arange(self.n_classes)
         self._class_lca_depth = None
-
-    def _collect_classes(self, v):
-        stack = [v]
-        out = []
-        while stack:
-            u = stack.pop()
-            if not self._children[u]:
-                out.append(self._class_of_leaf[u])
-            else:
-                stack.extend(reversed(self._children[u]))
-        return sorted(out)
+        # depth-1 ancestor of each fine class; a leaf at depth <= 1 is its own
+        # (only a one-vertex tree has a leaf at depth 0, and argmax gives it)
+        at_depth_one = np.array(self._depth) == 1
+        self._coarse_of_class = (ancestors[self.leaf_classes] * at_depth_one).argmax(axis=1)
 
     # basic queries
 
@@ -146,9 +148,6 @@ class LabelTree:
     @property
     def n_classes(self):
         return len(self.leaf_classes)
-
-    def children(self, v):
-        return tuple(self._children[v])
 
     def is_leaf(self, v):
         return not self._children[v]
@@ -168,25 +167,14 @@ class LabelTree:
     def class_index(self, leaf):
         if not self.is_leaf(leaf):
             raise NotALeaf(f"{self.names[leaf]} is not a leaf")
-        return self._class_of_leaf[leaf]
+        return int(self._leaf_class[leaf])
 
     def leaf_of_class(self, k):
         return self.leaf_classes[k]
 
-    def subtree_class_indices(self, v):
-        """Fine-class indices of the leaves under vertex ``v``."""
-        return self._subtree_classes[v]
-
-    def coarse_ancestor(self, v):
-        """Depth-1 ancestor of ``v`` (``v`` itself if its depth is <= 1)."""
-        while self._depth[v] > 1:
-            v = self.parent[v]
-        return v
-
     def coarse_labels(self, labels):
         """Depth-1 ancestor vertex of each fine-class label: the coarse class."""
-        return np.array([self.coarse_ancestor(self.leaf_of_class(int(k))) for k in labels],
-                        dtype=np.int64)
+        return self._coarse_of_class[np.asarray(labels, dtype=np.int64)]
 
     def lca_height(self, leaf_i, leaf_j):
         """Height (levels above the leaf layer) of the LCA of two leaves.
@@ -230,28 +218,18 @@ class LabelTree:
 
 
 def tree_metric(tree: LabelTree) -> TreeMetric:
-    """All-pairs weighted shortest-path distances, one traversal per vertex."""
-    n = tree.n_vertices
-    adj = [[] for _ in range(n)]
-    for v in range(n):
-        p = tree.parent[v]
-        if p is not None:
-            adj[v].append((p, tree.weights[v]))
-            adj[p].append((v, tree.weights[v]))
-    dist = np.zeros((n, n))
-    for src in range(n):
-        row = dist[src]
-        seen = np.zeros(n, dtype=bool)
-        seen[src] = True
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for w, edge in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    row[w] = row[u] + edge
-                    stack.append(w)
-    return TreeMetric(dist)
+    """All-pairs weighted path lengths ``h(u) + h(v) - 2 h(lca(u, v))``.
+
+    ``S = (A w) A^T`` sums the parent-edge weights of the common ancestors of
+    u and v, so ``S[u, v]`` is the weighted depth of their LCA and
+    ``h = diag(S)``.  S is symmetrised because BLAS need not sum ``S[u, v]``
+    and ``S[v, u]`` in one order; the diagonal is then exactly zero.
+    """
+    a = tree.ancestors
+    s = (a * np.asarray(tree.weights)) @ a.T
+    s = 0.5 * (s + s.T)
+    h = np.diagonal(s)
+    return TreeMetric(h[:, None] + h[None, :] - 2.0 * s)
 
 
 def balanced_tree(level_counts) -> LabelTree:

@@ -226,13 +226,34 @@ def test_eval_rejects_a_zero_knn_k(trained, tmp_path, capsys):
     assert "k must lie in" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", [0, -1])
-def test_eval_rejects_a_sampled_delta_without_quadruples(trained, tmp_path, capsys, k):
+@pytest.mark.parametrize("delta,message", [
+    pytest.param({"mode": "sampled", "k": 0}, "k >= 1", id="0"),
+    pytest.param({"mode": "sampled", "k": -1}, "k >= 1", id="-1"),
+    pytest.param({"mode": "auto", "k": 0}, "k >= 1", id="auto_sampled"),
+    pytest.param({"mode": "hyperbolic", "k": 1000}, "mode must be", id="unknown_mode"),
+    pytest.param({"mode": "exact", "k": 1000}, "capped at", id="exact_over_cap"),
+])
+def test_eval_rejects_a_sampled_delta_without_quadruples(trained, tmp_path, capsys,
+                                                         monkeypatch, delta, message):
+    # 20 held-out rows: auto resolves to sampled, and exact is over its cap,
+    # when both limits are 12
+    monkeypatch.setattr(dg, "AUTO_EXACT_DELTA_MAX_N", 12)
+    monkeypatch.setattr(dg, "EXACT_DELTA_MAX_N", 12)
     path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}},
-                       delta={"mode": "sampled", "k": k})
+                       delta=delta)
     assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
-    assert "k >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    # rejected before any output is written
+    assert not (tmp_path / "out" / "resolved_config.json").exists()
     assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_eval_auto_delta_that_resolves_to_exact_ignores_k(trained, tmp_path):
+    path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}},
+                       delta={"mode": "auto", "k": 0})
+    assert run_code("eval", path, tmp_path) == cli.EXIT_OK
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["delta_mode"] == "exact"
 
 
 @pytest.mark.parametrize("n_eval,want", [(12, "exact"), (13, "sampled")])

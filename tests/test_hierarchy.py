@@ -8,6 +8,17 @@ import pytest
 
 from hypstruct import hierarchy as hi
 from hypstruct.errors import InvalidLevelCounts, NotALeaf, ParseError, ValidationError
+from tree_oracle import bfs_tree_metric, coarse_ancestor, subtree_classes
+
+# leaves at depths 1, 2 and 3 (leaf2 is its own coarse class), and non-unit
+# weights on two levels
+MIXED_DEPTHS = {"name": "r", "children": [
+    {"name": "deep", "weight": 1, "children": [
+        {"name": "x", "weight": 1, "children": [
+            {"name": "leaf1", "weight": 1}, {"name": "leaf3", "weight": 2}]}]},
+    {"name": "leaf2", "weight": 1},
+    {"name": "mid", "weight": 3, "children": [{"name": "leaf4", "weight": 1}]},
+]}
 
 
 def brute_force_lca_height(tree, u, v):
@@ -84,6 +95,55 @@ class TestTreeMetric:
             for v in t.leaves():
                 if u != v:
                     assert tm[u, v] == 2.0 * t.lca_height(u, v)
+
+
+def oracle_trees():
+    """Trees of every shape the ancestor matrix must handle, by name."""
+    mixed = json.dumps(MIXED_DEPTHS)
+    return {
+        "c100": hi.balanced_tree((1, 20, 100)),
+        "four_levels": hi.balanced_tree((1, 4, 20, 200)),
+        "cifar10": hi.builtin_cifar10_tree(),
+        "mixed": hi.parse_tree(mixed),
+        # padded parents get larger ids than their children
+        "normalized": hi.parse_tree(mixed, normalize=True),
+        "single_vertex": hi.LabelTree(["r"], [None], [0.0]),
+    }
+
+
+def with_random_weights(tree, rng):
+    weights = [float(rng.uniform(0.2, 3.0)) for _ in tree.weights]
+    return hi.LabelTree(tree.names, tree.parent, weights, leaf_classes=tree.leaf_classes)
+
+
+class TestAncestorMatrixOracle:
+    @pytest.mark.parametrize("name", list(oracle_trees()))
+    def test_tree_metric_is_bitwise_the_bfs(self, name):
+        tree = oracle_trees()[name]
+        np.testing.assert_array_equal(hi.tree_metric(tree).dist, bfs_tree_metric(tree))
+
+    @pytest.mark.parametrize("name", ["c100", "cifar10", "mixed", "normalized"])
+    def test_tree_metric_with_non_integer_weights(self, name):
+        # the products sum the path weights in another order than the BFS,
+        # so agreement is to a relative 1e-12; symmetry and the zero diagonal
+        # stay exact
+        tree = with_random_weights(oracle_trees()[name], np.random.default_rng(5))
+        dist = hi.tree_metric(tree).dist
+        np.testing.assert_allclose(dist, bfs_tree_metric(tree), rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(dist, dist.T)
+        np.testing.assert_array_equal(np.diagonal(dist), 0.0)
+
+    @pytest.mark.parametrize("name", list(oracle_trees()))
+    def test_membership_rows_are_the_subtree_classes(self, name):
+        tree = oracle_trees()[name]
+        for v in range(tree.n_vertices):
+            assert np.flatnonzero(tree.membership[v]).tolist() == subtree_classes(tree, v)
+
+    @pytest.mark.parametrize("name", list(oracle_trees()))
+    def test_coarse_labels_are_the_depth_one_ancestors(self, name):
+        tree = oracle_trees()[name]
+        want = [coarse_ancestor(tree, tree.leaf_of_class(k)) for k in range(tree.n_classes)]
+        assert tree.coarse_labels(np.arange(tree.n_classes)).tolist() == want
 
 
 class TestLcaHeight:

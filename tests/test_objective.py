@@ -221,11 +221,11 @@ def reference_present_vertices(tree, labels, scope):
     """Per-vertex loop: keep a vertex when the batch holds one of its classes."""
     batch_classes = set(int(k) for k in np.unique(labels))
     return [v for v in obj.scope_vertices(tree, scope)
-            if batch_classes.intersection(tree.subtree_class_indices(v))]
+            if batch_classes.intersection(np.flatnonzero(tree.membership[v]))]
 
 
 def reference_sample_indices(tree, labels, vertices):
-    return [np.flatnonzero(np.isin(labels, tree.subtree_class_indices(v))) for v in vertices]
+    return [np.flatnonzero(np.isin(labels, np.flatnonzero(tree.membership[v]))) for v in vertices]
 
 
 def reference_euclidean_rows(features, labels, tree, vertices):
