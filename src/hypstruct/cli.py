@@ -2,10 +2,13 @@
 
 Subcommands: embed-tree, train, eval, spectra, oodsim.  Each takes a JSON
 config (--config), an output directory (--out), and an optional --seed that
-overrides the config seed.  Every run materializes its fully-resolved config
-(defaults included) into the output directory and into each emitted JSON, so
-a rerun never depends on built-in defaults drifting.  Fixed seeds give
-byte-identical artifacts.
+overrides the config seed.  ``hypstruct <command> --help`` lists the
+command's config keys and their defaults; a key the command does not know is
+an error.  Every run materializes its fully-resolved config (defaults
+included; an OOD set's ``far_cluster`` is echoed as given) into the output
+directory and into each emitted JSON, so a rerun never depends on built-in
+defaults drifting: fed back through --config, that config gives the same
+artifacts.  Fixed seeds give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -15,17 +18,18 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from . import diagnostics as dg
 from . import spectral as sp
 from . import svg
 from . import training as tr
-from .errors import DivergedError, HypstructError
+from .errors import ConfigError, DivergedError, HypstructError
 from .hierarchy import LabelTree, balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 from .objective import ObjectiveConfig
 from .training import EmbedBudget, EncoderSpec, LabeledDataset, SyntheticSpec, TrainConfig
@@ -34,11 +38,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGED = 2
 
-# SyntheticSpec's generator settings and their defaults; the seeds are
-# resolved per command
-SYNTHETIC_SETTINGS = {f.name: f.default for f in fields(SyntheticSpec)
-                      if f.name not in ("tree", "seed", "noise_seed")}
-
 OBJECTIVE_VARIANTS = {
     "flat": {"alpha": 0.0, "beta": 0.0},
     "l2cpcc": {"cpcc_distance": "l2", "centroid_mode": "euclidean_then_map", "beta": 0.0},
@@ -46,18 +45,145 @@ OBJECTIVE_VARIANTS = {
 }
 
 
-def _fail(message):
-    raise HypstructError(message)
+# config keys -------------------------------------------------------------------
+
+REQUIRED = "required"
 
 
-def _write_text(path: Path, text: str):
-    path.write_text(text)
+class Key:
+    """A config key without one fixed default.  An absent key takes ``default``,
+    else the command's seed plus ``offset``, else a value the command derives
+    (``rule`` says how, for --help), else stays out; a rule starting with
+    REQUIRED makes it an error.
+    ``cast`` converts a given value (None keeps it); ``keys`` is a nested
+    section's table, which the command checks."""
+
+    def __init__(self, cast=None, rule="optional", default=None, keys=None, offset=None):
+        if offset is not None:
+            rule = f"seed + {offset}" if offset else "seed"
+        self.cast, self.rule, self.default, self.keys = cast, rule, default, keys
+        self.offset = offset
+
+
+def _key(spec) -> Key:
+    """A table entry as a Key; a plain value is a default cast to its type."""
+    return spec if isinstance(spec, Key) else Key(type(spec), default=spec)
+
+
+def _defaults(cls, *skip):
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
+def _dataset_key(noise_seed):
+    synthetic = {**_defaults(SyntheticSpec, "tree"), "seed": Key(int, offset=0),
+                 "noise_seed": noise_seed}
+    return Key(default={"synthetic": {}},
+               keys={"csv": Key(), "synthetic": Key(keys=synthetic)})
+
+
+DEFAULT_HIERARCHY = "builtin:cifar10"
+DATASET = _dataset_key(Key(int, "optional: noise drawn from seed"))
+# a held-out set keeps the training set's class centres and draws fresh noise
+HELD_OUT = _dataset_key(Key(int, offset=10))
+ENCODER_KEYS = {**_defaults(EncoderSpec), "input_dim": Key(int, "feature dim of the data"),
+                "seed": Key(int, offset=1)}
+TRAIN_KEYS = {**_defaults(TrainConfig), "seed": Key(int, offset=2)}
+OBJECTIVE_KEYS = {"variant": Key(str, "optional: " + " | ".join(OBJECTIVE_VARIANTS)),
+                  "curvature": Key(float, "optional alias of c"), **_defaults(ObjectiveConfig)}
+DELTA_KEYS = {"mode": "auto", "k": 2_000_000, "seed": Key(int, offset=0)}
+FAR_CLUSTER_KEYS = {"offset_sigmas": 10.0, "n": 200, "seed": Key(int, offset=0)}
+OOD_SET_KEYS = {"csv": Key(), "far_cluster": Key(keys=FAR_CLUSTER_KEYS), "id_eval": Key()}
+BLOCK_SPEC_KEYS = {"r": Key(rule=REQUIRED), "balanced_level_counts": Key(), "tree": Key(),
+                   "hierarchy": Key()}
+EMBED_BUDGET_KEYS = _defaults(EmbedBudget, "seed")
+
+# each command's top-level table
+COMMAND_KEYS = {name: {"command": name, "hierarchy": Key(default=DEFAULT_HIERARCHY),
+                       "seed": 0, **keys} for name, keys in {
+    "embed-tree": {"dim": 2, "tree_scope": ObjectiveConfig.tree_scope,
+                   "curvature": ObjectiveConfig.c, **EMBED_BUDGET_KEYS},
+    "train": {"dataset": DATASET, "encoder": Key(default={}, keys=ENCODER_KEYS),
+              "objective": Key(default={}, keys=OBJECTIVE_KEYS),
+              "train": Key(default={}, keys=TRAIN_KEYS)},
+    "eval": {"checkpoint": Key(rule=REQUIRED), "train_dataset": DATASET,
+             "eval_dataset": HELD_OUT, "knn_k": 50, "delta": Key(default={}, keys=DELTA_KEYS),
+             "cpcc_distance": "native", "gram_csv": False},
+    "spectra": {"hierarchy": Key(rule=f"{DEFAULT_HIERARCHY} with features_csv"),
+                "block_spec": Key(keys=BLOCK_SPEC_KEYS), "features_csv": Key(),
+                "matrix_csv": Key(), "top_k": 100},
+    "oodsim": {"checkpoint": Key(), "methods": Key(rule="optional: {name: checkpoint path}"),
+               "id_train": DATASET, "id_eval": HELD_OUT,
+               "ood_sets": Key(rule=f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS),
+               "raw_features": False},
+}.items()}
+
+
+def _object(doc, path):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'}: must be a JSON object")
+    return doc
+
+
+def _checked(doc, keys, path="", seed=None, **derived):
+    """``doc`` checked against the table ``keys``, as one new dict.
+
+    A given value is cast; an absent key takes its value from ``derived``, else
+    from the table's default or ``seed`` plus its offset.  An unknown or a
+    missing required key raises ConfigError naming its path.
+    """
+    prefix = f"{path}." if path else ""
+    for name in _object(doc, path):
+        if name not in keys:
+            raise ConfigError(f"{prefix}{name}: unknown key; known: {', '.join(keys)}")
+    out = {}
+    for name, spec in keys.items():
+        key = _key(spec)
+        if name in doc:
+            value = doc[name]
+            out[name] = value if key.cast is None or value is None else key.cast(value)
+        elif name in derived:
+            out[name] = derived[name]
+        elif key.default is not None:
+            out[name] = key.default
+        elif key.offset is not None:
+            out[name] = seed + key.offset
+        elif key.rule.startswith(REQUIRED):
+            raise ConfigError(f"{prefix}{name}: required key is missing")
+    return out
+
+
+def _one_of(doc, names, path, default=None):
+    """The one key of ``names`` that ``doc`` sets; ``default`` when it sets none."""
+    given = [name for name in names if name in doc]
+    if len(given) > 1 or not (given or default):
+        raise ConfigError(f"{path or 'config'}: set {'at most' if default else 'exactly'} "
+                          f"one of {', '.join(names)}")
+    return given[0] if given else default
+
+
+def _keys_help(keys, indent=2):
+    """One line per key with its default; a section's keys indented below it."""
+    lines = []
+    for name, spec in keys.items():
+        key = _key(spec)
+        shown = key.rule if key.default is None else json.dumps(key.default)
+        lines.append(f"{' ' * indent}{name:<{26 - indent}} {shown}")
+        if key.keys:
+            lines += _keys_help(key.keys, indent + 2)
+    return lines
+
+
+# artifacts ---------------------------------------------------------------------
+
+def _existing(path, what) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise HypstructError(f"{what} not found: {path}")
+    return path
 
 
 def _write_json(path: Path, payload: dict, resolved_config: dict):
-    doc = dict(payload)
-    doc["config"] = resolved_config
-    doc["version"] = __version__
+    doc = {**payload, "config": resolved_config, "version": __version__}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -86,101 +212,60 @@ def load_hierarchy(spec) -> LabelTree:
     """Accept 'builtin:cifar10', a path to a JSON document, or an inline tree."""
     if isinstance(spec, dict):
         return parse_tree(json.dumps(spec))
-    if spec == "builtin:cifar10":
+    if spec == DEFAULT_HIERARCHY:
         return builtin_cifar10_tree()
-    path = Path(spec)
-    if not path.exists():
-        _fail(f"hierarchy file not found: {spec}")
-    return parse_tree(path.read_text())
+    return parse_tree(_existing(spec, "hierarchy file").read_text())
 
 
-def load_dataset(spec, tree: LabelTree, default_seed, default_noise_seed=None) -> LabeledDataset:
-    """Dataset from ``{"csv": path}`` or ``{"synthetic": {...}}``.
-
-    A synthetic spec without ``seed`` uses ``default_seed``; one without
-    ``noise_seed`` uses ``default_noise_seed`` when given.  Held-out sets pass
-    the training seed and a different noise seed, so they keep the training
-    set's class centres and draw fresh noise.
-    """
-    if not isinstance(spec, dict):
-        _fail("dataset must be an object with 'csv' or 'synthetic'")
-    if "csv" in spec:
-        path = Path(spec["csv"])
-        if not path.exists():
-            _fail(f"dataset file not found: {path}")
-        return tr.load_dataset_csv(path, tree)
-    if "synthetic" in spec:
-        s = resolve_synthetic_echo(spec, default_seed, default_noise_seed)["synthetic"]
-        noise_seed = s.get("noise_seed")
-        # each setting is cast to the type of its default
-        settings = {k: type(v)(s[k]) for k, v in SYNTHETIC_SETTINGS.items()}
-        synth = SyntheticSpec(tree=tree, **settings, seed=int(s["seed"]),
-                              noise_seed=None if noise_seed is None else int(noise_seed))
-        return tr.generate_hierarchical_gaussians(synth)
-    _fail("dataset must provide 'csv' or 'synthetic'")
+def load_dataset(spec, tree: LabelTree, seed, path="dataset", keys=DATASET.keys):
+    """The dataset of a ``{"csv": path}`` or ``{"synthetic": {...}}`` section and
+    the section checked against ``keys``, its seeds derived from ``seed``."""
+    spec = _checked(spec, keys, path)
+    if _one_of(spec, ("csv", "synthetic"), path, default="synthetic") == "csv":
+        return tr.load_dataset_csv(_existing(spec["csv"], "dataset file"), tree), spec
+    synthetic = _checked(spec.get("synthetic", {}), keys["synthetic"].keys,
+                         f"{path}.synthetic", seed=seed)
+    return (tr.generate_hierarchical_gaussians(SyntheticSpec(tree=tree, **synthetic)),
+            {"synthetic": synthetic})
 
 
-def resolve_synthetic_echo(spec, default_seed, default_noise_seed=None):
-    """A synthetic spec with every setting and seed filled in; others as given."""
-    if isinstance(spec, dict) and "synthetic" in spec:
-        s = {**SYNTHETIC_SETTINGS, **spec["synthetic"]}
-        s.setdefault("seed", default_seed)
-        if default_noise_seed is not None:
-            s.setdefault("noise_seed", default_noise_seed)
-        return {"synthetic": s}
-    return spec
+def _dataset(cfg, key, tree) -> LabeledDataset:
+    """Load the dataset section ``cfg[key]`` and put its checked form in its place."""
+    dataset, cfg[key] = load_dataset(cfg[key], tree, cfg["seed"], key,
+                                     COMMAND_KEYS[cfg["command"]][key].keys)
+    return dataset
 
 
-def objective_from_config(doc: dict) -> ObjectiveConfig:
-    cfg = dict(doc)
-    variant = cfg.pop("variant", None)
-    merged = {}
-    if variant is not None:
-        if variant not in OBJECTIVE_VARIANTS:
-            _fail(f"unknown objective variant {variant!r}")
-        merged.update(OBJECTIVE_VARIANTS[variant])
-    for key, value in cfg.items():
-        merged[key] = value
-    curvature = merged.pop("curvature", None)
-    if curvature is not None:
-        merged["c"] = float(curvature)
-    return ObjectiveConfig(**merged)
+def objective_config(doc, path="objective") -> dict:
+    """The objective section checked: its variant's preset under the given
+    keys, every other key at its ObjectiveConfig default."""
+    variant = _object(doc, path).get("variant")
+    if variant is not None and variant not in OBJECTIVE_VARIANTS:
+        raise ConfigError(f"{path}.variant: unknown objective variant {variant!r}")
+    _one_of(doc, ("c", "curvature"), path, default="c")
+    cfg = _checked(doc, OBJECTIVE_KEYS, path, **OBJECTIVE_VARIANTS.get(variant, {}))
+    if "curvature" in cfg:
+        cfg["c"] = cfg.pop("curvature")
+    return cfg
 
 
-def objective_echo(cfg: ObjectiveConfig, variant=None) -> dict:
-    doc = asdict(cfg)
-    if variant is not None:
-        doc["variant"] = variant
-    return doc
+def _objective(doc) -> ObjectiveConfig:
+    return ObjectiveConfig(**{k: v for k, v in doc.items() if k != "variant"})
 
 
 # embed-tree ------------------------------------------------------------------
 
-def cmd_embed_tree(config: dict, out: Path) -> int:
-    tree = load_hierarchy(config.get("hierarchy", "builtin:cifar10"))
-    seed = int(config.get("seed", 0))
-    dim = int(config.get("dim", 2))
-    scope = config.get("tree_scope", "full_tree")
-    c = float(config.get("curvature", 1.0))
-    budget = EmbedBudget(restarts=int(config.get("restarts", 8)),
-                         steps=int(config.get("steps", 5000)),
-                         lr=float(config.get("lr", 0.5)),
-                         init_scale=float(config.get("init_scale", 0.5)),
-                         seed=seed)
-    resolved = {
-        "command": "embed-tree",
-        "hierarchy": config.get("hierarchy", "builtin:cifar10"),
-        "dim": dim, "tree_scope": scope, "curvature": c, "seed": seed,
-        "restarts": budget.restarts, "steps": budget.steps,
-        "lr": budget.lr, "init_scale": budget.init_scale,
-    }
-    _write_json(out / "resolved_config.json", {"resolved": True}, resolved)
+def cmd_embed_tree(cfg: dict, out: Path) -> int:
+    tree = load_hierarchy(cfg["hierarchy"])
+    dim, c = cfg["dim"], cfg["curvature"]
+    budget = EmbedBudget(**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, seed=cfg["seed"])
+    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
-    cfg = ObjectiveConfig(c=c, tree_scope=scope)
+    objective = ObjectiveConfig(c=c, tree_scope=cfg["tree_scope"])
     metric = tree_metric(tree)
     results = {}
     for mode in ("poincare", "l2"):
-        res = tr.embed_tree_direct(tree, dim, mode, cfg, budget)
+        res = tr.embed_tree_direct(tree, dim, mode, objective, budget)
         results[mode] = res
         vertices = sorted(res.coords.keys())
         rows = []
@@ -189,24 +274,22 @@ def cmd_embed_tree(config: dict, out: Path) -> int:
                 rows.append((tree.names[u], tree.names[v],
                              float(metric.dist[u, v]),
                              _embedded_distance(res, u, v, mode, c)))
-        _write_text(out / f"pairs_{mode}.csv",
-                    _csv_text([("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows]))
-        tree_d = [r[2] for r in rows]
-        emb_d = [r[3] for r in rows]
-        _write_text(out / f"scatter_{mode}.svg",
-                    svg.scatter_svg(tree_d, emb_d, xlabel="tree metric",
-                                    ylabel=f"{mode} distance",
-                                    title=f"{mode} embedding, CPCC={res.cpcc:.4f}"))
+        (out / f"pairs_{mode}.csv").write_text(
+            _csv_text([("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows]))
+        *_, tree_d, emb_d = zip(*rows)
+        (out / f"scatter_{mode}.svg").write_text(
+            svg.scatter_svg(tree_d, emb_d, xlabel="tree metric", ylabel=f"{mode} distance",
+                            title=f"{mode} embedding, CPCC={res.cpcc:.4f}"))
     if dim == 2:
         named = [(tree.names[v], xy) for v, xy in sorted(results["poincare"].coords.items())]
-        _write_text(out / "poincare_disk.svg",
-                    svg.disk_svg(named, title="Poincare-disk tree embedding"))
+        (out / "poincare_disk.svg").write_text(
+            svg.disk_svg(named, title="Poincare-disk tree embedding"))
     _write_json(out / "cpcc.json", {
         "poincare_cpcc": results["poincare"].cpcc,
         "l2_cpcc": results["l2"].cpcc,
         "poincare_per_restart": results["poincare"].per_restart,
         "l2_per_restart": results["l2"].per_restart,
-    }, resolved)
+    }, cfg)
     return EXIT_OK
 
 
@@ -219,53 +302,26 @@ def _embedded_distance(res, u, v, mode, c):
 
 # train -----------------------------------------------------------------------
 
-def _seeded(config, key, fallback):
-    return int(config.get(key, fallback))
+def cmd_train(cfg: dict, out: Path) -> int:
+    tree = load_hierarchy(cfg["hierarchy"])
+    seed = cfg["seed"]
+    dataset = _dataset(cfg, "dataset", tree)
+    cfg["encoder"] = _checked(cfg["encoder"], ENCODER_KEYS, "encoder", seed,
+                              input_dim=dataset.dim)
+    cfg["objective"] = objective_config(cfg["objective"])
+    cfg["train"] = _checked(cfg["train"], TRAIN_KEYS, "train", seed)
+    enc = EncoderSpec(**cfg["encoder"])
+    objective = _objective(cfg["objective"])
+    tc = TrainConfig(**cfg["train"])
+    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
-
-def cmd_train(config: dict, out: Path) -> int:
-    tree = load_hierarchy(config.get("hierarchy", "builtin:cifar10"))
-    seed = int(config.get("seed", 0))
-    dataset_spec = config.get("dataset", {"synthetic": {}})
-    dataset = load_dataset(dataset_spec, tree, default_seed=seed)
-
-    enc_doc = dict(config.get("encoder", {}))
-    enc = EncoderSpec(kind=enc_doc.get("kind", "mlp_1hidden"),
-                      input_dim=int(enc_doc.get("input_dim", dataset.dim)),
-                      hidden_dim=int(enc_doc.get("hidden_dim", 32)),
-                      output_dim=int(enc_doc.get("output_dim", 16)),
-                      seed=_seeded(enc_doc, "seed", seed + 1))
-    variant = config.get("objective", {}).get("variant")
-    cfg = objective_from_config(config.get("objective", {}))
-    tc_doc = dict(config.get("train", {}))
-    tc = TrainConfig(epochs=int(tc_doc.get("epochs", 100)),
-                     batch_size=int(tc_doc.get("batch_size", 128)),
-                     lr0=float(tc_doc.get("lr0", 0.05)),
-                     momentum=float(tc_doc.get("momentum", 0.9)),
-                     schedule=tc_doc.get("schedule", "cosine"),
-                     weight_decay=float(tc_doc.get("weight_decay", 1e-4)),
-                     seed=_seeded(tc_doc, "seed", seed + 2))
-
-    resolved = {
-        "command": "train",
-        "hierarchy": config.get("hierarchy", "builtin:cifar10"),
-        "dataset": resolve_synthetic_echo(dataset_spec, seed),
-        "encoder": asdict(enc),
-        "objective": objective_echo(cfg, variant),
-        "train": asdict(tc),
-        "seed": seed,
-    }
-    _write_json(out / "resolved_config.json", {"resolved": True}, resolved)
-
-    result = tr.train(dataset, tree, enc, cfg, tc)
-    _write_text(out / "history.csv", tr.history_to_csv(result.history))
+    result = tr.train(dataset, tree, enc, objective, tc)
+    (out / "history.csv").write_text(tr.history_to_csv(result.history))
     checkpoint = {
         "params": {k: v.tolist() for k, v in result.params.items()},
-        "encoder": asdict(enc),
-        "objective": objective_echo(cfg, variant),
-        "train": asdict(tc),
+        **{k: cfg[k] for k in ("encoder", "objective", "train")},
     }
-    _write_json(out / "checkpoint.json", checkpoint, resolved)
+    _write_json(out / "checkpoint.json", checkpoint, cfg)
     last = result.history[-1]
     _write_json(out / "summary.json", {
         "final_flat": last.flat,
@@ -273,82 +329,63 @@ def cmd_train(config: dict, out: Path) -> int:
         "final_center": last.center,
         "skipped_cpcc_steps": result.skipped_cpcc_steps,
         "epochs": tc.epochs,
-    }, resolved)
+    }, cfg)
     return EXIT_OK
 
 
 def load_checkpoint(path):
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(_existing(path, "checkpoint").read_text())
     enc = EncoderSpec(**doc["encoder"])
-    obj_doc = dict(doc["objective"])
-    variant = obj_doc.pop("variant", None)
-    cfg = ObjectiveConfig(**obj_doc)
     params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
     layout = tr.layout_from_shapes({k: v.shape for k, v in params.items()})
     result = tr.TrainResult(params=params, layout=layout, history=[])
-    return result, enc, cfg, variant
+    return result, enc, _objective(doc["objective"])
 
 
 # eval ------------------------------------------------------------------------
 
-def cmd_eval(config: dict, out: Path) -> int:
-    tree = load_hierarchy(config.get("hierarchy", "builtin:cifar10"))
-    seed = int(config.get("seed", 0))
-    ckpt_path = config.get("checkpoint")
-    if not ckpt_path or not Path(ckpt_path).exists():
-        _fail(f"checkpoint not found: {ckpt_path}")
-    result, enc, cfg, variant = load_checkpoint(ckpt_path)
-    train_ds = load_dataset(config.get("train_dataset", {"synthetic": {}}), tree, seed)
-    eval_spec = config.get("eval_dataset", {"synthetic": {}})
-    eval_ds = load_dataset(eval_spec, tree, seed, seed + 10)
+def cmd_eval(cfg: dict, out: Path) -> int:
+    tree = load_hierarchy(cfg["hierarchy"])
+    cfg["delta"] = delta = _checked(cfg["delta"], DELTA_KEYS, "delta", cfg["seed"])
+    result, enc, objective = load_checkpoint(cfg["checkpoint"])
+    train_ds = _dataset(cfg, "train_dataset", tree)
+    eval_ds = _dataset(cfg, "eval_dataset", tree)
     if train_ds.dim != enc.input_dim or eval_ds.dim != enc.input_dim:
-        _fail(f"feature dimension {train_ds.dim}/{eval_ds.dim} does not match "
-              f"checkpoint input_dim {enc.input_dim}")
-    knn_k = int(config.get("knn_k", 50))
-    delta_doc = dict(config.get("delta", {}))
-    delta_mode = delta_doc.get("mode", "auto")
-    delta_k = int(delta_doc.get("k", 2_000_000))
-    delta_seed = int(delta_doc.get("seed", seed))
+        raise HypstructError(f"feature dimension {train_ds.dim}/{eval_ds.dim} does not "
+                             f"match checkpoint input_dim {enc.input_dim}")
     # auto resolves from the held-out row count; exact ignores k
-    run_mode = delta_mode
+    run_mode = delta["mode"]
     if run_mode == "auto":
         run_mode = "exact" if eval_ds.n <= dg.AUTO_EXACT_DELTA_MAX_N else "sampled"
-    dg.check_delta_mode(run_mode, delta_k, eval_ds.n)
-    cpcc_distance = config.get("cpcc_distance", "native")
-    emit_gram = bool(config.get("gram_csv", False))
-
-    resolved = {
-        "command": "eval", "hierarchy": config.get("hierarchy", "builtin:cifar10"),
-        "checkpoint": ckpt_path,
-        "train_dataset": resolve_synthetic_echo(config.get("train_dataset", {"synthetic": {}}), seed),
-        "eval_dataset": resolve_synthetic_echo(eval_spec, seed, seed + 10),
-        "knn_k": knn_k,
-        "delta": {"mode": delta_mode, "k": delta_k, "seed": delta_seed},
-        "cpcc_distance": cpcc_distance, "gram_csv": emit_gram, "seed": seed,
-    }
-    _write_json(out / "resolved_config.json", {"resolved": True}, resolved)
+    dg.check_delta_mode(run_mode, delta["k"], eval_ds.n)
+    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     feats_train = tr.encode_dataset(result, enc, train_ds.features)
     feats_eval = tr.encode_dataset(result, enc, eval_ds.features)
 
+    cpcc_distance = cfg["cpcc_distance"]
     if cpcc_distance == "native":
-        cpcc_distance = cfg.cpcc_distance if cfg.alpha > 0 else "l2"
+        cpcc_distance = objective.cpcc_distance if objective.alpha > 0 else "l2"
+    # each prototype pair's Poincare distance takes one atanh
+    clamps_before = ad.total_atanh_clamps()
     cpcc_val = dg.test_cpcc(feats_eval, eval_ds.labels, tree,
-                            distance_mode=cpcc_distance, c=cfg.c)
+                            distance_mode=cpcc_distance, c=objective.c)
+    clamped_pairs = ad.total_atanh_clamps() - clamps_before
     dm = dg.pairwise_l2(feats_eval)
-    _, delta_rel = dg.delta_hyperbolicity(dm, mode=run_mode, k=delta_k, seed=delta_seed)
+    _, delta_rel = dg.delta_hyperbolicity(dm, mode=run_mode, k=delta["k"], seed=delta["seed"])
     fine_acc, coarse_acc = dg.knn_accuracies(feats_train, train_ds.labels, feats_eval,
                                              eval_ds.labels, tree,
-                                             k=min(knn_k, feats_train.shape[0]))
+                                             k=min(cfg["knn_k"], feats_train.shape[0]))
     _write_json(out / "metrics.json", {
         "delta_rel": delta_rel,
         "test_cpcc": cpcc_val,
+        "test_cpcc_clamped_pairs": clamped_pairs,
         "knn_fine_accuracy": fine_acc,
         "knn_coarse_accuracy": coarse_acc,
         "delta_mode": run_mode,
         "n_eval": int(eval_ds.n),
-    }, resolved)
-    if emit_gram:
+    }, cfg)
+    if cfg["gram_csv"]:
         # headerless, so that spectra's matrix_csv reads it back with np.loadtxt
         _write_matrix_csv(out / "gram.csv", sp.gram_matrix(feats_eval, eval_ds.labels, tree))
     return EXIT_OK
@@ -356,76 +393,54 @@ def cmd_eval(config: dict, out: Path) -> int:
 
 # spectra ---------------------------------------------------------------------
 
-def cmd_spectra(config: dict, out: Path) -> int:
-    seed = int(config.get("seed", 0))
-    top_k = config.get("top_k")
-    resolved = {"command": "spectra", "seed": seed}
+def cmd_spectra(cfg: dict, out: Path) -> int:
     closed = None
-    if "block_spec" in config:
-        doc = dict(config["block_spec"])
-        r = [float(x) for x in doc["r"]]
-        if "balanced_level_counts" in doc:
-            counts = [int(c) for c in doc["balanced_level_counts"]]
+    source = _one_of(cfg, ("block_spec", "features_csv", "matrix_csv"), "")
+    if source == "block_spec":
+        cfg["block_spec"] = spec = _checked(cfg["block_spec"], BLOCK_SPEC_KEYS, "block_spec")
+        r = [float(x) for x in spec["r"]]
+        shape = _one_of(spec, ("balanced_level_counts", "tree", "hierarchy"), "block_spec")
+        if shape == "balanced_level_counts":
+            counts = [int(c) for c in spec[shape]]
             tree = balanced_tree(counts)
             closed = sp.balanced_eigenvalues_closed_form(list(reversed(counts)), r)
         else:
-            tree = load_hierarchy(doc.get("tree") or doc.get("hierarchy"))
-        spec = sp.BlockCorrelationSpec(tree, tuple(r))
-        K = sp.build_block_matrix(spec)
-        resolved["block_spec"] = {k: doc[k] for k in sorted(doc)}
-    elif "features_csv" in config:
-        tree = load_hierarchy(config.get("hierarchy", "builtin:cifar10"))
-        ds = load_dataset({"csv": config["features_csv"]}, tree, seed)
+            tree = load_hierarchy(spec[shape])
+        K = sp.build_block_matrix(sp.BlockCorrelationSpec(tree, tuple(r)))
+    elif source == "features_csv":
+        tree = load_hierarchy(cfg.setdefault("hierarchy", DEFAULT_HIERARCHY))
+        ds, _ = load_dataset({"csv": cfg["features_csv"]}, tree, cfg["seed"])
         K = sp.gram_matrix(ds.features, ds.labels, tree)
-        resolved["features_csv"] = config["features_csv"]
-        resolved["hierarchy"] = config.get("hierarchy", "builtin:cifar10")
-    elif "matrix_csv" in config:
-        path = Path(config["matrix_csv"])
-        if not path.exists():
-            _fail(f"matrix file not found: {path}")
-        K = np.loadtxt(path, delimiter=",", dtype=np.float64)
-        resolved["matrix_csv"] = config["matrix_csv"]
     else:
-        _fail("spectra config needs 'block_spec', 'features_csv', or 'matrix_csv'")
+        K = np.loadtxt(_existing(cfg["matrix_csv"], "matrix file"), delimiter=",",
+                       dtype=np.float64)
 
     numerical = sp.numerical_eigenvalues(K)
-    if top_k is None:
-        top_k = min(100, numerical.order)
-    resolved["top_k"] = int(top_k)
-    _write_json(out / "resolved_config.json", {"resolved": True}, resolved)
+    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     def spectrum_rows(spectrum):
-        rows = []
-        rank = 1
-        for group, (v, m) in enumerate(zip(spectrum.values, spectrum.multiplicities)):
-            for _ in range(m):
-                rows.append((rank, v, group))
-                rank += 1
-        return rows
+        groups = np.repeat(np.arange(len(spectrum.values)), spectrum.multiplicities)
+        return [(rank, spectrum.values[g], int(g)) for rank, g in enumerate(groups, 1)]
 
     header = ("rank", "eigenvalue", "multiplicity_group")
-    _write_text(out / "spectrum_numerical.csv",
-                _csv_text([header, *spectrum_rows(numerical)]))
+    (out / "spectrum_numerical.csv").write_text(_csv_text([header, *spectrum_rows(numerical)]))
     discrepancy = None
     if closed is not None:
-        _write_text(out / "spectrum_closed.csv", _csv_text([header, *spectrum_rows(closed)]))
+        (out / "spectrum_closed.csv").write_text(_csv_text([header, *spectrum_rows(closed)]))
         discrepancy = float(np.max(np.abs(closed.expand() - numerical.expand())))
-    transitions = sp.phase_transition_detect(numerical, top_k=int(top_k))
+    transitions = sp.phase_transition_detect(numerical, top_k=cfg["top_k"])
     _write_json(out / "report.json", {
         "max_abs_discrepancy": discrepancy,
         "transitions": [{"position": p, "relative_drop": d} for p, d in transitions],
         "n": numerical.order,
-    }, resolved)
+    }, cfg)
     return EXIT_OK
 
 
 # oodsim ----------------------------------------------------------------------
 
-def _far_cluster(doc, id_train: LabeledDataset, seed):
-    offset_sigmas = float(doc.get("offset_sigmas", 10.0))
-    n = int(doc.get("n", 200))
-    cluster_seed = int(doc.get("seed", seed))
-    rng = np.random.default_rng(cluster_seed)
+def _far_cluster(doc, id_train: LabeledDataset):
+    rng = np.random.default_rng(doc["seed"])
     x = id_train.features
     mean = x.mean(axis=0)
     sigma = float(np.mean(x.std(axis=0)))
@@ -434,85 +449,61 @@ def _far_cluster(doc, id_train: LabeledDataset, seed):
     max_radius = float(np.max(np.linalg.norm(x - mean, axis=1)))
     direction = rng.standard_normal(x.shape[1])
     direction /= np.linalg.norm(direction)
-    center = mean + direction * (max_radius + offset_sigmas * sigma)
-    return center + sigma * rng.standard_normal((n, x.shape[1]))
+    center = mean + direction * (max_radius + doc["offset_sigmas"] * sigma)
+    return center + sigma * rng.standard_normal((doc["n"], x.shape[1]))
 
 
-def cmd_oodsim(config: dict, out: Path) -> int:
-    tree = load_hierarchy(config.get("hierarchy", "builtin:cifar10"))
-    seed = int(config.get("seed", 0))
-    methods_doc = config.get("methods")
-    if methods_doc is None:
-        if "checkpoint" not in config:
-            _fail("oodsim needs 'checkpoint' or a 'methods' table")
-        methods_doc = {"method": config["checkpoint"]}
-    id_train = load_dataset(config.get("id_train", {"synthetic": {}}), tree, seed)
-    id_eval_spec = config.get("id_eval", {"synthetic": {}})
-    id_eval = load_dataset(id_eval_spec, tree, seed, seed + 10)
-    ood_docs = config.get("ood_sets")
-    if not ood_docs:
-        _fail("oodsim needs a nonempty 'ood_sets' table")
-    raw_features = bool(config.get("raw_features", False))
+def cmd_oodsim(cfg: dict, out: Path) -> int:
+    tree = load_hierarchy(cfg["hierarchy"])
+    if _one_of(cfg, ("methods", "checkpoint"), "") == "checkpoint":
+        cfg["methods"] = {"method": cfg.pop("checkpoint")}
+    id_train = _dataset(cfg, "id_train", tree)
+    id_eval = _dataset(cfg, "id_eval", tree)
+    methods = _object(cfg["methods"], "methods")
+    if not _object(cfg["ood_sets"], "ood_sets"):
+        raise ConfigError("ood_sets: needs at least one OOD set")
 
     ood_inputs = {}
-    for name, doc in ood_docs.items():
-        if "csv" in doc:
-            path = Path(doc["csv"])
-            if not path.exists():
-                _fail(f"OOD dataset not found: {path}")
-            rows = tr.load_dataset_csv(path, tree).features
-        elif "far_cluster" in doc:
-            rows = _far_cluster(dict(doc["far_cluster"]), id_train, seed)
-        elif "id_eval" in doc:
-            rows = id_eval.features
+    for name, doc in cfg["ood_sets"].items():
+        path = f"ood_sets.{name}"
+        doc = _checked(doc, OOD_SET_KEYS, path)
+        source = _one_of(doc, tuple(OOD_SET_KEYS), path)
+        if source == "csv":
+            rows = tr.load_dataset_csv(_existing(doc["csv"], "OOD dataset"), tree).features
+        elif source == "far_cluster":
+            rows = _far_cluster(_checked(doc["far_cluster"], FAR_CLUSTER_KEYS,
+                                         f"{path}.far_cluster", cfg["seed"]), id_train)
         else:
-            _fail(f"OOD set {name!r} needs 'csv', 'far_cluster', or 'id_eval'")
+            rows = id_eval.features
         if rows.shape[0] == 0:
-            _fail(f"OOD set {name!r} is empty")
+            raise HypstructError(f"OOD set {name!r} is empty")
         ood_inputs[name] = rows
-
-    resolved = {
-        "command": "oodsim", "hierarchy": config.get("hierarchy", "builtin:cifar10"),
-        "methods": dict(methods_doc),
-        "id_train": resolve_synthetic_echo(config.get("id_train", {"synthetic": {}}), seed),
-        "id_eval": resolve_synthetic_echo(id_eval_spec, seed, seed + 10),
-        "ood_sets": {k: dict(v) for k, v in ood_docs.items()},
-        "raw_features": raw_features, "seed": seed,
-    }
-    _write_json(out / "resolved_config.json", {"resolved": True}, resolved)
+    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     table = {}
     hist_rows = []
-    for method, ckpt in methods_doc.items():
-        if not Path(ckpt).exists():
-            _fail(f"checkpoint not found: {ckpt}")
-        result, enc, _, _ = load_checkpoint(ckpt)
+    for method, ckpt in methods.items():
+        result, enc, _ = load_checkpoint(ckpt)
         f_train = tr.encode_dataset(result, enc, id_train.features)
-        f_eval = tr.encode_dataset(result, enc, id_eval.features)
-        if raw_features:
-            transform = None
-            train_feats, eval_feats = f_train, f_eval
-        else:
-            transform = dg.FeatureTransform.fit(f_train)
-            train_feats = transform.apply(f_train)
-            eval_feats = transform.apply(f_eval)
-        fit = dg.fit_gaussian(train_feats)
-        id_scores = dg.mahalanobis_scores(eval_feats, fit)
+        transform = np.asarray if cfg["raw_features"] else dg.FeatureTransform.fit(f_train).apply
+        fit = dg.fit_gaussian(transform(f_train))
+
+        def scores(rows):
+            return dg.mahalanobis_scores(transform(tr.encode_dataset(result, enc, rows)), fit)
+
+        id_scores = scores(id_eval.features)
         table[method] = {}
         for name, rows in ood_inputs.items():
-            f_ood = tr.encode_dataset(result, enc, rows)
-            ood_feats = transform.apply(f_ood) if transform is not None else f_ood
-            ood_scores = dg.mahalanobis_scores(ood_feats, fit)
+            ood_scores = scores(rows)
             table[method][name] = dg.auroc(id_scores, ood_scores)
             hist_rows.extend(_histogram_rows(method, name, id_scores, ood_scores))
 
     payload = {"auroc": table}
     if len(table) >= 2:
         payload["borda"] = dg.borda_count(table)
-    _write_json(out / "auroc.json", payload, resolved)
-    _write_text(out / "score_histograms.csv",
-                _csv_text([("method", "ood_set", "bin_left", "bin_right",
-                            "id_count", "ood_count"), *hist_rows]))
+    _write_json(out / "auroc.json", payload, cfg)
+    (out / "score_histograms.csv").write_text(_csv_text(
+        [("method", "ood_set", "bin_left", "bin_right", "id_count", "ood_count"), *hist_rows]))
     return EXIT_OK
 
 
@@ -551,8 +542,9 @@ def build_parser():
     common.add_argument("--out", type=Path, required=True,
                         help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+    for name, keys in COMMAND_KEYS.items():
+        sub.add_parser(name, parents=[common], formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="config keys and defaults:\n" + "\n".join(_keys_help(keys)))
     return parser
 
 
@@ -568,12 +560,14 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as e:
             print(f"error: bad config JSON: {e}", file=sys.stderr)
             return EXIT_ERROR
-    if args.seed is not None:
-        config["seed"] = args.seed
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](config, out)
+        cfg = _checked(config, COMMAND_KEYS[args.command])
+        if cfg["command"] != args.command:
+            raise ConfigError(f"command: this config is for {cfg['command']!r}")
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        args.out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command](cfg, args.out)
     except DivergedError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DIVERGED

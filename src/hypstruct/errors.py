@@ -5,6 +5,12 @@ class HypstructError(Exception):
     """Base class for all package-specific errors."""
 
 
+# command line
+
+class ConfigError(HypstructError):
+    """A config key is unknown, missing or in conflict; the message names its path."""
+
+
 # hierarchy
 
 class ParseError(HypstructError):

@@ -145,14 +145,13 @@ def generate_hierarchical_gaussians(spec: SyntheticSpec) -> LabeledDataset:
     # noise stream separate from the center stream so both are reproducible
     noise_seed = spec.seed if spec.noise_seed is None else spec.noise_seed
     rng = np.random.default_rng(np.random.SeedSequence([noise_seed, 1]))
-    rows, rows2, labels = [], [], []
-    for k in range(spec.tree.n_classes):
-        noise = rng.standard_normal((spec.n_per_leaf, spec.dim))
-        noise2 = rng.standard_normal((spec.n_per_leaf, spec.dim))
-        rows.append(centers[k] + spec.noise_sigma * noise)
-        rows2.append(centers[k] + spec.noise_sigma * noise2)
-        labels.extend([k] * spec.n_per_leaf)
-    return LabeledDataset(np.vstack(rows), np.array(labels), view2=np.vstack(rows2))
+    # one draw, in the order of drawing class by class, view 1 then view 2
+    classes = spec.tree.n_classes
+    noise = rng.standard_normal((classes, 2, spec.n_per_leaf, spec.dim))
+    views = centers[:, None, None, :] + spec.noise_sigma * noise
+    return LabeledDataset(views[:, 0].reshape(-1, spec.dim),
+                          np.repeat(np.arange(classes), spec.n_per_leaf),
+                          view2=views[:, 1].reshape(-1, spec.dim))
 
 
 def float_text(x) -> str:

@@ -272,3 +272,124 @@ def test_eval_auto_delta_is_exact_up_to_200_rows(trained, tmp_path, monkeypatch,
     assert run_code("eval", path, tmp_path) == cli.EXIT_OK
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert (metrics["n_eval"], metrics["delta_mode"]) == (n_eval, want)
+
+
+# config keys ---------------------------------------------------------------------
+
+def command_configs(trained):
+    """One small working config per command."""
+    return {
+        "embed-tree": {"hierarchy": TREE, "seed": 2, "dim": 2, "restarts": 2, "steps": 20},
+        "train": TRAIN,
+        "eval": {"hierarchy": TREE, "seed": 3, "checkpoint": str(trained / "checkpoint.json"),
+                 "train_dataset": DATA, "eval_dataset": {"synthetic": {"n_per_leaf": 5, "dim": 4}},
+                 "knn_k": 5, "gram_csv": True},
+        "spectra": {"seed": 3,
+                    "block_spec": {"balanced_level_counts": [1, 2, 4], "r": [0.8, 0.4]}},
+        "oodsim": oodsim_config(trained),
+    }
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_resolved_config_reruns_to_byte_identical_artifacts(trained, tmp_path, command):
+    first = run(command, command_configs(trained)[command], tmp_path, "first")
+    resolved = json.loads((first / "resolved_config.json").read_text())["config"]
+    again = run(command, resolved, tmp_path, "again")
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("command,path,edits", [
+    ("embed-tree", "step", {"step": 10}),
+    ("train", "objectve", {"objectve": {"variant": "flat"}}),
+    ("train", "train.epoch", {"train.epoch": 1}),
+    ("train", "encoder.hidden", {"encoder.hidden": 4}),
+    ("train", "dataset.synthetic.n_per_lef", {"dataset.synthetic.n_per_lef": 3}),
+    ("train", "objective", {"objective.c": 2.0, "objective.curvature": 0.5}),
+    ("train", "dataset", {"dataset.csv": "data.csv"}),
+    ("train", "command", {"command": "eval"}),
+    ("eval", "knn", {"knn": 3}),
+    ("eval", "delta.sed", {"delta.sed": 1}),
+    ("eval", "eval_dataset.synthetic.noise_sed", {"eval_dataset.synthetic.noise_sed": 4}),
+    ("eval", "checkpoint", {"checkpoint": DELETE}),
+    ("spectra", "topk", {"topk": 3}),
+    ("spectra", "block_spec.extra", {"block_spec.extra": 1}),
+    ("spectra", "block_spec.r", {"block_spec.r": DELETE}),
+    ("spectra", "", {"matrix_csv": "gram.csv"}),
+    ("oodsim", "raw_feature", {"raw_feature": True}),
+    ("oodsim", "ood_sets.far.far_cluster.sigma", {"ood_sets.far.far_cluster.sigma": 2.0}),
+    ("oodsim", "ood_sets.same", {"ood_sets.same.csv": "ood.csv"}),
+    ("oodsim", "ood_sets", {"ood_sets": DELETE}),
+])
+def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
+                                                         command, path, edits):
+    config = json.loads(json.dumps(command_configs(trained)[command]))
+    for dotted, value in edits.items():
+        *parents, last = dotted.split(".")
+        doc = config
+        for name in parents:
+            doc = doc.setdefault(name, {})
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: ConfigError: {path or 'config'}:" in err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_every_top_level_key(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for key in cli.COMMAND_KEYS[command]:
+        assert f"\n  {key} " in text, key
+
+
+def test_curvature_alone_sets_c(tmp_path):
+    config = dict(TRAIN, objective={"variant": "hypstructure", "curvature": 0.5},
+                  train={"epochs": 1, "batch_size": 16})
+    out = run("train", config, tmp_path, "train")
+    echo = json.loads((out / "resolved_config.json").read_text())["config"]["objective"]
+    assert echo["c"] == 0.5 and "curvature" not in echo
+
+
+def test_eval_counts_test_cpcc_pairs_that_hit_the_atanh_clamp(tmp_path):
+    # a linear encoder that scales by 100: classes 0 and 1 map onto the ball's
+    # boundary, classes 2 and 3 stay near the origin, so every pair but (2, 3)
+    # clamps
+    config = dict(TRAIN, encoder={"kind": "linear", "output_dim": 4},
+                  train={"epochs": 1, "batch_size": 16})
+    trained = run("train", config, tmp_path, "train")
+    checkpoint = json.loads((trained / "checkpoint.json").read_text())
+    checkpoint["params"]["enc.w"] = (100.0 * np.eye(4)).tolist()
+    checkpoint["params"]["enc.b"] = [0.0] * 4
+    ckpt_path = tmp_path / "boundary.json"
+    ckpt_path.write_text(json.dumps(checkpoint))
+    tree = balanced_tree((1, 2, 4))
+    rows = np.repeat(np.diag([1.0, 1.0, 1e-3, 2e-3]), 2, axis=0)
+    rows[1::2] *= 1.5
+    csv_path = tmp_path / "rows.csv"
+    save_dataset_csv(csv_path, tr.LabeledDataset(rows, np.repeat(np.arange(4), 2)), tree)
+    evaluated = run("eval", {"hierarchy": TREE, "seed": 3, "checkpoint": str(ckpt_path),
+                             "train_dataset": {"csv": str(csv_path)},
+                             "eval_dataset": {"csv": str(csv_path)}, "knn_k": 2},
+                    tmp_path, "eval")
+    metrics = json.loads((evaluated / "metrics.json").read_text())
+    assert metrics["test_cpcc_clamped_pairs"] == 5
+    # the trained weights keep every prototype off the boundary
+    inside = run("eval", {"hierarchy": TREE, "seed": 3, "train_dataset": DATA,
+                          "eval_dataset": DATA, "checkpoint": str(trained / "checkpoint.json")},
+                 tmp_path, "inside")
+    assert json.loads((inside / "metrics.json").read_text())["test_cpcc_clamped_pairs"] == 0

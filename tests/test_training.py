@@ -11,6 +11,7 @@ from hypstruct import training as tr
 from hypstruct.errors import DivergedError, InsufficientVertices
 
 from conftest import save_dataset_csv
+from synthetic_oracle import per_class_gaussians
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,18 @@ class TestGenerator:
         b = tr.generate_hierarchical_gaussians(spec)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.view2, b.view2)
+
+    @pytest.mark.parametrize("n_per_leaf,dim,seed,noise_seed", [
+        (1, 1, 0, None), (3, 4, 2, None), (10, 16, 7, 17), (50, 3, 11, 21), (7, 32, 5, 0),
+    ])
+    def test_one_draw_matches_the_per_class_loop(self, tree, n_per_leaf, dim, seed,
+                                                 noise_seed):
+        spec = tr.SyntheticSpec(tree=tree, dim=dim, n_per_leaf=n_per_leaf, seed=seed,
+                                noise_seed=noise_seed)
+        got, want = tr.generate_hierarchical_gaussians(spec), per_class_gaussians(spec)
+        for name in ("features", "view2", "labels"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert getattr(got, name).shape == getattr(want, name).shape, name
 
     def test_noise_seed_shares_centers(self, tree):
         base = dict(tree=tree, dim=16, n_per_leaf=30, seed=3, noise_sigma=1e-9)
