@@ -77,14 +77,6 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
     # arithmetic sugar
     def __add__(self, other):
         return add(self, other)
@@ -107,30 +99,6 @@ class Node:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
@@ -228,15 +196,6 @@ def div(a, b):
                      (b, lambda g, o=vb, y=out, s=vb.shape: unbroadcast(-g * y / o, s)))
 
 
-def power(a, p):
-    """Elementwise power with a scalar exponent."""
-    if not isinstance(a, Node):
-        return np.power(val(a), p)
-    va = a.value
-    return make_node(np.power(va, p),
-                     (a, lambda g, x=va: g * p * np.power(x, p - 1)))
-
-
 def matmul(a, b):
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return np.matmul(val(a), val(b))
@@ -252,13 +211,6 @@ def transpose(a):
     if not isinstance(a, Node):
         return np.transpose(val(a))
     return make_node(a.value.T, (a, lambda g: g.T))
-
-
-def reshape(a, shape):
-    if not isinstance(a, Node):
-        return np.reshape(val(a), shape)
-    old = a.value.shape
-    return make_node(a.value.reshape(shape), (a, lambda g, s=old: g.reshape(s)))
 
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
@@ -396,21 +348,6 @@ def gather_cols(a, cols):
         return out
 
     return make_node(va[rows, cols], (a, vjp))
-
-
-def _getitem(a, key):
-    va = a.value
-    out = va[key]
-
-    def vjp(g, shape=va.shape, kk=key):
-        buf = np.zeros(shape)
-        if isinstance(kk, slice):
-            buf[kk] += g
-        else:
-            np.add.at(buf, kk, g)
-        return buf
-
-    return make_node(out, (a, vjp))
 
 
 def grad(out, wrt):

@@ -5,10 +5,9 @@ config (--config), an output directory (--out), and an optional --seed that
 overrides the config seed.  ``hypstruct <command> --help`` lists the
 command's config keys and their defaults; a key the command does not know is
 an error.  Every run materializes its fully-resolved config (defaults
-included; an OOD set's ``far_cluster`` is echoed as given) into the output
-directory and into each emitted JSON, so a rerun never depends on built-in
-defaults drifting: fed back through --config, that config gives the same
-artifacts.  Fixed seeds give byte-identical artifacts.
+included) into the output directory and into each emitted JSON, so a rerun
+never depends on built-in defaults drifting: fed back through --config, that
+config gives the same artifacts.  Fixed seeds give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -272,7 +271,7 @@ def cmd_embed_tree(cfg: dict, out: Path) -> int:
         for i, u in enumerate(vertices):
             for v in vertices[i + 1:]:
                 rows.append((tree.names[u], tree.names[v],
-                             float(metric.dist[u, v]),
+                             float(metric[u, v]),
                              _embedded_distance(res, u, v, mode, c)))
         (out / f"pairs_{mode}.csv").write_text(
             _csv_text([("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows]))
@@ -334,12 +333,10 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def load_checkpoint(path):
+    """The parameter dict, encoder spec and objective of a checkpoint.json."""
     doc = json.loads(_existing(path, "checkpoint").read_text())
-    enc = EncoderSpec(**doc["encoder"])
     params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
-    layout = tr.layout_from_shapes({k: v.shape for k, v in params.items()})
-    result = tr.TrainResult(params=params, layout=layout, history=[])
-    return result, enc, _objective(doc["objective"])
+    return params, EncoderSpec(**doc["encoder"]), _objective(doc["objective"])
 
 
 # eval ------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def load_checkpoint(path):
 def cmd_eval(cfg: dict, out: Path) -> int:
     tree = load_hierarchy(cfg["hierarchy"])
     cfg["delta"] = delta = _checked(cfg["delta"], DELTA_KEYS, "delta", cfg["seed"])
-    result, enc, objective = load_checkpoint(cfg["checkpoint"])
+    params, enc, objective = load_checkpoint(cfg["checkpoint"])
     train_ds = _dataset(cfg, "train_dataset", tree)
     eval_ds = _dataset(cfg, "eval_dataset", tree)
     if train_ds.dim != enc.input_dim or eval_ds.dim != enc.input_dim:
@@ -360,8 +357,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     dg.check_delta_mode(run_mode, delta["k"], eval_ds.n)
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
-    feats_train = tr.encode_dataset(result, enc, train_ds.features)
-    feats_eval = tr.encode_dataset(result, enc, eval_ds.features)
+    feats_train = tr.encode_dataset(params, enc, train_ds.features)
+    feats_eval = tr.encode_dataset(params, enc, eval_ds.features)
 
     cpcc_distance = cfg["cpcc_distance"]
     if cpcc_distance == "native":
@@ -396,6 +393,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
 def cmd_spectra(cfg: dict, out: Path) -> int:
     closed = None
     source = _one_of(cfg, ("block_spec", "features_csv", "matrix_csv"), "")
+    if "hierarchy" in cfg and source != "features_csv":
+        raise ConfigError(f"hierarchy: read only with features_csv, not with {source}")
     if source == "block_spec":
         cfg["block_spec"] = spec = _checked(cfg["block_spec"], BLOCK_SPEC_KEYS, "block_spec")
         r = [float(x) for x in spec["r"]]
@@ -463,33 +462,35 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
     if not _object(cfg["ood_sets"], "ood_sets"):
         raise ConfigError("ood_sets: needs at least one OOD set")
 
-    ood_inputs = {}
+    ood_sets, ood_inputs = {}, {}
     for name, doc in cfg["ood_sets"].items():
         path = f"ood_sets.{name}"
-        doc = _checked(doc, OOD_SET_KEYS, path)
+        ood_sets[name] = doc = _checked(doc, OOD_SET_KEYS, path)
         source = _one_of(doc, tuple(OOD_SET_KEYS), path)
         if source == "csv":
             rows = tr.load_dataset_csv(_existing(doc["csv"], "OOD dataset"), tree).features
         elif source == "far_cluster":
-            rows = _far_cluster(_checked(doc["far_cluster"], FAR_CLUSTER_KEYS,
-                                         f"{path}.far_cluster", cfg["seed"]), id_train)
+            doc["far_cluster"] = _checked(doc["far_cluster"], FAR_CLUSTER_KEYS,
+                                          f"{path}.far_cluster", cfg["seed"])
+            rows = _far_cluster(doc["far_cluster"], id_train)
         else:
             rows = id_eval.features
         if rows.shape[0] == 0:
             raise HypstructError(f"OOD set {name!r} is empty")
         ood_inputs[name] = rows
+    cfg["ood_sets"] = ood_sets
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     table = {}
     hist_rows = []
     for method, ckpt in methods.items():
-        result, enc, _ = load_checkpoint(ckpt)
-        f_train = tr.encode_dataset(result, enc, id_train.features)
+        params, enc, _ = load_checkpoint(ckpt)
+        f_train = tr.encode_dataset(params, enc, id_train.features)
         transform = np.asarray if cfg["raw_features"] else dg.FeatureTransform.fit(f_train).apply
         fit = dg.fit_gaussian(transform(f_train))
 
         def scores(rows):
-            return dg.mahalanobis_scores(transform(tr.encode_dataset(result, enc, rows)), fit)
+            return dg.mahalanobis_scores(transform(tr.encode_dataset(params, enc, rows)), fit)
 
         id_scores = scores(id_eval.features)
         table[method] = {}

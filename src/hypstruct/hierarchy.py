@@ -23,29 +23,10 @@ root; nodes without children are leaves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidLevelCounts, NotALeaf, ParseError, ValidationError
-
-
-@dataclass(frozen=True)
-class TreeMetric:
-    """All-pairs shortest-path distances on a label tree (vertex-id order)."""
-
-    dist: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dist", np.asarray(self.dist, dtype=np.float64))
-        self.dist.setflags(write=False)
-
-    def __getitem__(self, key):
-        return self.dist[key]
-
-    @property
-    def n(self):
-        return self.dist.shape[0]
 
 
 class LabelTree:
@@ -116,8 +97,8 @@ class LabelTree:
 
         # ancestors[v, a] = 1 iff a is v or an ancestor of v.  Rows are filled
         # in depth order, so each parent's row is complete before its children
-        # copy it (normalize_depths gives padded parents larger ids than their
-        # children, so id order would not do).
+        # copy it (a parent may have a larger id than its children, so id
+        # order would not do).
         ancestors = np.zeros((n, n))
         for v in sorted(range(n), key=self._depth.__getitem__):
             if v != self.root:
@@ -217,8 +198,9 @@ class LabelTree:
         return node
 
 
-def tree_metric(tree: LabelTree) -> TreeMetric:
-    """All-pairs weighted path lengths ``h(u) + h(v) - 2 h(lca(u, v))``.
+def tree_metric(tree: LabelTree) -> np.ndarray:
+    """Read-only vertex x vertex float64 matrix of the weighted path lengths
+    ``h(u) + h(v) - 2 h(lca(u, v))``.
 
     ``S = (A w) A^T`` sums the parent-edge weights of the common ancestors of
     u and v, so ``S[u, v]`` is the weighted depth of their LCA and
@@ -229,7 +211,9 @@ def tree_metric(tree: LabelTree) -> TreeMetric:
     s = (a * np.asarray(tree.weights)) @ a.T
     s = 0.5 * (s + s.T)
     h = np.diagonal(s)
-    return TreeMetric(h[:, None] + h[None, :] - 2.0 * s)
+    dist = h[:, None] + h[None, :] - 2.0 * s
+    dist.setflags(write=False)
+    return dist
 
 
 def balanced_tree(level_counts) -> LabelTree:
@@ -268,12 +252,8 @@ def balanced_tree(level_counts) -> LabelTree:
     return LabelTree(names, parent, weights)
 
 
-def parse_tree(text: str, normalize: bool = False) -> LabelTree:
-    """Parse the JSON hierarchy format; document order fixes the leaf order.
-
-    With ``normalize=True`` unit-weight dummy chains are inserted so that all
-    leaves share the maximum depth.
-    """
+def parse_tree(text: str) -> LabelTree:
+    """Parse the JSON hierarchy format; document order fixes the leaf order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -299,34 +279,7 @@ def parse_tree(text: str, normalize: bool = False) -> LabelTree:
             walk(child, vid)
 
     walk(doc, None)
-    tree = LabelTree(names, parent, weights)
-    return normalize_depths(tree) if normalize else tree
-
-
-def normalize_depths(tree: LabelTree) -> LabelTree:
-    """Insert unit-weight dummy chains so all leaves share the maximum depth."""
-    leaves = tree.leaves()
-    target = max(tree.depth(v) for v in leaves)
-    if all(tree.depth(v) == target for v in leaves):
-        return tree
-    names = list(tree.names)
-    parent = list(tree.parent)
-    weights = list(tree.weights)
-    for v in leaves:
-        deficit = target - tree.depth(v)
-        attach = parent[v]
-        weight_in = weights[v]
-        for k in range(deficit):
-            did = len(names)
-            names.append(f"{tree.names[v]}.pad{k}")
-            parent.append(attach)
-            weights.append(weight_in if k == 0 else 1.0)
-            attach = did
-        if deficit:
-            parent[v] = attach
-            weights[v] = 1.0
-    # original leaf ids are unchanged; dummies are appended internals
-    return LabelTree(names, parent, weights, leaf_classes=list(tree.leaf_classes))
+    return LabelTree(names, parent, weights)
 
 
 def builtin_cifar10_tree() -> LabelTree:

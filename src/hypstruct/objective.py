@@ -1,4 +1,4 @@
-"""CPCC correlation, flat losses, prototypes, and the composite objectives.
+"""CPCC correlation, flat losses, prototypes, and the composite objective.
 
 The composite objective is ``flat_loss - alpha * CPCC + beta * centering``
 where the CPCC term correlates tree-metric distances with feature-space
@@ -11,7 +11,6 @@ path serves training (on the tape) and evaluation (plain values).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,14 +63,6 @@ class ObjectiveConfig:
         ):
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class FlatInputs:
-    """Inputs of the flat term: logits for CE, unit-norm embeddings for SupCon."""
-
-    logits: Optional[np.ndarray] = None
-    embeddings: Optional[np.ndarray] = None
 
 
 # CPCC ------------------------------------------------------------------------
@@ -153,7 +144,8 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
     """CPCC between tree distances and prototype distances over present pairs.
 
     Raises InsufficientVertices when fewer than MIN_CPCC_PAIRS pairs exist.
-    ``metric`` is an optional precomputed hierarchy.TreeMetric.
+    ``metric`` is the tree's ``hierarchy.tree_metric`` matrix, computed here
+    when not given.
     """
     present = present_vertices(tree, labels, cfg.tree_scope)
     k = len(present)
@@ -161,10 +153,11 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
         raise InsufficientVertices(
             f"{k} present vertices give {k * (k - 1) // 2} pairs; need {MIN_CPCC_PAIRS}"
         )
-    tm = metric if metric is not None else tree_metric(tree)
+    if metric is None:
+        metric = tree_metric(tree)
     ii, jj, _ = geo.pair_index(k)
     vids = np.asarray(present)
-    tdist = tm.dist[vids[ii], vids[jj]]
+    tdist = metric[vids[ii], vids[jj]]
     if np.ptp(tdist) == 0.0:
         raise DegenerateVariance("tree distances over present vertices are constant")
     if cfg.cpcc_distance == "poincare":
@@ -225,20 +218,15 @@ def supcon_core(embeddings, labels, tau):
 
 # composite -----------------------------------------------------------------------
 
-def composite_core(features, labels, tree, cfg, flat: FlatInputs, metric=None):
-    """``(flat - alpha * cpcc + beta * center, flat)`` on the tape; errors propagate."""
-    if cfg.flat_loss == "cross_entropy":
-        if flat.logits is None:
-            raise ValueError("cross_entropy flat loss requires logits")
-        flat_term = cross_entropy_core(flat.logits, labels)
-    else:
-        if flat.embeddings is None:
-            raise ValueError("supcon flat loss requires embeddings")
-        flat_term = supcon_core(flat.embeddings, labels, cfg.tau)
-    total = flat_term
+def composite_core(features, labels, tree, cfg, flat, metric=None):
+    """``flat - alpha * cpcc + beta * center`` on the tape; errors propagate.
+
+    ``flat`` is the already computed flat loss of the batch (cross-entropy
+    or SupCon, per ``cfg.flat_loss``).
+    """
+    total = flat
     if cfg.alpha > 0:
         total = total - cfg.alpha * cpcc_term_core(features, labels, tree, cfg, metric)
     if cfg.beta > 0:
         total = total + cfg.beta * centering_core(features, cfg)
-    return total, flat_term
-
+    return total

@@ -22,7 +22,7 @@ from . import geometry as geo
 from . import objective as obj
 from .errors import DivergedError, InsufficientVertices, ValidationError
 from .hierarchy import LabelTree, tree_metric
-from .objective import FlatInputs, ObjectiveConfig
+from .objective import ObjectiveConfig
 
 PROJECTION_WIDTH_CAP = 128
 BEST_RESTART_RTOL = 1e-12
@@ -180,39 +180,9 @@ def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
 
 # encoder ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamLayout:
-    names: tuple
-    shapes: tuple
-    slices: tuple
-
-    @property
-    def size(self):
-        return self.slices[-1].stop if self.slices else 0
-
-    def unpack(self, vec):
-        vec = np.asarray(vec)
-        return {n: vec[s].reshape(sh) for n, sh, s in zip(self.names, self.shapes, self.slices)}
-
-    def pack(self, params: dict):
-        return np.concatenate([np.asarray(params[n], dtype=np.float64).ravel()
-                               for n in self.names])
-
-
-def layout_from_shapes(shapes: dict) -> ParamLayout:
-    """Flat-vector layout of named tensors, packed in the dict's order."""
-    names, shps, slices = [], [], []
-    offset = 0
-    for name, shape in shapes.items():
-        size = int(np.prod(shape))
-        names.append(name)
-        shps.append(tuple(shape))
-        slices.append(slice(offset, offset + size))
-        offset += size
-    return ParamLayout(tuple(names), tuple(shps), tuple(slices))
-
-
-def build_layout(enc: EncoderSpec, cfg: ObjectiveConfig, n_classes: int) -> ParamLayout:
+def param_shapes(enc: EncoderSpec, cfg: ObjectiveConfig, n_classes: int) -> dict:
+    """Name -> shape of every trained tensor: the encoder, then the CE head or
+    the SupCon projection."""
     shapes = {}
     if enc.kind == "linear":
         shapes["enc.w"] = (enc.input_dim, enc.output_dim)
@@ -229,40 +199,35 @@ def build_layout(enc: EncoderSpec, cfg: ObjectiveConfig, n_classes: int) -> Para
         proj = min(enc.output_dim, PROJECTION_WIDTH_CAP)
         shapes["proj.w"] = (enc.output_dim, proj)
         shapes["proj.b"] = (proj,)
-    return layout_from_shapes(shapes)
+    return shapes
 
 
-def init_params(layout: ParamLayout, seed: int) -> np.ndarray:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] per tensor, seeded."""
+def init_params(shapes: dict, seed: int) -> dict:
+    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] per tensor (fan_in is the
+    first dimension), drawn in the order of ``shapes`` from one seeded stream."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    for name, shape in zip(layout.names, layout.shapes):
-        fan_in = shape[0] if len(shape) == 2 else max(1, shape[0])
-        bound = 1.0 / np.sqrt(fan_in)
-        chunks.append(rng.uniform(-bound, bound, size=int(np.prod(shape))))
-    return np.concatenate(chunks)
+    params = {}
+    for name, shape in shapes.items():
+        bound = 1.0 / np.sqrt(shape[0])
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
-def _param(vec, layout, name):
-    i = layout.names.index(name)
-    return ad.reshape(vec[layout.slices[i]], layout.shapes[i])
-
-
-def encode(vec, layout: ParamLayout, enc: EncoderSpec, x):
-    """Encoder forward pass; ``vec`` may be a tape Node or a flat array."""
+def encode(params, enc: EncoderSpec, x):
+    """Encoder forward pass; ``params`` maps names to arrays or tape leaves."""
     x = np.asarray(x, dtype=np.float64)
     if enc.kind == "linear":
-        return ad.matmul(x, _param(vec, layout, "enc.w")) + _param(vec, layout, "enc.b")
-    h = ad.tanh(ad.matmul(x, _param(vec, layout, "enc.w1")) + _param(vec, layout, "enc.b1"))
-    return ad.matmul(h, _param(vec, layout, "enc.w2")) + _param(vec, layout, "enc.b2")
+        return ad.matmul(x, params["enc.w"]) + params["enc.b"]
+    h = ad.tanh(ad.matmul(x, params["enc.w1"]) + params["enc.b1"])
+    return ad.matmul(h, params["enc.w2"]) + params["enc.b2"]
 
 
-def class_logits(vec, layout, feats):
-    return ad.matmul(feats, _param(vec, layout, "head.w")) + _param(vec, layout, "head.b")
+def class_logits(params, feats):
+    return ad.matmul(feats, params["head.w"]) + params["head.b"]
 
 
-def project_embeddings(vec, layout, feats):
-    y = ad.tanh(ad.matmul(feats, _param(vec, layout, "proj.w")) + _param(vec, layout, "proj.b"))
+def project_embeddings(params, feats):
+    y = ad.tanh(ad.matmul(feats, params["proj.w"]) + params["proj.b"])
     norms = ad.sqrt(ad.maximum(geo.sq_norm(y, keepdims=True), 1e-300))
     return y / norms
 
@@ -281,7 +246,6 @@ class HistoryRow:
 @dataclass
 class TrainResult:
     params: dict
-    layout: ParamLayout
     history: list
     skipped_cpcc_steps: int = 0
 
@@ -310,9 +274,8 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
         raise ValueError(f"batch_size {tc.batch_size} exceeds dataset size {n}")
     if cfg.flat_loss == "supcon" and dataset.view2 is None:
         raise ValueError("supcon training needs a dataset with two views per sample")
-    layout = build_layout(enc, cfg, tree.n_classes)
-    params = init_params(layout, enc.seed)
-    velocity = np.zeros_like(params)
+    params = init_params(param_shapes(enc, cfg, tree.n_classes), enc.seed)
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     metric = tree_metric(tree)
     rng = np.random.default_rng(tc.seed)
     history = []
@@ -339,37 +302,37 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
                     step_cfg = replace(cfg, alpha=0.0)
                     skipped += 1
 
-            leaf = ad.Node(params)
-            feats = encode(leaf, layout, enc, xb)
+            leaves = {name: ad.Node(p) for name, p in params.items()}
+            feats = encode(leaves, enc, xb)
             if cfg.flat_loss == "cross_entropy":
-                flat = FlatInputs(logits=class_logits(leaf, layout, feats))
+                flat = obj.cross_entropy_core(class_logits(leaves, feats), yb)
             else:
-                flat = FlatInputs(embeddings=project_embeddings(leaf, layout, feats))
-            total, flat_term = obj.composite_core(feats, yb, tree, step_cfg, flat, metric)
+                flat = obj.supcon_core(project_embeddings(leaves, feats), yb, cfg.tau)
+            total = obj.composite_core(feats, yb, tree, step_cfg, flat, metric)
 
             value = float(ad.val(total))
             if not np.isfinite(value):
                 raise DivergedError(epoch, n_batches)
-            flat_sum += float(ad.val(flat_term))
+            flat_sum += float(ad.val(flat))
             n_batches += 1
 
-            grad = ad.grad(total, [leaf])[0]
-            if tc.weight_decay > 0:
-                grad = grad + tc.weight_decay * params
-            velocity = tc.momentum * velocity - lr * grad
-            params = params + velocity
+            grads = ad.grad(total, list(leaves.values()))
+            for (name, p), grad in zip(params.items(), grads):
+                if tc.weight_decay > 0:
+                    grad = grad + tc.weight_decay * p
+                velocity[name] = tc.momentum * velocity[name] - lr * grad
+                params[name] = p + velocity[name]
 
-        cpcc_val, center_val = epoch_metrics(params, layout, enc, dataset, tree, cfg, metric)
+        cpcc_val, center_val = epoch_metrics(params, enc, dataset, tree, cfg, metric)
         history.append(HistoryRow(epoch, flat_sum / max(1, n_batches),
                                   cpcc_val, center_val, lr))
 
-    return TrainResult(params=layout.unpack(params), layout=layout,
-                       history=history, skipped_cpcc_steps=skipped)
+    return TrainResult(params=params, history=history, skipped_cpcc_steps=skipped)
 
 
-def epoch_metrics(params, layout, enc, dataset, tree, cfg, metric=None):
+def epoch_metrics(params, enc, dataset, tree, cfg, metric=None):
     """Whole-dataset CPCC and centering values on the value path."""
-    feats = encode(np.asarray(params), layout, enc, dataset.features)
+    feats = encode(params, enc, dataset.features)
     try:
         cpcc_val = float(ad.val(obj.cpcc_term_core(feats, dataset.labels, tree, cfg, metric)))
     except InsufficientVertices:
@@ -378,10 +341,9 @@ def epoch_metrics(params, layout, enc, dataset, tree, cfg, metric=None):
     return cpcc_val, center_val
 
 
-def encode_dataset(result: TrainResult, enc: EncoderSpec, features) -> np.ndarray:
-    """Apply a trained encoder to raw input rows."""
-    vec = result.layout.pack(result.params)
-    return np.asarray(encode(vec, result.layout, enc, features))
+def encode_dataset(params: dict, enc: EncoderSpec, features) -> np.ndarray:
+    """Apply a trained encoder's parameters to raw input rows."""
+    return np.asarray(encode(params, enc, features))
 
 
 # direct tree embedding ---------------------------------------------------------------
@@ -431,7 +393,7 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     metric = tree_metric(tree)
     vids = np.asarray(vertices)
     ii, jj, _ = geo.pair_index(k)
-    tdist = metric.dist[vids[ii], vids[jj]]
+    tdist = metric[vids[ii], vids[jj]]
 
     def objective(x):
         """Per-restart CPCC of ``(restarts, k, dim)`` coordinates."""

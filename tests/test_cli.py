@@ -178,6 +178,7 @@ def test_malformed_config_json_is_an_error(tmp_path, capsys):
     assert "bad config JSON" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_train_exits_with_the_diverged_code(tmp_path, capsys):
     config = dict(TRAIN, objective={"variant": "flat"},
                   train={"epochs": 50, "batch_size": 16, "lr0": 1e12, "weight_decay": 0.0})
@@ -294,6 +295,11 @@ def command_configs(trained):
 def test_resolved_config_reruns_to_byte_identical_artifacts(trained, tmp_path, command):
     first = run(command, command_configs(trained)[command], tmp_path, "first")
     resolved = json.loads((first / "resolved_config.json").read_text())["config"]
+    if command == "oodsim":
+        # each OOD set is echoed with its defaults filled in
+        assert resolved["ood_sets"] == {"far": {"far_cluster": {"offset_sigmas": 10.0, "n": 20,
+                                                                "seed": 3}},
+                                        "same": {"id_eval": True}}
     again = run(command, resolved, tmp_path, "again")
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in again.iterdir())
@@ -325,6 +331,7 @@ DELETE = object()
     ("oodsim", "ood_sets.far.far_cluster.sigma", {"ood_sets.far.far_cluster.sigma": 2.0}),
     ("oodsim", "ood_sets.same", {"ood_sets.same.csv": "ood.csv"}),
     ("oodsim", "ood_sets", {"ood_sets": DELETE}),
+    ("spectra", "hierarchy", {"hierarchy": "builtin:cifar10"}),
 ])
 def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
                                                          command, path, edits):

@@ -30,7 +30,7 @@ def reference_test_cpcc(features, labels, tree, distance_mode, c):
     tdist, fdist = [], []
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            tdist.append(tm.dist[leaves[i], leaves[j]])
+            tdist.append(tm[leaves[i], leaves[j]])
             if distance_mode == "poincare":
                 fdist.append(float(geo.dist_rows(protos[i], protos[j], c)))
             else:

@@ -388,7 +388,7 @@ class TestClosePairs:
         d, dd_r2, dd_r = exact_colinear(r, r2, c)
         kernels = {
             "pair_distances": lambda x: geo.pair_distances(x, "poincare", c),
-            "dist_rows": lambda x: geo.dist_rows(x[0:1], x[1:2], c),
+            "dist_rows": lambda x: geo.dist_rows(ad.take(x, [0]), ad.take(x, [1]), c),
         }
         for name, fn in kernels.items():
             got = float(ad.val(fn(z))[0])

@@ -20,6 +20,14 @@ MIXED_DEPTHS = {"name": "r", "children": [
     {"name": "mid", "weight": 3, "children": [{"name": "leaf4", "weight": 1}]},
 ]}
 
+# MIXED_DEPTHS with every leaf padded to depth 3 by unit-weight parents whose
+# ids are larger than their children's (leaf2 <- 9 <- 8 <- r, leaf4 <- 10 <- mid)
+PADDED_MIXED = hi.LabelTree(
+    ["r", "deep", "x", "leaf1", "leaf3", "leaf2", "mid", "leaf4",
+     "leaf2.pad0", "leaf2.pad1", "leaf4.pad0"],
+    [None, 0, 1, 2, 2, 9, 0, 10, 0, 8, 6],
+    [0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+
 
 def brute_force_lca_height(tree, u, v):
     """Independent oracle: intersect ancestor chains, measure from leaf layer."""
@@ -82,7 +90,7 @@ class TestTreeMetric:
             for v in range(1, t.n_vertices):
                 weights[v] = float(rng.uniform(0.2, 3.0))
             t = hi.LabelTree(t.names, t.parent, weights)
-            d = hi.tree_metric(t).dist
+            d = hi.tree_metric(t)
             for q in itertools.combinations(range(t.n_vertices), 4):
                 i, j, k, l = q
                 sums = sorted([d[i, j] + d[k, l], d[i, k] + d[j, l], d[i, l] + d[j, k]])
@@ -106,7 +114,7 @@ def oracle_trees():
         "cifar10": hi.builtin_cifar10_tree(),
         "mixed": hi.parse_tree(mixed),
         # padded parents get larger ids than their children
-        "normalized": hi.parse_tree(mixed, normalize=True),
+        "normalized": PADDED_MIXED,
         "single_vertex": hi.LabelTree(["r"], [None], [0.0]),
     }
 
@@ -120,7 +128,9 @@ class TestAncestorMatrixOracle:
     @pytest.mark.parametrize("name", list(oracle_trees()))
     def test_tree_metric_is_bitwise_the_bfs(self, name):
         tree = oracle_trees()[name]
-        np.testing.assert_array_equal(hi.tree_metric(tree).dist, bfs_tree_metric(tree))
+        dist = hi.tree_metric(tree)
+        assert dist.dtype == np.float64 and not dist.flags.writeable
+        np.testing.assert_array_equal(dist, bfs_tree_metric(tree))
 
     @pytest.mark.parametrize("name", ["c100", "cifar10", "mixed", "normalized"])
     def test_tree_metric_with_non_integer_weights(self, name):
@@ -128,7 +138,7 @@ class TestAncestorMatrixOracle:
         # so agreement is to a relative 1e-12; symmetry and the zero diagonal
         # stay exact
         tree = with_random_weights(oracle_trees()[name], np.random.default_rng(5))
-        dist = hi.tree_metric(tree).dist
+        dist = hi.tree_metric(tree)
         np.testing.assert_allclose(dist, bfs_tree_metric(tree), rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(dist, dist.T)
         np.testing.assert_array_equal(np.diagonal(dist), 0.0)
@@ -229,30 +239,12 @@ class TestParse:
             hi.LabelTree(["a", "b", "c"], [None, 2, 1], [0, 1, 1])
 
 
-class TestNormalizeDepths:
-    def test_pads_shallow_leaves(self):
-        doc = {"name": "r", "children": [
-            {"name": "deep", "weight": 1, "children": [
-                {"name": "x", "weight": 1, "children": [{"name": "leaf1", "weight": 1}]}]},
-            {"name": "leaf2", "weight": 1},
-        ]}
-        t = hi.parse_tree(json.dumps(doc), normalize=True)
-        depths = {t.names[v]: t.depth(v) for v in t.leaves()}
-        assert depths["leaf1"] == depths["leaf2"] == 3
-        # leaf class order preserved
-        assert [t.names[v] for v in t.leaf_classes] == ["leaf1", "leaf2"]
-
-    def test_noop_when_uniform(self):
-        t = hi.builtin_cifar10_tree()
-        assert hi.normalize_depths(t) is t
-
-
 def test_delta_hyperbolicity_of_tree_metric_is_zero():
     from hypstruct import diagnostics as dg
 
     for counts in ([1, 2, 4], [1, 3, 9], [1, 2, 4, 8]):
         t = hi.balanced_tree(counts)
-        dm = dg.DistanceMatrix(hi.tree_metric(t).dist)
+        dm = dg.DistanceMatrix(hi.tree_metric(t))
         delta, delta_rel = dg.delta_hyperbolicity(dm, mode="exact")
         assert delta <= 1e-12
         assert delta_rel <= 1e-12

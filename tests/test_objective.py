@@ -312,12 +312,10 @@ class TestPrototypeOracle:
         weights = rng.standard_normal((len(present), 2))
 
         def closure(p):
-            rows = obj.prototype_rows(ad.reshape(p, feats.shape), labels, self.tree, cfg,
-                                      present)
-            return ad.sum(rows * weights)
+            return ad.sum(obj.prototype_rows(p, labels, self.tree, cfg, present) * weights)
 
-        g = gradient(closure, feats.ravel())
-        want = central_difference(lambda v: float(ad.val(closure(v))), feats.ravel())
+        g = gradient(closure, feats)
+        want = central_difference(lambda v: float(ad.val(closure(v))), feats)
         assert np.max(np.abs(g - want) / np.maximum(np.abs(want), 1e-4)) <= 1e-4
 
 
@@ -520,9 +518,8 @@ class TestComposite:
         self.logits = rng.standard_normal((20, 10))
 
     def composite(self, cfg):
-        total, _ = obj.composite_core(self.features, self.labels, self.tree, cfg,
-                                      obj.FlatInputs(logits=self.logits))
-        return float(total)
+        flat = obj.cross_entropy_core(self.logits, self.labels)
+        return float(obj.composite_core(self.features, self.labels, self.tree, cfg, flat))
 
     def cpcc_term(self, cfg):
         return float(obj.cpcc_term_core(self.features, self.labels, self.tree, cfg))
@@ -580,17 +577,13 @@ class TestGradient:
             cfg = obj.ObjectiveConfig(alpha=1.0, beta=0.01,
                                       centroid_mode="klein_average")
 
-            def closure(p):
-                feats = ad.reshape(p, (n, dim))
-                logits = ad.matmul(feats, logits_w)
-                total, _ = obj.composite_core(feats, labels, tree, cfg,
-                                              obj.FlatInputs(logits=logits))
-                return total
+            def closure(feats):
+                flat = obj.cross_entropy_core(ad.matmul(feats, logits_w), labels)
+                return obj.composite_core(feats, labels, tree, cfg, flat)
 
-            params = feats0.ravel()
-            g, nondiff = gradient(closure, params, return_nondifferentiable=True)
+            g, nondiff = gradient(closure, feats0, return_nondifferentiable=True)
             assert not nondiff
-            want = fd_oracle(lambda v: float(ad.val(closure(ad.Node(v)))), params)
+            want = fd_oracle(lambda v: float(ad.val(closure(ad.Node(v)))), feats0)
             denom = np.maximum(np.abs(want), 1e-4)
             assert np.max(np.abs(g - want) / denom) <= 1e-4
 
@@ -601,12 +594,9 @@ class TestGradient:
                                   centroid_mode="euclidean_then_map", map_mode="clip")
         feats0 = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])
 
-        def closure(p):
-            feats = ad.reshape(p, (4, 2))
-            logits = ad.matmul(feats, np.eye(2, 4))
-            total, _ = obj.composite_core(feats, labels, tree, cfg,
-                                          obj.FlatInputs(logits=logits))
-            return total
+        def closure(feats):
+            flat = obj.cross_entropy_core(ad.matmul(feats, np.eye(2, 4)), labels)
+            return obj.composite_core(feats, labels, tree, cfg, flat)
 
-        _, nondiff = gradient(closure, feats0.ravel(), return_nondifferentiable=True)
+        _, nondiff = gradient(closure, feats0, return_nondifferentiable=True)
         assert nondiff
