@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +112,7 @@ COMMAND_KEYS = {name: {"command": name, "hierarchy": Key(default=DEFAULT_HIERARC
                 "matrix_csv": Key(), "top_k": 100},
     "oodsim": {"checkpoint": Key(), "methods": Key(rule="optional: {name: checkpoint path}"),
                "id_train": DATASET, "id_eval": HELD_OUT,
-               "ood_sets": Key(rule=f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS),
-               "raw_features": False},
+               "ood_sets": Key(rule=f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS)},
 }.items()}
 
 
@@ -186,12 +185,17 @@ def _write_json(path: Path, payload: dict, resolved_config: dict):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def float_text(x) -> str:
+    """Shortest text that reads back to the same float, for numpy scalars too."""
+    return repr(float(x))
+
+
 def _csv_text(rows):
     """CSV text; strings and ints verbatim, every other cell as a round-trip float."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     for row in rows:
-        writer.writerow([x if isinstance(x, (str, int)) else tr.float_text(x) for x in row])
+        writer.writerow([x if isinstance(x, (str, int)) else float_text(x) for x in row])
     return buf.getvalue()
 
 
@@ -315,7 +319,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     result = tr.train(dataset, tree, enc, objective, tc)
-    (out / "history.csv").write_text(tr.history_to_csv(result.history))
+    (out / "history.csv").write_text(
+        _csv_text([("epoch", "flat", "cpcc", "center", "lr"), *map(astuple, result.history)]))
     checkpoint = {
         "params": {k: v.tolist() for k, v in result.params.items()},
         **{k: cfg[k] for k in ("encoder", "objective", "train")},
@@ -357,8 +362,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     dg.check_delta_mode(run_mode, delta["k"], eval_ds.n)
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
-    feats_train = tr.encode_dataset(params, enc, train_ds.features)
-    feats_eval = tr.encode_dataset(params, enc, eval_ds.features)
+    feats_train = tr.encode(params, enc, train_ds.features)
+    feats_eval = tr.encode(params, enc, eval_ds.features)
 
     cpcc_distance = cfg["cpcc_distance"]
     if cpcc_distance == "native":
@@ -485,12 +490,10 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
     hist_rows = []
     for method, ckpt in methods.items():
         params, enc, _ = load_checkpoint(ckpt)
-        f_train = tr.encode_dataset(params, enc, id_train.features)
-        transform = np.asarray if cfg["raw_features"] else dg.FeatureTransform.fit(f_train).apply
-        fit = dg.fit_gaussian(transform(f_train))
+        fit = dg.fit_gaussian(tr.encode(params, enc, id_train.features))
 
         def scores(rows):
-            return dg.mahalanobis_scores(transform(tr.encode_dataset(params, enc, rows)), fit)
+            return dg.mahalanobis_scores(tr.encode(params, enc, rows), fit)
 
         id_scores = scores(id_eval.features)
         table[method] = {}

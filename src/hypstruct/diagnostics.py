@@ -293,22 +293,6 @@ def mahalanobis_scores(rows, fit: GaussianFit) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", diff, fit.sigma_inv, diff)
 
 
-@dataclass(frozen=True)
-class FeatureTransform:
-    """Center by the training mean, then normalize rows to unit length."""
-
-    mean: np.ndarray
-
-    @classmethod
-    def fit(cls, features):
-        return cls(mean=np.asarray(features, dtype=np.float64).mean(axis=0))
-
-    def apply(self, features):
-        x = np.asarray(features, dtype=np.float64) - self.mean
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        return x / np.maximum(norms, 1e-30)
-
-
 def auroc(id_scores, ood_scores) -> float:
     """Rank statistic P(ood > id) + 0.5 P(tie); OOD is the positive class."""
     a = np.asarray(id_scores, dtype=np.float64)

@@ -139,16 +139,7 @@ def balanced_eigenvalues_closed_form(level_counts, r) -> EigenSpectrum:
     lam = lam + c0 * r[H - 1]
     values.append(lam)
     mults.append(1)
-    pairs = [(v, m) for v, m in zip(values, mults) if m > 0]
-    pairs.sort(key=lambda t: -t[0])
-    merged_v, merged_m = [], []
-    for v, m in pairs:
-        if merged_v and abs(merged_v[-1] - v) <= MULTIPLICITY_RTOL * max(1.0, abs(v)):
-            merged_m[-1] += m
-        else:
-            merged_v.append(v)
-            merged_m.append(m)
-    return EigenSpectrum(tuple(merged_v), tuple(merged_m))
+    return EigenSpectrum.from_values(np.repeat(values, mults))
 
 
 def numerical_eigenvalues(K) -> EigenSpectrum:

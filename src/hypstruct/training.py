@@ -10,7 +10,6 @@ deterministic given the config seeds.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -154,11 +153,6 @@ def generate_hierarchical_gaussians(spec: SyntheticSpec) -> LabeledDataset:
                           view2=views[:, 1].reshape(-1, spec.dim))
 
 
-def float_text(x) -> str:
-    """Shortest text that reads back to the same float, for numpy scalars too."""
-    return repr(float(x))
-
-
 def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -256,16 +250,6 @@ def learning_rate(tc: TrainConfig, epoch: int) -> float:
     return tc.lr0 * 0.5 * (1.0 + np.cos(np.pi * epoch / (tc.epochs - 1)))
 
 
-def history_to_csv(history) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epoch", "flat", "cpcc", "center", "lr"])
-    for row in history:
-        writer.writerow([row.epoch] + [float_text(x) for x in
-                                       (row.flat, row.cpcc, row.center, row.lr)])
-    return buf.getvalue()
-
-
 def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
           cfg: ObjectiveConfig, tc: TrainConfig) -> TrainResult:
     """Run the composite-objective training loop; deterministic per seeds."""
@@ -339,11 +323,6 @@ def epoch_metrics(params, enc, dataset, tree, cfg, metric=None):
         cpcc_val = float("nan")
     center_val = float(ad.val(obj.centering_core(feats, cfg)))
     return cpcc_val, center_val
-
-
-def encode_dataset(params: dict, enc: EncoderSpec, features) -> np.ndarray:
-    """Apply a trained encoder's parameters to raw input rows."""
-    return np.asarray(encode(params, enc, features))
 
 
 # direct tree embedding ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypstruct import autodiff as ad
-from hypstruct import training as tr
+from hypstruct import cli
 
 
 def central_difference(fn, params, step=1e-5):
@@ -57,7 +57,7 @@ def save_dataset_csv(path, dataset, tree):
         writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
         for row, lab in zip(dataset.features, dataset.labels):
             writer.writerow([tree.names[tree.leaf_of_class(int(lab))]]
-                            + [tr.float_text(x) for x in row])
+                            + [cli.float_text(x) for x in row])
 
 
 def traced_peak_mb(fn, *args, **kwargs):

@@ -124,7 +124,7 @@ def test_float_matrix_csv_matches_the_per_cell_path(dtype, tmp_path):
     per_cell = cli._csv_text(list(K))
     cli._write_matrix_csv(tmp_path / "K.csv", K)
     assert (tmp_path / "K.csv").read_bytes() == per_cell.encode()
-    assert per_cell.splitlines()[1] == ",".join(tr.float_text(x) for x in K[1])
+    assert per_cell.splitlines()[1] == ",".join(cli.float_text(x) for x in K[1])
 
 
 def test_matrix_csv_writer_holds_one_row_of_text(tmp_path):
@@ -209,6 +209,44 @@ def test_oodsim_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_oodsim_histograms_bin_every_score_once(trained, tmp_path):
+    out = run("oodsim", oodsim_config(trained), tmp_path, "oodsim")
+    with open(out / "score_histograms.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["method", "ood_set", "bin_left", "bin_right", "id_count", "ood_count"]
+    n_id = 5 * 4  # id_eval: n_per_leaf 5 on 4 leaves
+    for ood_set, n_ood in (("far", 20), ("same", n_id)):
+        bins = [row[2:] for row in rows if row[:2] == ["method", ood_set]]
+        assert len(bins) == 50
+        left, right = (np.array([float(b[i]) for b in bins]) for i in (0, 1))
+        assert np.all(left < right) and np.array_equal(left[1:], right[:-1])
+        assert sum(int(b[2]) for b in bins) == n_id
+        assert sum(int(b[3]) for b in bins) == n_ood
+    assert len(rows) == 2 * 50
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_oodsim_ranks_a_far_cluster_above_held_out_rows(tmp_path, seed):
+    tree = json.loads(balanced_tree((1, 4, 12)).serialize())
+    data = {"synthetic": {"n_per_leaf": 10, "dim": 16}}
+    methods = {}
+    for variant in ("hypstructure", "l2cpcc"):
+        out = run("train", {"hierarchy": tree, "seed": seed, "dataset": data,
+                            "encoder": {"hidden_dim": 16, "output_dim": 8},
+                            "objective": {"variant": variant},
+                            "train": {"epochs": 3, "batch_size": 32}}, tmp_path, variant)
+        methods[variant] = str(out / "checkpoint.json")
+    held_out = {"synthetic": {"noise_seed": seed + 10, "n_per_leaf": 5, "dim": 16}}
+    out = run("oodsim", {"hierarchy": tree, "seed": seed, "methods": methods,
+                         "id_train": data, "id_eval": held_out,
+                         "ood_sets": {"far": {"far_cluster": {"n": 50}},
+                                      "same": {"id_eval": True}}}, tmp_path, "oodsim")
+    table = json.loads((out / "auroc.json").read_text())["auroc"]
+    for variant in methods:
+        assert table[variant]["far"] >= 0.9, (variant, table[variant])
+        assert table[variant]["same"] == 0.5
 
 
 def eval_config(trained, tmp_path, eval_dataset, **overrides):
@@ -332,6 +370,7 @@ DELETE = object()
     ("oodsim", "ood_sets.same", {"ood_sets.same.csv": "ood.csv"}),
     ("oodsim", "ood_sets", {"ood_sets": DELETE}),
     ("spectra", "hierarchy", {"hierarchy": "builtin:cifar10"}),
+    ("oodsim", "raw_features", {"raw_features": True}),
 ])
 def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
                                                          command, path, edits):

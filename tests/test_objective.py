@@ -262,7 +262,7 @@ def partial_batch(rng, tree, n=24, dim=3, scale=0.6):
 PROTOTYPE_VARIANTS = [
     {"centroid_mode": "klein_average"},
     {"centroid_mode": "euclidean_then_map"},
-    {"centroid_mode": "euclidean_then_map", "map_mode": "clip", "c": 4.0},
+    {"centroid_mode": "euclidean_then_map", "map_mode": "clip", "c": 4.0, "clip_epsilon": 1e-2},
 ]
 
 

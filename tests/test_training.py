@@ -1,9 +1,12 @@
 """Synthetic data generation, the training loop, and direct tree embedding."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hypstruct import autodiff as ad
+from hypstruct import cli
 from hypstruct import geometry as geo
 from hypstruct import hierarchy as hi
 from hypstruct import objective as obj
@@ -266,8 +269,8 @@ class TestBatchedRestartsMatchSequential:
     @pytest.mark.parametrize("mode", ["poincare", "l2"])
     def test_matches(self, tree, mode, scope):
         cfg = obj.ObjectiveConfig(tree_scope=scope)
-        stops, _ = assert_matches_sequential(tree, mode, cfg,
-                                             tr.EmbedBudget(restarts=3, steps=150, seed=4))
+        budget = tr.EmbedBudget(restarts=3, steps=150, init_scale=0.25, seed=4)
+        stops, _ = assert_matches_sequential(tree, mode, cfg, budget)
         assert stops == [None] * 3
 
     def test_non_finite_restart_freezes_alone(self, tree):
@@ -280,15 +283,27 @@ class TestBatchedRestartsMatchSequential:
         assert all(np.isfinite(res.per_restart))
 
 
-def test_history_csv_format(tree):
+def test_history_csv_format(tree, tmp_path):
     ds = small_dataset(tree)
     enc = tr.EncoderSpec(kind="linear", input_dim=8, output_dim=4, seed=0)
     tc = tr.TrainConfig(epochs=2, batch_size=50, lr0=0.05, seed=0)
     res = tr.train(ds, tree, enc, obj.ObjectiveConfig(alpha=0.0, beta=0.0), tc)
-    text = tr.history_to_csv(res.history)
-    lines = text.strip().splitlines()
+    # the same run through the CLI, which writes history.csv
+    config = {"dataset": {"synthetic": {"dim": 8, "coarse_spread": 1.5, "fine_spread": 0.9,
+                                        "noise_sigma": 0.3, "n_per_leaf": 10}},
+              "encoder": {"kind": "linear", "output_dim": 4, "seed": 0},
+              "objective": {"variant": "flat"},
+              "train": {"epochs": 2, "batch_size": 50, "lr0": 0.05, "seed": 0}}
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(tmp_path / "train.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "history.csv").read_bytes().decode().split("\r\n")
     assert lines[0] == "epoch,flat,cpcc,center,lr"
-    assert len(lines) == 3
+    # integer epochs, and each value as the shortest text that reads back to it
+    assert lines[1:] == [",".join([str(row.epoch), *(repr(float(x)) for x in
+                                                    (row.flat, row.cpcc, row.center, row.lr))])
+                         for row in res.history] + [""]
 
 
 # tape size of one training step -------------------------------------------------------
