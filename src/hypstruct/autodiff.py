@@ -13,9 +13,11 @@ counters so a caller can tell whether a just-computed gradient crossed a
 non-smooth point.  The package is single-threaded; the counters are not
 guarded against concurrent use.
 
-Fused operations (the geometry maps, the Poincare distance, CPCC) build one
-node with a hand-written vector-Jacobian product through :func:`make_node`
-instead of one node per elementary step.
+Fused operations (the exponential map, the all-pairs distance kernel, CPCC)
+build one node with a hand-written vector-Jacobian product through
+:func:`make_node` instead of one node per elementary step.  Each fused node
+has one parent on the tape: training differentiates with respect to the
+features only, so tree distances enter as constants.
 """
 
 from __future__ import annotations
@@ -139,24 +141,6 @@ def make_node(value, *pairs):
     """
     parents = tuple((p, vjp) for p, vjp in pairs if isinstance(p, Node))
     return Node(value, parents)
-
-
-def make_joint_node(value, parents, vjp):
-    """Node whose ``vjp(g)`` returns one gradient per parent, computed once.
-
-    The backward pass asks each parent's share with the same ``g`` object, so
-    the tuple is kept for that ``g`` and reused.
-    """
-    memo = [None, None]
-
-    def share(i):
-        def one(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, vjp(g)
-            return memo[1][i]
-        return one
-
-    return make_node(value, *[(p, share(i)) for i, p in enumerate(parents)])
 
 
 def add(a, b):

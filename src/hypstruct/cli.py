@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from . import diagnostics as dg
+from . import geometry as geo
 from . import spectral as sp
 from . import svg
 from . import training as tr
@@ -88,12 +89,11 @@ ENCODER_KEYS = {**_defaults(EncoderSpec), "input_dim": Key(int, "feature dim of 
                 "seed": Key(int, offset=1)}
 TRAIN_KEYS = {**_defaults(TrainConfig), "seed": Key(int, offset=2)}
 OBJECTIVE_KEYS = {"variant": Key(str, "optional: " + " | ".join(OBJECTIVE_VARIANTS)),
-                  "curvature": Key(float, "optional alias of c"), **_defaults(ObjectiveConfig)}
+                  **_defaults(ObjectiveConfig)}
 DELTA_KEYS = {"mode": "auto", "k": 2_000_000, "seed": Key(int, offset=0)}
 FAR_CLUSTER_KEYS = {"offset_sigmas": 10.0, "n": 200, "seed": Key(int, offset=0)}
 OOD_SET_KEYS = {"csv": Key(), "far_cluster": Key(keys=FAR_CLUSTER_KEYS), "id_eval": Key()}
-BLOCK_SPEC_KEYS = {"r": Key(rule=REQUIRED), "balanced_level_counts": Key(), "tree": Key(),
-                   "hierarchy": Key()}
+BLOCK_SPEC_KEYS = {"r": Key(rule=REQUIRED), "balanced_level_counts": Key(), "hierarchy": Key()}
 EMBED_BUDGET_KEYS = _defaults(EmbedBudget, "seed")
 
 # each command's top-level table
@@ -110,7 +110,7 @@ COMMAND_KEYS = {name: {"command": name, "hierarchy": Key(default=DEFAULT_HIERARC
     "spectra": {"hierarchy": Key(rule=f"{DEFAULT_HIERARCHY} with features_csv"),
                 "block_spec": Key(keys=BLOCK_SPEC_KEYS), "features_csv": Key(),
                 "matrix_csv": Key(), "top_k": 100},
-    "oodsim": {"checkpoint": Key(), "methods": Key(rule="optional: {name: checkpoint path}"),
+    "oodsim": {"methods": Key(rule=f"{REQUIRED}: {{name: checkpoint path}}"),
                "id_train": DATASET, "id_eval": HELD_OUT,
                "ood_sets": Key(rule=f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS)},
 }.items()}
@@ -245,11 +245,7 @@ def objective_config(doc, path="objective") -> dict:
     variant = _object(doc, path).get("variant")
     if variant is not None and variant not in OBJECTIVE_VARIANTS:
         raise ConfigError(f"{path}.variant: unknown objective variant {variant!r}")
-    _one_of(doc, ("c", "curvature"), path, default="c")
-    cfg = _checked(doc, OBJECTIVE_KEYS, path, **OBJECTIVE_VARIANTS.get(variant, {}))
-    if "curvature" in cfg:
-        cfg["c"] = cfg.pop("curvature")
-    return cfg
+    return _checked(doc, OBJECTIVE_KEYS, path, **OBJECTIVE_VARIANTS.get(variant, {}))
 
 
 def _objective(doc) -> ObjectiveConfig:
@@ -270,16 +266,21 @@ def cmd_embed_tree(cfg: dict, out: Path) -> int:
     for mode in ("poincare", "l2"):
         res = tr.embed_tree_direct(tree, dim, mode, objective, budget)
         results[mode] = res
-        vertices = sorted(res.coords.keys())
-        rows = []
-        for i, u in enumerate(vertices):
-            for v in vertices[i + 1:]:
-                rows.append((tree.names[u], tree.names[v],
-                             float(metric[u, v]),
-                             _embedded_distance(res, u, v, mode, c)))
+        # every pair i < j of the sorted vertex ids, in pair_index order
+        vertices = np.array(sorted(res.coords))
+        ii, jj, _ = geo.pair_index(len(vertices))
+        coords = np.stack([res.coords[v] for v in vertices])
+        if mode == "poincare":
+            emb_d = geo.dist_rows(coords[ii], coords[jj], c)
+        else:
+            # one dot product per pair, bit for bit the np.linalg.norm of each
+            diff = coords[ii] - coords[jj]
+            emb_d = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        u, v = vertices[ii], vertices[jj]
+        tree_d = metric[u, v]
+        rows = zip((tree.names[a] for a in u), (tree.names[b] for b in v), tree_d, emb_d)
         (out / f"pairs_{mode}.csv").write_text(
             _csv_text([("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows]))
-        *_, tree_d, emb_d = zip(*rows)
         (out / f"scatter_{mode}.svg").write_text(
             svg.scatter_svg(tree_d, emb_d, xlabel="tree metric", ylabel=f"{mode} distance",
                             title=f"{mode} embedding, CPCC={res.cpcc:.4f}"))
@@ -294,13 +295,6 @@ def cmd_embed_tree(cfg: dict, out: Path) -> int:
         "l2_per_restart": results["l2"].per_restart,
     }, cfg)
     return EXIT_OK
-
-
-def _embedded_distance(res, u, v, mode, c):
-    if mode == "poincare":
-        from . import geometry as geo
-        return float(geo.dist_rows(res.coords[u][None, :], res.coords[v][None, :], c)[0])
-    return float(np.linalg.norm(res.coords[u] - res.coords[v]))
 
 
 # train -----------------------------------------------------------------------
@@ -403,14 +397,13 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
     if source == "block_spec":
         cfg["block_spec"] = spec = _checked(cfg["block_spec"], BLOCK_SPEC_KEYS, "block_spec")
         r = [float(x) for x in spec["r"]]
-        shape = _one_of(spec, ("balanced_level_counts", "tree", "hierarchy"), "block_spec")
-        if shape == "balanced_level_counts":
-            counts = [int(c) for c in spec[shape]]
+        if _one_of(spec, ("balanced_level_counts", "hierarchy"), "block_spec") == "hierarchy":
+            tree = load_hierarchy(spec["hierarchy"])
+        else:
+            counts = [int(c) for c in spec["balanced_level_counts"]]
             tree = balanced_tree(counts)
             closed = sp.balanced_eigenvalues_closed_form(list(reversed(counts)), r)
-        else:
-            tree = load_hierarchy(spec[shape])
-        K = sp.build_block_matrix(sp.BlockCorrelationSpec(tree, tuple(r)))
+        K = sp.build_block_matrix(tree, r)
     elif source == "features_csv":
         tree = load_hierarchy(cfg.setdefault("hierarchy", DEFAULT_HIERARCHY))
         ds, _ = load_dataset({"csv": cfg["features_csv"]}, tree, cfg["seed"])
@@ -459,8 +452,6 @@ def _far_cluster(doc, id_train: LabeledDataset):
 
 def cmd_oodsim(cfg: dict, out: Path) -> int:
     tree = load_hierarchy(cfg["hierarchy"])
-    if _one_of(cfg, ("methods", "checkpoint"), "") == "checkpoint":
-        cfg["methods"] = {"method": cfg.pop("checkpoint")}
     id_train = _dataset(cfg, "id_train", tree)
     id_eval = _dataset(cfg, "id_eval", tree)
     methods = _object(cfg["methods"], "methods")

@@ -1,9 +1,10 @@
 """Poincare-ball and Klein-model primitives on raw arrays.
 
-Every function takes rows along the last axis, accepts tape nodes as well as
-numpy arrays, and is what the objective and training code build on.
-``pair_distances`` gives all i < j distances of a set of rows as one tape
-node; ``dist_rows`` pairs rows one to one.  Both share one Poincare distance
+Every function takes rows along the last axis and is what the objective and
+training code build on.  All but ``dist_rows`` accept tape nodes as well as
+numpy arrays.  ``pair_distances`` gives all i < j distances of a set of rows
+as one tape node; ``dist_rows`` pairs rows one to one, on values only, for
+the distances ``embed-tree`` writes out.  Both share one Poincare distance
 formula.
 
 Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
@@ -137,25 +138,15 @@ def _poincare_from_sq(s, ni, nj, c):
 
 
 def dist_rows(z1, z2, c):
-    """Poincare distance between paired rows (last axis); one tape node.
+    """Poincare distance between paired rows (last axis) of two arrays; values only.
 
     Works from the difference ``z1 - z2``, so close pairs keep full relative
     accuracy (the Mobius-form numerator cancels there).
     """
-    x1, x2 = ad.val(z1), ad.val(z2)
-    diff = x1 - x2
-    out, back = _poincare_from_sq(np.sum(diff * diff, axis=-1), np.sum(x1 * x1, axis=-1),
-                                  np.sum(x2 * x2, axis=-1), c)
-    if not (ad.is_node(z1) or ad.is_node(z2)):
-        return out
-
-    def vjp(g):
-        g_s, g_n1, g_n2 = back(g)
-        g_diff = (2.0 * g_s)[..., None] * diff
-        return (g_diff + (2.0 * g_n1)[..., None] * x1,
-                (2.0 * g_n2)[..., None] * x2 - g_diff)
-
-    return ad.make_joint_node(out, (z1, z2), vjp)
+    z1, z2 = np.asarray(z1, dtype=np.float64), np.asarray(z2, dtype=np.float64)
+    diff = z1 - z2
+    return _poincare_from_sq(np.sum(diff * diff, axis=-1), np.sum(z1 * z1, axis=-1),
+                             np.sum(z2 * z2, axis=-1), c)[0]
 
 
 PAIR_MODES = ("poincare", "l2")

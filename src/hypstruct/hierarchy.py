@@ -133,9 +133,6 @@ class LabelTree:
     def is_leaf(self, v):
         return not self._children[v]
 
-    def leaves(self):
-        return [i for i in range(self.n_vertices) if self.is_leaf(i)]
-
     def depth(self, v):
         return self._depth[v]
 

@@ -4,8 +4,10 @@ The composite objective is ``flat_loss - alpha * CPCC + beta * centering``
 where the CPCC term correlates tree-metric distances with feature-space
 distances over class prototypes (Poincare or Euclidean, per configuration).
 
-Every ``*_core`` term accepts tape nodes as well as numpy arrays, so one code
-path serves training (on the tape) and evaluation (plain values).
+Every ``*_core`` term accepts tape nodes as well as numpy arrays for the
+features (and the logits or embeddings), so one code path serves training (on
+the tape) and evaluation (plain values).  Tree distances are always constant
+arrays: training differentiates with respect to the features only.
 """
 
 from __future__ import annotations
@@ -68,31 +70,28 @@ class ObjectiveConfig:
 # CPCC ------------------------------------------------------------------------
 
 def cpcc_core(tree_dists, feat_dists):
-    """Pearson correlation along the last axis; one tape node.
+    """Pearson correlation along the last axis; one tape node over ``feat_dists``.
 
-    Leading axes broadcast, so ``(R, P)`` feature distances against ``(P,)``
-    tree distances give ``R`` correlations.
+    ``tree_dists`` is a constant array: training differentiates through the
+    feature distances only.  Leading axes of ``feat_dists`` are a batch, so
+    ``(R, P)`` feature distances against ``(P,)`` tree distances give ``R``
+    correlations.
     """
-    t, f = ad.val(tree_dists), ad.val(feat_dists)
+    t, f = np.asarray(tree_dists, dtype=np.float64), ad.val(feat_dists)
     td = t - np.sum(t, axis=-1, keepdims=True) / float(t.shape[-1])
     fd = f - np.sum(f, axis=-1, keepdims=True) / float(f.shape[-1])
-    s_tt = np.sum(td * td, axis=-1)
     s_ff = np.sum(fd * fd, axis=-1)
-    denom = np.sqrt(s_tt * s_ff)
+    denom = np.sqrt(np.sum(td * td, axis=-1) * s_ff)
     r = np.sum(td * fd, axis=-1) / denom
-    if not (ad.is_node(tree_dists) or ad.is_node(feat_dists)):
+    if not ad.is_node(feat_dists):
         return r
 
     def vjp(g):
         # dr/dfd = td / denom - r fd / s_ff, then remove the mean (centering)
-        def centered(own, other, own_ss, shape):
-            h = (g / denom)[..., None] * other - (g * r / own_ss)[..., None] * own
-            return ad.unbroadcast(h - np.sum(h, axis=-1, keepdims=True) / float(h.shape[-1]),
-                                  shape)
-        g_t = centered(td, fd, s_tt, t.shape) if ad.is_node(tree_dists) else None
-        return g_t, centered(fd, td, s_ff, f.shape)
+        h = (g / denom)[..., None] * td - (g * r / s_ff)[..., None] * fd
+        return h - np.sum(h, axis=-1, keepdims=True) / float(h.shape[-1])
 
-    return ad.make_joint_node(r, (tree_dists, feat_dists), vjp)
+    return ad.make_node(r, (feat_dists, vjp))
 
 
 # prototypes -------------------------------------------------------------------
@@ -143,7 +142,8 @@ def prototype_rows(features, labels, tree, cfg, vertices):
 def cpcc_term_core(features, labels, tree, cfg, metric=None):
     """CPCC between tree distances and prototype distances over present pairs.
 
-    Raises InsufficientVertices when fewer than MIN_CPCC_PAIRS pairs exist.
+    Raises InsufficientVertices when fewer than MIN_CPCC_PAIRS pairs exist,
+    and DegenerateVariance when their tree distances are all equal.
     ``metric`` is the tree's ``hierarchy.tree_metric`` matrix, computed here
     when not given.
     """
@@ -219,14 +219,19 @@ def supcon_core(embeddings, labels, tau):
 # composite -----------------------------------------------------------------------
 
 def composite_core(features, labels, tree, cfg, flat, metric=None):
-    """``flat - alpha * cpcc + beta * center`` on the tape; errors propagate.
+    """``(flat - alpha * cpcc + beta * center, skipped)`` on the tape.
 
     ``flat`` is the already computed flat loss of the batch (cross-entropy
-    or SupCon, per ``cfg.flat_loss``).
+    or SupCon, per ``cfg.flat_loss``).  A batch whose present vertices give
+    fewer than MIN_CPCC_PAIRS pairs, or constant tree distances, has no CPCC
+    term: it is left out and ``skipped`` is True.
     """
-    total = flat
+    total, skipped = flat, False
     if cfg.alpha > 0:
-        total = total - cfg.alpha * cpcc_term_core(features, labels, tree, cfg, metric)
+        try:
+            total = total - cfg.alpha * cpcc_term_core(features, labels, tree, cfg, metric)
+        except (InsufficientVertices, DegenerateVariance):
+            skipped = True
     if cfg.beta > 0:
         total = total + cfg.beta * centering_core(features, cfg)
-    return total
+    return total, skipped

@@ -33,28 +33,6 @@ SYMMETRY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BlockCorrelationSpec:
-    """A label tree whose leaves are samples plus per-height entry values.
-
-    ``r[h-1]`` is the entry for pairs whose LCA has height ``h``; the theorem
-    preconditions want ``r^1 >= r^2 >= ... >= r^H >= 0`` (violations warn).
-    """
-
-    tree: LabelTree
-    r: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(float(x) for x in self.r))
-        max_h = int(self.tree.leaf_lca_heights().max(initial=0))
-        if len(self.r) < max_h:
-            raise ValueError(f"need r values for heights 1..{max_h}, got {len(self.r)}")
-        rs = self.r[:max_h]
-        if any(b > a for a, b in zip(rs, rs[1:])) or (rs and rs[-1] < 0):
-            warnings.warn("r values are not descending nonnegative; "
-                          "closed-form preconditions may not hold", stacklevel=2)
-
-
-@dataclass(frozen=True)
 class EigenSpectrum:
     """Descending eigenvalues with multiplicities."""
 
@@ -74,10 +52,6 @@ class EigenSpectrum:
     @property
     def order(self):
         return sum(self.multiplicities)
-
-    @property
-    def trace(self):
-        return sum(v * m for v, m in zip(self.values, self.multiplicities))
 
     def expand(self):
         """Full descending eigenvalue array (multiplicities unrolled)."""
@@ -99,9 +73,24 @@ class EigenSpectrum:
         return cls(tuple(groups), tuple(counts))
 
 
-def build_block_matrix(spec: BlockCorrelationSpec) -> np.ndarray:
-    """K[i, j] = 1 on the diagonal, else r^(LCA height of leaves i and j)."""
-    return np.array((1.0, *spec.r))[spec.tree.leaf_lca_heights()]
+def build_block_matrix(tree: LabelTree, r) -> np.ndarray:
+    """K[i, j] = 1 on the diagonal, else r^(LCA height of leaves i and j).
+
+    The tree's leaves are the samples; ``r[h-1]`` is the entry for pairs whose
+    LCA has height ``h``.  Raises ValueError when ``r`` misses a height of the
+    tree.  The closed form's preconditions want ``r^1 >= r^2 >= ... >= r^H >= 0``;
+    a violation warns.
+    """
+    heights = tree.leaf_lca_heights()
+    r = tuple(float(x) for x in r)
+    max_h = int(heights.max(initial=0))
+    if len(r) < max_h:
+        raise ValueError(f"need r values for heights 1..{max_h}, got {len(r)}")
+    rs = r[:max_h]
+    if any(b > a for a, b in zip(rs, rs[1:])) or (rs and rs[-1] < 0):
+        warnings.warn("r values are not descending nonnegative; "
+                      "closed-form preconditions may not hold", stacklevel=2)
+    return np.array((1.0, *r))[heights]
 
 
 def balanced_eigenvalues_closed_form(level_counts, r) -> EigenSpectrum:

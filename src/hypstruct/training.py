@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from . import objective as obj
-from .errors import DivergedError, InsufficientVertices, ValidationError
+from .errors import DegenerateVariance, DivergedError, InsufficientVertices, ValidationError
 from .hierarchy import LabelTree, tree_metric
 from .objective import ObjectiveConfig
 
@@ -278,21 +278,14 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
                 xb = np.vstack([xb, dataset.view2[idx]])
                 yb = np.concatenate([yb, yb])
 
-            step_cfg = cfg
-            if cfg.alpha > 0:
-                present = obj.present_vertices(tree, yb, cfg.tree_scope)
-                k = len(present)
-                if k * (k - 1) // 2 < obj.MIN_CPCC_PAIRS:
-                    step_cfg = replace(cfg, alpha=0.0)
-                    skipped += 1
-
             leaves = {name: ad.Node(p) for name, p in params.items()}
             feats = encode(leaves, enc, xb)
             if cfg.flat_loss == "cross_entropy":
                 flat = obj.cross_entropy_core(class_logits(leaves, feats), yb)
             else:
                 flat = obj.supcon_core(project_embeddings(leaves, feats), yb, cfg.tau)
-            total = obj.composite_core(feats, yb, tree, step_cfg, flat, metric)
+            total, skip = obj.composite_core(feats, yb, tree, cfg, flat, metric)
+            skipped += skip
 
             value = float(ad.val(total))
             if not np.isfinite(value):
@@ -319,7 +312,7 @@ def epoch_metrics(params, enc, dataset, tree, cfg, metric=None):
     feats = encode(params, enc, dataset.features)
     try:
         cpcc_val = float(ad.val(obj.cpcc_term_core(feats, dataset.labels, tree, cfg, metric)))
-    except InsufficientVertices:
+    except (InsufficientVertices, DegenerateVariance):
         cpcc_val = float("nan")
     center_val = float(ad.val(obj.centering_core(feats, cfg)))
     return cpcc_val, center_val

@@ -3,7 +3,8 @@
 These build the same values as ``geometry.exp0``, ``geometry.dist_rows``,
 ``geometry.pair_distances`` and ``objective.cpcc_core`` out of elementary
 tape operations, one node per step, so the tape derives their gradients.  The
-tests compare the fused hand-written backward passes against them.
+tests compare the fused hand-written backward passes against them; the
+value-only ``geometry.dist_rows`` is compared by value.
 ``cpcc_core`` here reduces along the last axis like the fused version.
 ``log0``, the inverse of ``exp0``, and ``poincare_midpoint``, one Poincare
 prototype from the Klein round trip, serve the round-trip and per-class

@@ -87,21 +87,6 @@ def test_take_along_axis():
     assert ad.take(ad.Node(x), idx, axis=1).value.flags.c_contiguous
 
 
-def test_joint_node_shares_one_backward_pass():
-    calls = []
-
-    def vjp(g):
-        calls.append(g)
-        return 2.0 * g, 3.0 * g
-
-    a, b = ad.Node(np.ones(2)), ad.Node(np.ones(2))
-    out = ad.sum(ad.make_joint_node(np.zeros(2), (a, b), vjp))
-    ga, gb = ad.grad(out, [a, b])
-    np.testing.assert_array_equal(ga, [2.0, 2.0])
-    np.testing.assert_array_equal(gb, [3.0, 3.0])
-    assert len(calls) == 1
-
-
 def test_where_maximum_slice():
     mask = np.array([True, False, True])
     check(lambda x: ad.sum(ad.where(mask, x * 3.0, x * 0.5)), rng.standard_normal(3))

@@ -9,8 +9,9 @@ import pytest
 
 from hypstruct import cli
 from hypstruct import diagnostics as dg
+from hypstruct import spectral as sp
 from hypstruct import training as tr
-from hypstruct.hierarchy import balanced_tree
+from hypstruct.hierarchy import balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 
 from conftest import save_dataset_csv, traced_peak_mb
 
@@ -114,6 +115,45 @@ def test_embed_tree_same_seed_gives_byte_identical_artifacts(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("dim,curvature", [(2, 1.0), (5, 0.5)])
+def test_embed_tree_pairs_csv_hold_every_pair_at_the_reported_cpcc(tmp_path, dim, curvature):
+    tree = builtin_cifar10_tree()
+    out = run("embed-tree", {"hierarchy": "builtin:cifar10", "seed": 1, "dim": dim,
+                             "curvature": curvature, "restarts": 2, "steps": 100},
+              tmp_path, "embed")
+    cpcc = json.loads((out / "cpcc.json").read_text())
+    metric = tree_metric(tree)
+    pairs = [(a, b) for a in range(tree.n_vertices) for b in range(a + 1, tree.n_vertices)]
+    for mode in ("poincare", "l2"):
+        with open(out / f"pairs_{mode}.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["vertex_a", "vertex_b", "tree_dist", "embedded_dist"]
+        assert [(tree.id_of(a), tree.id_of(b)) for a, b, *_ in rows] == pairs
+        tree_d, emb_d = (np.array([float(row[i]) for row in rows]) for i in (2, 3))
+        np.testing.assert_array_equal(tree_d, [metric[a, b] for a, b in pairs])
+        pearson = np.corrcoef(tree_d, emb_d)[0, 1]
+        assert abs(pearson - cpcc[f"{mode}_cpcc"]) <= 1e-12, mode
+
+
+UNEVEN_TREE = {"name": "root", "children": [
+    {"name": "a", "children": [{"name": "a1"},
+                               {"name": "a2", "children": [{"name": "x"}, {"name": "y"}]}]},
+    {"name": "b"},
+    {"name": "c", "children": [{"name": "c1"}]}]}
+
+
+def test_spectra_block_spec_on_an_uneven_hierarchy_has_no_closed_form(tmp_path):
+    r = [0.9, 0.6, 0.3]
+    out = run("spectra", {"block_spec": {"hierarchy": UNEVEN_TREE, "r": r}}, tmp_path, "spectra")
+    assert not (out / "spectrum_closed.csv").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_abs_discrepancy"] is None and report["n"] == 5
+    with open(out / "spectrum_numerical.csv", newline="") as fh:
+        got = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+    K = sp.build_block_matrix(parse_tree(json.dumps(UNEVEN_TREE)), r)
+    np.testing.assert_allclose(got, np.linalg.eigvalsh(K)[::-1], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_float_matrix_csv_matches_the_per_cell_path(dtype, tmp_path):
     rng = np.random.default_rng(8)
@@ -189,7 +229,7 @@ def test_diverging_train_exits_with_the_diverged_code(tmp_path, capsys):
 
 
 def oodsim_config(trained):
-    return {"hierarchy": TREE, "seed": 3, "checkpoint": str(trained / "checkpoint.json"),
+    return {"hierarchy": TREE, "seed": 3, "methods": {"method": str(trained / "checkpoint.json")},
             "id_train": DATA, "id_eval": {"synthetic": {"n_per_leaf": 5, "dim": 4}},
             "ood_sets": {"far": {"far_cluster": {"n": 20}}, "same": {"id_eval": True}}}
 
@@ -354,7 +394,7 @@ DELETE = object()
     ("train", "train.epoch", {"train.epoch": 1}),
     ("train", "encoder.hidden", {"encoder.hidden": 4}),
     ("train", "dataset.synthetic.n_per_lef", {"dataset.synthetic.n_per_lef": 3}),
-    ("train", "objective", {"objective.c": 2.0, "objective.curvature": 0.5}),
+    ("train", "objective.curvature", {"objective.curvature": 0.5}),
     ("train", "dataset", {"dataset.csv": "data.csv"}),
     ("train", "command", {"command": "eval"}),
     ("eval", "knn", {"knn": 3}),
@@ -371,6 +411,9 @@ DELETE = object()
     ("oodsim", "ood_sets", {"ood_sets": DELETE}),
     ("spectra", "hierarchy", {"hierarchy": "builtin:cifar10"}),
     ("oodsim", "raw_features", {"raw_features": True}),
+    ("oodsim", "checkpoint", {"checkpoint": "checkpoint.json"}),
+    ("spectra", "block_spec.tree", {"block_spec.tree": TREE,
+                                    "block_spec.balanced_level_counts": DELETE}),
 ])
 def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
                                                          command, path, edits):
@@ -401,14 +444,6 @@ def test_help_lists_every_top_level_key(command, capsys):
     text = capsys.readouterr().out
     for key in cli.COMMAND_KEYS[command]:
         assert f"\n  {key} " in text, key
-
-
-def test_curvature_alone_sets_c(tmp_path):
-    config = dict(TRAIN, objective={"variant": "hypstructure", "curvature": 0.5},
-                  train={"epochs": 1, "batch_size": 16})
-    out = run("train", config, tmp_path, "train")
-    echo = json.loads((out / "resolved_config.json").read_text())["config"]["objective"]
-    assert echo["c"] == 0.5 and "curvature" not in echo
 
 
 def test_eval_counts_test_cpcc_pairs_that_hit_the_atanh_clamp(tmp_path):

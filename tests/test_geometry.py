@@ -276,27 +276,15 @@ class TestFusedBackward:
     @pytest.mark.parametrize("shape", FUSED_SHAPES)
     @pytest.mark.parametrize("c", [1.0, 0.6])
     def test_dist_rows(self, shape, c):
-        # both operands gathered from one leaf, as the pair distances are
+        # the two rows of every i < j pair, as embed-tree pairs them
         rng = np.random.default_rng(23)
         z = 0.8 * geo.exp0(rng.standard_normal(shape), c)
         ii, jj = np.triu_indices(shape[-2], 1)
-        w = rng.standard_normal(shape[:-2] + ii.shape)
-
-        def pairs(impl):
-            return lambda x: impl.dist_rows(ad.take(x, ii, axis=-2), ad.take(x, jj, axis=-2), c)
-
-        np.testing.assert_array_equal(pairs(geo)(z), pairs(composed)(z))
-        assert_fused_matches(pairs(geo), pairs(composed), z, w)
-
-    def test_dist_rows_single_operand(self):
-        rng = np.random.default_rng(24)
-        z1 = 0.8 * geo.exp0(rng.standard_normal((6, 3)), 1.0)
-        z2 = 0.8 * geo.exp0(rng.standard_normal((6, 3)), 1.0)
-        w = rng.standard_normal(6)
-        assert_fused_matches(lambda x: geo.dist_rows(z1, x, 1.0),
-                             lambda x: composed.dist_rows(z1, x, 1.0), z2, w)
-        assert_fused_matches(lambda x: geo.dist_rows(x, z2, 1.0),
-                             lambda x: composed.dist_rows(x, z2, 1.0), z1, w)
+        z1, z2 = z[..., ii, :], z[..., jj, :]
+        np.testing.assert_array_equal(geo.dist_rows(z1, z2, c), composed.dist_rows(z1, z2, c))
+        # values only: a tape node is not an operand
+        with pytest.raises(TypeError):
+            geo.dist_rows(ad.Node(z1), z2, c)
 
     def test_dist_rows_boundary_clamp(self):
         # pair 0 lies well inside; pair 1 joins antipodal points one ulp inside
@@ -304,27 +292,14 @@ class TestFusedBackward:
         edge = np.nextafter(1.0, 0.0)
         z = np.array([[0.3, 0.1], [edge, 0.0], [-0.2, 0.4], [-edge, 0.0]])
         ii, jj = np.array([0, 1]), np.array([2, 3])
-        w = np.array([1.0, 1.0])
         seen = {}
         for name, impl in (("fused", geo), ("composed", composed)):
-            ad.reset_events()
             before = ad.total_atanh_clamps()
-            g = weighted_grad(lambda x: impl.dist_rows(ad.take(x, ii), ad.take(x, jj), 1.0), z, w)
-            seen[name] = (g, ad.events_active(), ad.total_atanh_clamps() - before)
-        g, active, clamps = seen["fused"]
-        assert (active, clamps) == seen["composed"][1:] == (True, 1)
-        np.testing.assert_allclose(g, seen["composed"][0], rtol=0, atol=1e-10)
-        assert np.all(g[[1, 3]] == 0.0)
-        assert np.all(g[[0, 2]] != 0.0)
-
-        def inner_pair(v):
-            rows = z.copy()
-            rows[[0, 2]] = v.reshape(2, 2)
-            return float(np.sum(geo.dist_rows(rows[ii], rows[jj], 1.0)))
-
-        np.testing.assert_allclose(g[[0, 2]].ravel(),
-                                   central_difference(inner_pair, z[[0, 2]].ravel()),
-                                   rtol=0, atol=1e-7)
+            seen[name] = (impl.dist_rows(z[ii], z[jj], 1.0), ad.total_atanh_clamps() - before)
+        (got, clamps), (want, want_clamps) = seen["fused"], seen["composed"]
+        assert clamps == want_clamps == 1
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert got[1] == 2.0 * np.arctanh(ad.ATANH_MAX)
 
 
 # all-pairs kernel ---------------------------------------------------------------
@@ -386,17 +361,16 @@ class TestClosePairs:
     def test_kernel_and_dist_rows_against_exact_colinear(self, sep, r, c):
         z, r2 = colinear_pair(r, sep, 3)
         d, dd_r2, dd_r = exact_colinear(r, r2, c)
-        kernels = {
-            "pair_distances": lambda x: geo.pair_distances(x, "poincare", c),
-            "dist_rows": lambda x: geo.dist_rows(ad.take(x, [0]), ad.take(x, [1]), c),
-        }
-        for name, fn in kernels.items():
-            got = float(ad.val(fn(z))[0])
-            g = weighted_grad(fn, z, np.ones(1))
-            assert abs(got - d) <= 1e-13 * d, name
-            assert abs(g[1, 0] - dd_r2) <= 1e-13 * abs(dd_r2), name
-            assert abs(g[0, 0] - dd_r) <= 1e-13 * abs(dd_r), name
-            np.testing.assert_array_equal(g[:, 1:], 0.0)
+        assert abs(float(geo.dist_rows(z[0], z[1], c)) - d) <= 1e-13 * d
+
+        def kernel(x):
+            return geo.pair_distances(x, "poincare", c)
+
+        g = weighted_grad(kernel, z, np.ones(1))
+        assert abs(float(kernel(z)[0]) - d) <= 1e-13 * d
+        assert abs(g[1, 0] - dd_r2) <= 1e-13 * abs(dd_r2)
+        assert abs(g[0, 0] - dd_r) <= 1e-13 * abs(dd_r)
+        np.testing.assert_array_equal(g[:, 1:], 0.0)
 
     @pytest.mark.parametrize("sep", SEPARATIONS)
     def test_l2_kernel_exact_for_close_pairs(self, sep):
@@ -437,5 +411,4 @@ class TestCoincidentRows:
         z = np.array([[0.2, -0.3], [0.0, 0.0]])
         before = ad.total_atanh_clamps()
         assert np.all(geo.dist_rows(z, z, 1.0) == 0.0)
-        assert np.all(weighted_grad(lambda x: geo.dist_rows(x, z, 1.0), z, np.ones(2)) == 0.0)
         assert ad.total_atanh_clamps() == before

@@ -47,7 +47,7 @@ class TestBuiltinTree:
     def test_shape(self):
         t = hi.builtin_cifar10_tree()
         assert t.n_vertices == 13
-        assert len(t.leaves()) == 10
+        assert len(t.leaf_classes) == 10
         assert t.names[t.root] == "root"
 
     def test_unit_weight_paths(self):
@@ -99,8 +99,8 @@ class TestTreeMetric:
     def test_leaf_distance_is_twice_lca_height(self):
         t = hi.balanced_tree([1, 2, 4, 8])
         tm = hi.tree_metric(t)
-        for u in t.leaves():
-            for v in t.leaves():
+        for u in t.leaf_classes:
+            for v in t.leaf_classes:
                 if u != v:
                     assert tm[u, v] == 2.0 * t.lca_height(u, v)
 
@@ -168,13 +168,13 @@ class TestLcaHeight:
 
     def test_matches_brute_force(self):
         t = hi.balanced_tree([1, 4, 8])
-        for u in t.leaves():
-            for v in t.leaves():
+        for u in t.leaf_classes:
+            for v in t.leaf_classes:
                 assert t.lca_height(u, v) == brute_force_lca_height(t, u, v)
 
     def test_cross_coarse_height(self):
         t = hi.balanced_tree([1, 2, 4])
-        leaves = t.leaves()
+        leaves = t.leaf_classes
         assert t.lca_height(leaves[0], leaves[3]) == 2
 
     def test_not_a_leaf(self):
@@ -187,16 +187,16 @@ class TestBalancedTree:
     def test_small(self):
         t = hi.balanced_tree([1, 2, 4])
         assert t.n_vertices == 7
-        assert len(t.leaves()) == 4
+        assert len(t.leaf_classes) == 4
 
     def test_degenerate_chain(self):
         t = hi.balanced_tree([1, 1])
         assert t.n_vertices == 2
-        assert len(t.leaves()) == 1
+        assert len(t.leaf_classes) == 1
 
     def test_cifar100_shape(self):
         t = hi.balanced_tree([1, 20, 100])
-        assert len(t.leaves()) == 100
+        assert len(t.leaf_classes) == 100
         assert sum(1 for v in range(t.n_vertices) if t.depth(v) == 1) == 20
 
     def test_invalid_counts(self):

@@ -69,18 +69,21 @@ class TestCpccFusedBackward:
         f = rng.uniform(0, 3, size=shape)
         w = rng.uniform(0.5, 2.0, size=shape[:-1])
         np.testing.assert_array_equal(obj.cpcc_core(t, f), composed.cpcc_core(t, f))
-        for wrt, fused, comp, x in (
-                ("features", lambda v: obj.cpcc_core(t, v),
-                 lambda v: composed.cpcc_core(t, v), f),
-                ("tree", lambda v: obj.cpcc_core(v, f),
-                 lambda v: composed.cpcc_core(v, f), t)):
-            g = weighted_grad(fused, x, w)
-            want = central_difference(lambda v: float(np.sum(fused(v) * w)), x)
-            np.testing.assert_allclose(g, weighted_grad(comp, x, w), rtol=0, atol=1e-10,
-                                       err_msg=wrt)
-            np.testing.assert_allclose(g, want, rtol=0, atol=1e-7, err_msg=wrt)
-            np.testing.assert_allclose(weighted_grad(comp, x, w), want, rtol=0, atol=1e-7,
-                                       err_msg=wrt)
+
+        def fused(v):
+            return obj.cpcc_core(t, v)
+
+        def comp(v):
+            return composed.cpcc_core(t, v)
+
+        g = weighted_grad(fused, f, w)
+        want = central_difference(lambda v: float(np.sum(fused(v) * w)), f)
+        np.testing.assert_allclose(g, weighted_grad(comp, f, w), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(weighted_grad(comp, f, w), want, rtol=0, atol=1e-7)
+        # the tree distances are a constant operand, never a tape node
+        with pytest.raises(TypeError):
+            obj.cpcc_core(ad.Node(t), f)
 
     def test_leading_axis_is_a_batch(self):
         rng = np.random.default_rng(32)
@@ -93,36 +96,9 @@ class TestCpccFusedBackward:
             np.testing.assert_array_equal(g[r], gradient(lambda v: obj.cpcc_core(t, v), f[r]))
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_clamped_pairs_through_fused_chain(self, batched):
+    def test_clamped_pairs_through_pair_kernel(self, batched):
         # CPCC over Poincare pair distances where points 1 and 3 sit one ulp
         # inside the unit circle: the atanh of each of their 7 pairs clamps
-        edge = np.nextafter(1.0, 0.0)
-        z = np.array([[0.3, 0.1], [edge, 0.0], [-0.2, 0.4], [-edge, 0.0], [0.1, -0.5]])
-        ii, jj = np.triu_indices(5, 1)
-        t = np.arange(1.0, 11.0) % 4 + 1.0
-        if batched:
-            z = np.stack([z, z[::-1]])
-        seen = {}
-        for name, dist, corr in (("fused", geo.dist_rows, obj.cpcc_core),
-                                 ("composed", composed.dist_rows, composed.cpcc_core)):
-            ad.reset_events()
-            before = ad.total_atanh_clamps()
-
-            def chain(x):
-                return corr(t, dist(ad.take(x, ii, axis=-2), ad.take(x, jj, axis=-2), 1.0))
-
-            g = weighted_grad(chain, z, np.ones(z.shape[:-2]))
-            seen[name] = (g, ad.events_active(), ad.total_atanh_clamps() - before)
-        g, active, clamps = seen["fused"]
-        assert (active, clamps) == seen["composed"][1:] == (True, 14 if batched else 7)
-        np.testing.assert_allclose(g, seen["composed"][0], rtol=0, atol=1e-10)
-        assert np.all(g[..., [1, 3], :] == 0.0)
-        assert np.all(g[..., [0, 2, 4], :] != 0.0)
-
-
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_clamped_pairs_through_pair_kernel(self, batched):
-        # the same chain with the all-pairs kernel in place of gather + dist_rows
         edge = np.nextafter(1.0, 0.0)
         z = np.array([[0.3, 0.1], [edge, 0.0], [-0.2, 0.4], [-edge, 0.0], [0.1, -0.5]])
         t = np.arange(1.0, 11.0) % 4 + 1.0
@@ -519,7 +495,9 @@ class TestComposite:
 
     def composite(self, cfg):
         flat = obj.cross_entropy_core(self.logits, self.labels)
-        return float(obj.composite_core(self.features, self.labels, self.tree, cfg, flat))
+        total, skipped = obj.composite_core(self.features, self.labels, self.tree, cfg, flat)
+        assert not skipped
+        return float(total)
 
     def cpcc_term(self, cfg):
         return float(obj.cpcc_term_core(self.features, self.labels, self.tree, cfg))
@@ -545,6 +523,17 @@ class TestComposite:
         v2 = self.composite(cfg2)
         if cpcc_val > 0:
             assert v2 < v1
+
+    @pytest.mark.parametrize("classes,why", [([0, 1], "two vertices, one pair"),
+                                             ([4, 5, 6], "one coarse group: equal distances")])
+    def test_batch_without_a_cpcc_term_is_skipped(self, classes, why):
+        cfg = obj.ObjectiveConfig(tree_scope="leaf_only")
+        labels = np.repeat(classes, 2)
+        feats = self.features[:labels.size]
+        flat = obj.cross_entropy_core(self.logits[:labels.size], labels)
+        total, skipped = obj.composite_core(feats, labels, self.tree, cfg, flat)
+        assert skipped, why
+        assert float(total) == float(flat + cfg.beta * obj.centering_core(feats, cfg))
 
     def test_default_weights(self):
         cfg = obj.ObjectiveConfig()
@@ -579,7 +568,7 @@ class TestGradient:
 
             def closure(feats):
                 flat = obj.cross_entropy_core(ad.matmul(feats, logits_w), labels)
-                return obj.composite_core(feats, labels, tree, cfg, flat)
+                return obj.composite_core(feats, labels, tree, cfg, flat)[0]
 
             g, nondiff = gradient(closure, feats0, return_nondifferentiable=True)
             assert not nondiff
@@ -596,7 +585,7 @@ class TestGradient:
 
         def closure(feats):
             flat = obj.cross_entropy_core(ad.matmul(feats, np.eye(2, 4)), labels)
-            return obj.composite_core(feats, labels, tree, cfg, flat)
+            return obj.composite_core(feats, labels, tree, cfg, flat)[0]
 
         _, nondiff = gradient(closure, feats0, return_nondifferentiable=True)
         assert nondiff

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function and class of the package, and every method
+and property of its classes, has a caller.
 
 The ``hypstruct`` command line is the package's one public surface.  So a
 definition in ``src/hypstruct/`` that nothing in ``src/hypstruct/`` or
@@ -6,9 +7,17 @@ definition in ``src/hypstruct/`` that nothing in ``src/hypstruct/`` or
 statements) has no user: delete it, or move it into the test tree if only the
 tests need it.  ``__init__.py`` defines nothing; it is read for references
 only.
+
+A class member (dunder methods aside) counts as called when ``.name``
+appears anywhere in that text outside its own definition.  The match is on
+text, not on the syntax tree, because the benchmark also calls members inside
+code strings it hands to a child process (``.serialize()`` in
+``benchmark/run.py``).  So a member whose name is also some other attribute
+(``args.trace``, ``np.trace``) passes unseen.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +107,34 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_live_definitions_without_callers():
     assert set(ALLOWED) <= set(definitions())
     assert set(ALLOWED) <= set(uncalled())
+
+
+def members():
+    """``(module.Class.name, file, first line, last line)`` of every method and
+    property of a package class; dunder methods are left out."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found += [(f"{path.stem}.{cls.name}.{fn.name}", path, fn.lineno, fn.end_lineno)
+                      for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                      and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    return found
+
+
+def unused_members():
+    lines = {path: path.read_text().splitlines() for path in SOURCES}
+    unused = []
+    for qualified, own, first, last in members():
+        attribute = re.compile(rf"\.{qualified.rsplit('.', 1)[1]}\b")
+        if not any(attribute.search(line) for path, text in lines.items()
+                   for line in (text[:first - 1] + text[last:] if path == own else text)):
+            unused.append(qualified)
+    return unused
+
+
+def test_every_class_member_has_a_caller():
+    assert members()
+    orphans = unused_members()
+    assert not orphans, f"no caller in src/hypstruct/ or benchmark/: {orphans}"

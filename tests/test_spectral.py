@@ -26,7 +26,7 @@ def oracle_spectrum(K):
 
 
 def block_matrix(counts, r):
-    return sp.build_block_matrix(sp.BlockCorrelationSpec(hi.balanced_tree(counts), r))
+    return sp.build_block_matrix(hi.balanced_tree(counts), r)
 
 
 def assert_same_spectrum(got, want, tol):
@@ -133,13 +133,17 @@ def test_leaf_lca_heights_match_pairwise_queries(tree):
 def test_block_matrix_on_uneven_tree():
     tree = hi.parse_tree(UNEVEN_TREE)
     r = (0.9, 0.6, 0.3)
-    K = sp.build_block_matrix(sp.BlockCorrelationSpec(tree, r))
+    K = sp.build_block_matrix(tree, r)
     leaves = [tree.leaf_of_class(k) for k in range(tree.n_classes)]
     want = np.array([[1.0 if u == v else r[tree.lca_height(u, v) - 1] for v in leaves]
                      for u in leaves])
     assert np.array_equal(K, want)
     with pytest.raises(ValueError):
-        sp.BlockCorrelationSpec(tree, r[:2])
+        sp.build_block_matrix(tree, r[:2])
+    # rising or negative values break the closed form's preconditions
+    for bad in ((0.3, 0.6, 0.9), (0.9, 0.6, -0.3)):
+        with pytest.warns(UserWarning, match="preconditions"):
+            sp.build_block_matrix(tree, bad)
 
 
 def test_lca_height_broadcasts_over_leaf_arrays():

@@ -150,6 +150,35 @@ class TestTrain:
         assert tr.learning_rate(tc, 39) <= 0.01 * 0.5
 
 
+def replayed_cpcc_skips(tree, dataset, tc):
+    """Batches of ``train``'s shuffles whose present leaves give fewer than 3
+    pairs, or pairs all at one tree distance; counted from the seeded
+    permutations and the tree metric alone."""
+    metric = hi.tree_metric(tree)
+    rng = np.random.default_rng(tc.seed)
+    skips = 0
+    for _ in range(tc.epochs):
+        perm = rng.permutation(dataset.n)
+        for start in range(0, dataset.n, tc.batch_size):
+            batch = dataset.labels[perm[start:start + tc.batch_size]]
+            leaves = sorted({tree.leaf_of_class(int(k)) for k in batch})
+            dists = {metric[a, b] for i, a in enumerate(leaves) for b in leaves[i + 1:]}
+            skips += len(leaves) * (len(leaves) - 1) // 2 < obj.MIN_CPCC_PAIRS or len(dists) == 1
+    return skips
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_only_batches_without_a_cpcc_term_are_skipped(tree, seed):
+    # three rows of ten leaves: a batch often has fewer than three classes, or
+    # three leaves of one coarse group, all at tree distance 2 from each other
+    ds = tr.generate_hierarchical_gaussians(tr.SyntheticSpec(tree=tree, n_per_leaf=3, seed=seed))
+    enc = tr.EncoderSpec(seed=seed + 1)
+    tc = tr.TrainConfig(epochs=2, batch_size=3, lr0=0.01, seed=seed)
+    res = tr.train(ds, tree, enc, obj.ObjectiveConfig(tree_scope="leaf_only"), tc)
+    assert res.skipped_cpcc_steps == replayed_cpcc_skips(tree, ds, tc) > 0
+    assert all(np.isfinite([row.flat, row.cpcc, row.center]).all() for row in res.history)
+
+
 class TestEmbedTreeDirect:
     def test_three_leaf_star_l2_exact(self):
         star = hi.balanced_tree([1, 3])
@@ -338,7 +367,8 @@ def test_train_step_tape_size_on_cifar100_shape():
     leaves = {name: ad.Node(p) for name, p in params.items()}
     feats = tr.encode(leaves, enc, xb)
     flat = obj.cross_entropy_core(tr.class_logits(leaves, feats), yb)
-    total = obj.composite_core(feats, yb, tree, cfg, flat)
+    total, skipped = obj.composite_core(feats, yb, tree, cfg, flat)
+    assert not skipped
     nodes = tape_nodes(total)
     assert len(nodes) <= MAX_STEP_NODES
 
