@@ -6,16 +6,20 @@ array, no overhead beyond an ``isinstance`` check) or a :class:`Node`
 numerical core of the package in terms of these functions gives one code path
 for both plain evaluation and differentiation.
 
-Boundary handling: ``atanh`` clamps its argument to ``ATANH_MAX`` before
-evaluation, and the ball clip used by the geometry layer reports when its
-rescale branch fires.  Both kinds of event are counted in module-level
-counters so a caller can tell whether a just-computed gradient crossed a
-non-smooth point.  The package is single-threaded; the counters are not
-guarded against concurrent use.
+Boundary handling: the Poincare distance clamps its atanh argument to
+``ATANH_MAX`` before evaluation, and the ball clip used by the geometry layer
+reports when its rescale branch fires.  Both kinds of event are counted in
+module-level counters (``record_atanh_clamps``, ``record_clip_rescales``) so
+a caller can tell whether a just-computed gradient crossed a non-smooth
+point.  The package is single-threaded; the counters are not guarded against
+concurrent use.
 
 Fused operations (the exponential map, the all-pairs distance kernel, CPCC)
-build one node with a hand-written vector-Jacobian product through
-:func:`make_node` instead of one node per elementary step.  Each fused node
+are written once, in value-and-VJP form: a function of plain arrays that
+returns its value and a hand-written vector-Jacobian product.  On the tape
+such a function is one node, built by :func:`make_node` over that VJP,
+instead of one node per elementary step; off the tape the same function
+gives the value, and a caller may chain the VJPs itself.  Each fused node
 has one parent on the tape: training differentiates with respect to the
 features only, so tree distances enter as constants.
 """
@@ -50,7 +54,8 @@ def total_atanh_clamps():
     return _total_atanh_clamps
 
 
-def _record_atanh_clamps(count):
+def record_atanh_clamps(count):
+    """Called by the geometry layer for each batch of clamped atanh arguments."""
     global _atanh_clamps, _total_atanh_clamps
     _atanh_clamps += count
     _total_atanh_clamps += count
@@ -137,10 +142,11 @@ def make_node(value, *pairs):
     """Node of ``value`` over ``(parent, vjp)`` pairs, keeping only Node parents.
 
     ``vjp`` maps the output gradient to that parent's gradient contribution;
-    fused operations use this to put one node on the tape.
+    fused operations use this to put one node on the tape.  With no Node
+    parent, ``value`` itself is returned: nothing is on the tape.
     """
     parents = tuple((p, vjp) for p, vjp in pairs if isinstance(p, Node))
-    return Node(value, parents)
+    return Node(value, parents) if parents else value
 
 
 def add(a, b):
@@ -233,28 +239,6 @@ def tanh(a):
         return np.tanh(val(a))
     y = np.tanh(a.value)
     return make_node(y, (a, lambda g, yy=y: g * (1.0 - yy * yy)))
-
-
-def atanh(a):
-    """Inverse hyperbolic tangent with boundary clamping.
-
-    Arguments with ``|x| >= ATANH_MAX`` are clamped; the clamp is treated as a
-    constant (zero gradient) and counted as a non-smooth event.
-    """
-    va = val(a)
-    clipped = np.clip(va, -ATANH_MAX, ATANH_MAX)
-    n_clamped = int(np.count_nonzero(np.abs(va) >= ATANH_MAX))
-    if n_clamped:
-        _record_atanh_clamps(n_clamped)
-    y = np.arctanh(clipped)
-    if not isinstance(a, Node):
-        return y
-    inside = np.abs(va) < ATANH_MAX
-
-    def vjp(g, x=clipped, m=inside):
-        return np.where(m, g / (1.0 - x * x), 0.0)
-
-    return make_node(y, (a, vjp))
 
 
 def exp(a):

@@ -305,6 +305,9 @@ def cmd_train(cfg: dict, out: Path) -> int:
     dataset = _dataset(cfg, "dataset", tree)
     cfg["encoder"] = _checked(cfg["encoder"], ENCODER_KEYS, "encoder", seed,
                               input_dim=dataset.dim)
+    if cfg["encoder"]["input_dim"] != dataset.dim:
+        raise ConfigError(f"encoder.input_dim: {cfg['encoder']['input_dim']} does not match "
+                          f"the dataset's feature dimension {dataset.dim}")
     cfg["objective"] = objective_config(cfg["objective"])
     cfg["train"] = _checked(cfg["train"], TRAIN_KEYS, "train", seed)
     enc = EncoderSpec(**cfg["encoder"])

@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import objective as obj
 from .errors import (
-    DegenerateVariance,
     EmptyInput,
     MissingEntry,
     SingularAfterRegularization,
@@ -188,15 +186,12 @@ def test_cpcc(features, labels, tree: LabelTree, distance_mode: str = "l2",
     ``"poincare"`` exp-maps samples, Klein-averages them per class, and uses
     the Poincare distance with curvature ``c``.  This is the leaf-only CPCC
     term of the training objective, evaluated on plain arrays; fewer than
-    three present classes raise InsufficientVertices.
+    three present classes raise InsufficientVertices, and constant prototype
+    distances raise DegenerateVariance.
     """
     cfg = obj.ObjectiveConfig(c=c, tree_scope="leaf_only", cpcc_distance=distance_mode)
     features = np.asarray(features, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        value = float(ad.val(obj.cpcc_term_core(features, labels, tree, cfg)))
-    if np.isnan(value):
-        raise DegenerateVariance("prototype distances are constant or non-finite")
-    return value
+    return float(obj.cpcc_term_core(features, labels, tree, cfg))
 
 
 def knn_classify(train_feats, label_sets, query_feats, k: int):

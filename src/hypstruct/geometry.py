@@ -1,11 +1,14 @@
 """Poincare-ball and Klein-model primitives on raw arrays.
 
 Every function takes rows along the last axis and is what the objective and
-training code build on.  All but ``dist_rows`` accept tape nodes as well as
-numpy arrays.  ``pair_distances`` gives all i < j distances of a set of rows
-as one tape node; ``dist_rows`` pairs rows one to one, on values only, for
-the distances ``embed-tree`` writes out.  Both share one Poincare distance
-formula.
+training code build on.  The two fused kernels have one implementation each,
+in value-and-VJP form: ``exp0_vjp`` and ``pair_distances_vjp`` take plain
+arrays and return the value with its vector-Jacobian product.  ``exp0`` and
+``pair_distances`` apply them to an array, or to a tape node as one node;
+``embed-tree`` chains the VJPs by hand.  The other functions accept tape
+nodes as well as numpy arrays, except ``dist_rows``, which pairs rows one to
+one, on values only, for the distances ``embed-tree`` writes out.  It shares
+one Poincare distance formula with ``pair_distances_vjp``.
 
 Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
 radius is ``1/sqrt(c)``.  The exponential map is taken at the origin only;
@@ -44,30 +47,31 @@ def sq_norm(x, axis=-1, keepdims=False):
     return ad.sum(x * x, axis=axis, keepdims=keepdims)
 
 
-def exp0(v, c):
-    """Exponential map at the origin, rows along the last axis; one tape node.
+def exp0_vjp(x, c):
+    """Exponential map at the origin of plain ``x``, rows along the last axis.
 
-    The tanh cap and the squared-norm floor are constants of the backward
-    pass (zero gradient through them).
+    Returns ``exp0(x)`` and its VJP ``g -> g_x``.  The tanh cap and the
+    squared-norm floor are constants of the backward pass (zero gradient
+    through them).
     """
-    x = ad.val(v)
-    sq = np.sum(x * x, axis=-1, keepdims=True)
+    sq = (x * x).sum(axis=-1, keepdims=True)
     s0 = np.sqrt(np.maximum(sq, _TINY_SQ))
     s = s0 * np.sqrt(c)
-    t = np.tanh(s)
-    capped = t >= _TANH_MAX
-    t = np.where(capped, _TANH_MAX, t)
+    t = np.minimum(np.tanh(s), _TANH_MAX)
     coef = t / s
-    out = coef * x
-    if not ad.is_node(v):
-        return out
 
     def vjp(g):
         # out = coef(s) x with coef = tanh(s)/s and s = sqrt(c) ||x||
-        dcoef = (np.where(capped, 0.0, 1.0 - t * t) - coef) / s
-        g_sq = np.sum(g * x, axis=-1, keepdims=True) * dcoef * np.sqrt(c) / (2.0 * s0)
+        dcoef = (np.where(t >= _TANH_MAX, 0.0, 1.0 - t * t) - coef) / s
+        g_sq = (g * x).sum(axis=-1, keepdims=True) * dcoef * np.sqrt(c) / (2.0 * s0)
         return coef * g + 2.0 * np.where(sq >= _TINY_SQ, g_sq, 0.0) * x
 
+    return coef * x, vjp
+
+
+def exp0(v, c):
+    """:func:`exp0_vjp` on an array or a tape node; one node on the tape."""
+    out, vjp = exp0_vjp(ad.val(v), c)
     return ad.make_node(out, (v, vjp))
 
 
@@ -117,12 +121,18 @@ def _poincare_from_sq(s, ni, nj, c):
     with respect to the three inputs.  The denominator floor and the atanh
     clamp are constants of the backward pass: a pair whose argument clamps
     gets zero gradient.  So does a coincident pair (``s == 0``), where the
-    distance has a kink.
+    distance has a kink.  Each clamped argument counts as one
+    ``autodiff`` atanh clamp.
     """
-    den = np.maximum((1.0 - c * ni) * (1.0 - c * nj) + c * s, _TINY_SQ)
+    ai, aj = 1.0 - c * ni, 1.0 - c * nj
+    den = np.maximum(ai * aj + c * s, _TINY_SQ)
     m = np.sqrt(s / den)
+    # arg >= 0, so only the upper clamp can bind
     arg = np.sqrt(c) * m
-    out = (2.0 / np.sqrt(c)) * ad.atanh(arg)
+    n_clamped = int(np.count_nonzero(arg >= ad.ATANH_MAX))
+    if n_clamped:
+        ad.record_atanh_clamps(n_clamped)
+    out = (2.0 / np.sqrt(c)) * np.arctanh(np.minimum(arg, ad.ATANH_MAX))
 
     def back(g):
         # dd/ds = 1/(m den), dd/dn_i = c m / (1 - c n_i)
@@ -132,7 +142,7 @@ def _poincare_from_sq(s, ni, nj, c):
         def safe(num, by):
             return np.divide(num, by, out=np.zeros(live.shape), where=live)
 
-        return safe(g, m * den), safe(gm, 1.0 - c * ni), safe(gm, 1.0 - c * nj)
+        return safe(g, m * den), safe(gm, ai), safe(gm, aj)
 
     return out, back
 
@@ -169,27 +179,30 @@ def pair_index(k):
     return index
 
 
-def pair_distances(rows, mode, c=1.0):
-    """Distances of all row pairs ``i < j`` of ``(..., k, d)`` rows; one tape node.
+def pair_distances_vjp(x, mode, c=1.0, scratch=None):
+    """Distances of all row pairs ``i < j`` of plain ``(..., k, d)`` rows.
 
     Returns ``(..., P)``, ``P = k(k-1)/2``, in ``np.triu_indices(k, 1)``
-    order; ``mode`` is ``"poincare"`` (curvature ``c``) or ``"l2"``.  Both
-    modes start from the ``(..., k, k, d)`` difference tensor ``D``, so close
-    pairs stay accurate and identical rows give exactly 0 with zero gradient.
-    The backward pass scatters the per-pair gradients into ``(k, k)``
-    matrices and contracts them with ``D``: no gathered ``(P, d)`` arrays.
-    Memory is ``O(k^2 d)``.
+    order, and its VJP ``g -> g_x``; ``mode`` is ``"poincare"`` (curvature
+    ``c``) or ``"l2"``.  Both modes start from the ``(..., k, k, d)``
+    difference tensor ``D``, so close pairs stay accurate and identical rows
+    give exactly 0 with zero gradient.  The VJP scatters the per-pair
+    gradients into ``(..., k, k)`` matrices and contracts them with ``D``: no
+    gathered ``(P, d)`` arrays.  Memory is ``O(k^2 d)``.  ``scratch``, if
+    given, is a ``(..., k, k)`` array with a zero diagonal that the VJP
+    scatters into instead of allocating one; it rewrites every off-diagonal
+    cell, so one array serves every call with the same shape.
     """
     if mode not in PAIR_MODES:
         raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
-    x = ad.val(rows)
     k = x.shape[-2]
     ii, jj, flat = pair_index(k)
     diff = x[..., :, None, :] - x[..., None, :, :]
-    # np.take keeps the pair axis C-ordered, so the per-row reductions that
-    # follow sum in the same order whatever the leading axes
-    s = np.take(np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(x.shape[:-2] + (k * k,)),
-                flat, axis=-1)
+    # take keeps the pair axis C-ordered (indexing ``[..., flat]`` does
+    # not), so the per-row reductions that follow sum in the same order
+    # whatever the leading axes
+    s = np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(x.shape[:-2] + (k * k,)).take(
+        flat, axis=-1)
     if mode == "l2":
         dist = np.sqrt(s)
 
@@ -197,13 +210,11 @@ def pair_distances(rows, mode, c=1.0):
             return np.divide(0.5 * g, dist, out=np.zeros(s.shape), where=s > 0.0), None, None
     else:
         n = np.einsum("...id,...id->...i", x, x)
-        dist, back = _poincare_from_sq(s, np.take(n, ii, axis=-1), np.take(n, jj, axis=-1), c)
-    if not ad.is_node(rows):
-        return dist
+        dist, back = _poincare_from_sq(s, n.take(ii, axis=-1), n.take(jj, axis=-1), c)
 
     def vjp(g):
         g_s, g_ni, g_nj = back(g)
-        w = np.zeros(x.shape[:-1] + (k,))
+        w = np.zeros(x.shape[:-1] + (k,)) if scratch is None else scratch
         w[..., ii, jj] = g_s
         w[..., jj, ii] = g_s
         g_x = 2.0 * np.einsum("...ij,...ijd->...id", w, diff)
@@ -211,8 +222,13 @@ def pair_distances(rows, mode, c=1.0):
             # row-norm term: row a collects dd/dn_a over every pair it is in
             w[..., ii, jj] = g_ni
             w[..., jj, ii] = g_nj
-            g_x += (2.0 * np.sum(w, axis=-1))[..., None] * x
+            g_x += (2.0 * w.sum(axis=-1))[..., None] * x
         return g_x
 
-    return ad.make_node(dist, (rows, vjp))
+    return dist, vjp
 
+
+def pair_distances(rows, mode, c=1.0):
+    """:func:`pair_distances_vjp` on an array or a tape node; one node on the tape."""
+    dist, vjp = pair_distances_vjp(ad.val(rows), mode, c)
+    return ad.make_node(dist, (rows, vjp))

@@ -7,7 +7,11 @@ distances over class prototypes (Poincare or Euclidean, per configuration).
 Every ``*_core`` term accepts tape nodes as well as numpy arrays for the
 features (and the logits or embeddings), so one code path serves training (on
 the tape) and evaluation (plain values).  Tree distances are always constant
-arrays: training differentiates with respect to the features only.
+arrays: training differentiates with respect to the features only.  The
+Pearson correlation has one implementation, in value-and-VJP form:
+``cpcc_vjp`` takes plain arrays and returns the correlation with its
+vector-Jacobian product; ``cpcc_core`` applies it on or off the tape, and
+``embed-tree`` chains its VJP by hand.
 """
 
 from __future__ import annotations
@@ -69,28 +73,38 @@ class ObjectiveConfig:
 
 # CPCC ------------------------------------------------------------------------
 
-def cpcc_core(tree_dists, feat_dists):
-    """Pearson correlation along the last axis; one tape node over ``feat_dists``.
+def centred(t):
+    """Deviations of ``t`` from its mean along the last axis, and their sum of squares."""
+    td = t - t.sum(axis=-1, keepdims=True) / float(t.shape[-1])
+    return td, (td * td).sum(axis=-1)
 
-    ``tree_dists`` is a constant array: training differentiates through the
-    feature distances only.  Leading axes of ``feat_dists`` are a batch, so
-    ``(R, P)`` feature distances against ``(P,)`` tree distances give ``R``
-    correlations.
+
+def cpcc_vjp(td, s_tt, f):
+    """Pearson correlation along the last axis of plain feature distances ``f``.
+
+    ``td, s_tt`` are the tree distances through :func:`centred`, constants:
+    the correlation is differentiated through ``f`` only.  Returns the
+    correlation and its VJP ``g -> g_f``.  Leading axes of ``f`` are a batch,
+    so ``(R, P)`` feature distances against ``(P,)`` tree distances give
+    ``R`` correlations.
     """
-    t, f = np.asarray(tree_dists, dtype=np.float64), ad.val(feat_dists)
-    td = t - np.sum(t, axis=-1, keepdims=True) / float(t.shape[-1])
-    fd = f - np.sum(f, axis=-1, keepdims=True) / float(f.shape[-1])
-    s_ff = np.sum(fd * fd, axis=-1)
-    denom = np.sqrt(np.sum(td * td, axis=-1) * s_ff)
-    r = np.sum(td * fd, axis=-1) / denom
-    if not ad.is_node(feat_dists):
-        return r
+    fd = f - f.sum(axis=-1, keepdims=True) / float(f.shape[-1])
+    s_ff = (fd * fd).sum(axis=-1)
+    denom = np.sqrt(s_tt * s_ff)
+    r = (td * fd).sum(axis=-1) / denom
 
     def vjp(g):
         # dr/dfd = td / denom - r fd / s_ff, then remove the mean (centering)
         h = (g / denom)[..., None] * td - (g * r / s_ff)[..., None] * fd
-        return h - np.sum(h, axis=-1, keepdims=True) / float(h.shape[-1])
+        return h - h.sum(axis=-1, keepdims=True) / float(h.shape[-1])
 
+    return r, vjp
+
+
+def cpcc_core(tree_dists, feat_dists):
+    """:func:`cpcc_vjp` of constant tree distances against an array or a tape
+    node; one node on the tape."""
+    r, vjp = cpcc_vjp(*centred(np.asarray(tree_dists, dtype=np.float64)), ad.val(feat_dists))
     return ad.make_node(r, (feat_dists, vjp))
 
 
@@ -143,7 +157,9 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
     """CPCC between tree distances and prototype distances over present pairs.
 
     Raises InsufficientVertices when fewer than MIN_CPCC_PAIRS pairs exist,
-    and DegenerateVariance when their tree distances are all equal.
+    and DegenerateVariance when their tree distances or their prototype
+    distances are all equal (the correlation is then 0/0), or when the
+    prototype distances include NaN.
     ``metric`` is the tree's ``hierarchy.tree_metric`` matrix, computed here
     when not given.
     """
@@ -164,7 +180,12 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
         protos = prototype_rows(features, labels, tree, cfg, present)
     else:
         protos = euclidean_prototype_rows(features, labels, tree, present)
-    return cpcc_core(tdist, geo.pair_distances(protos, cfg.cpcc_distance, cfg.c))
+    dists = geo.pair_distances(protos, cfg.cpcc_distance, cfg.c)
+    # e.g. every pair clamped at the ball's boundary, at 2 atanh(ATANH_MAX)
+    if not np.ptp(ad.val(dists)) > 0.0:
+        raise DegenerateVariance("prototype distances over present vertices are constant "
+                                 "or NaN")
+    return cpcc_core(tdist, dists)
 
 
 # centering ---------------------------------------------------------------------
@@ -222,9 +243,10 @@ def composite_core(features, labels, tree, cfg, flat, metric=None):
     """``(flat - alpha * cpcc + beta * center, skipped)`` on the tape.
 
     ``flat`` is the already computed flat loss of the batch (cross-entropy
-    or SupCon, per ``cfg.flat_loss``).  A batch whose present vertices give
-    fewer than MIN_CPCC_PAIRS pairs, or constant tree distances, has no CPCC
-    term: it is left out and ``skipped`` is True.
+    or SupCon, per ``cfg.flat_loss``).  A batch on which ``cpcc_term_core``
+    raises InsufficientVertices or DegenerateVariance (constant tree or
+    prototype distances) has no CPCC term: it is left out and ``skipped`` is
+    True.
     """
     total, skipped = flat, False
     if cfg.alpha > 0:

@@ -344,13 +344,15 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     Plain gradient ascent from ``budget.restarts`` seeded starting points;
     the reported restart is the first whose final CPCC is within
     ``BEST_RESTART_RTOL`` (relative) of the best.  The restarts form the
-    leading axis of one ``(restarts, vertices, dim)`` coordinate array, so
-    each step is one forward pass and one tape gradient of the summed
-    per-restart CPCC.  A restart whose gradient turns non-finite stops there:
-    its coordinates stay at the last finite iterate while the others
-    continue.  Poincare mode optimizes tangent coordinates passed through the
-    origin exponential map, so returned coordinates always satisfy the ball
-    invariant.
+    leading axis of one ``(restarts, vertices, dim)`` coordinate array.  Each
+    step is one forward pass through the value-and-VJP kernels
+    ``geometry.exp0_vjp`` (Poincare mode), ``geometry.pair_distances_vjp``
+    and ``objective.cpcc_vjp``, and one backward pass that chains their VJPs
+    by hand: the gradient of the summed per-restart CPCC, without a tape.  A
+    restart whose gradient turns non-finite stops there: its coordinates
+    stay at the last finite iterate while the others continue.  Poincare
+    mode optimizes tangent coordinates passed through the origin exponential
+    map, so returned coordinates always satisfy the ball invariant.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -365,12 +367,24 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     metric = tree_metric(tree)
     vids = np.asarray(vertices)
     ii, jj, _ = geo.pair_index(k)
-    tdist = metric[vids[ii], vids[jj]]
+    td, s_tt = obj.centred(metric[vids[ii], vids[jj]])
+    # the pair kernel's backward scatter target: zero diagonal, every other
+    # cell rewritten on each call
+    scratch = np.zeros((budget.restarts, k, k))
 
     def objective(x):
-        """Per-restart CPCC of ``(restarts, k, dim)`` coordinates."""
-        pts = geo.exp0(x, cfg.c) if distance_mode == "poincare" else x
-        return obj.cpcc_core(tdist, geo.pair_distances(pts, distance_mode, cfg.c))
+        """Per-restart CPCC of ``(restarts, k, dim)`` coordinates, and
+        ``() -> its gradient`` with respect to ``x``."""
+        pts, exp_back = geo.exp0_vjp(x, cfg.c) if distance_mode == "poincare" else (x, None)
+        dists, pair_back = geo.pair_distances_vjp(pts, distance_mode, cfg.c, scratch)
+        r, cpcc_back = obj.cpcc_vjp(td, s_tt, dists)
+
+        def gradient():
+            # d(sum r)/dr is 1 for every restart
+            g = pair_back(cpcc_back(1.0))
+            return g if exp_back is None else exp_back(g)
+
+        return r, gradient
 
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
     x = np.stack([budget.init_scale * np.random.default_rng(seq).standard_normal((k, dim))
@@ -378,16 +392,20 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     final = np.full(budget.restarts, -2.0)
     running = np.ones(budget.restarts, dtype=bool)
     for _ in range(budget.steps):
-        leaf = ad.Node(x)
-        out = objective(leaf)
-        g = ad.grad(ad.sum(out), [leaf])[0]
+        r, gradient = objective(x)
+        g = gradient()
         running &= np.isfinite(g).all(axis=(1, 2))
-        if not running.any():
+        # while every restart runs, np.where would only copy
+        if running.all():
+            x = x + budget.lr * g
+            final = r
+        elif running.any():
+            x = np.where(running[:, None, None], x + budget.lr * g, x)
+            final = np.where(running, r, final)
+        else:
             break
-        x = np.where(running[:, None, None], x + budget.lr * g, x)
-        final = np.where(running, out.value, final)
     # one more forward for the post-update values
-    last = objective(x)
+    last, _ = objective(x)
     final = np.where(np.isfinite(last), last, final)
 
     # l2 restarts reach the same optimum up to scale and rotation, so their

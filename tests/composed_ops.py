@@ -8,13 +8,35 @@ value-only ``geometry.dist_rows`` is compared by value.
 ``cpcc_core`` here reduces along the last axis like the fused version.
 ``log0``, the inverse of ``exp0``, and ``poincare_midpoint``, one Poincare
 prototype from the Klein round trip, serve the round-trip and per-class
-reference tests.
+reference tests.  ``embed_tree_tape`` is ``training.embed_tree_direct`` on
+the tape: the fused kernels as tape nodes over one leaf, and ``ad.grad`` of
+their summed output, which the hand-chained loop must match bit for bit.
 """
 
 import numpy as np
 
 from hypstruct import autodiff as ad
 from hypstruct import geometry as geo
+from hypstruct import objective as obj
+from hypstruct import training as tr
+from hypstruct.hierarchy import tree_metric
+
+
+def atanh(a):
+    """Inverse hyperbolic tangent with boundary clamping, as a tape operator.
+
+    Arguments with ``|x| >= ATANH_MAX`` are clamped; the clamp is treated as a
+    constant (zero gradient) and counted as an atanh clamp, as the fused
+    Poincare distance counts its clamps.
+    """
+    va = ad.val(a)
+    clipped = np.clip(va, -ad.ATANH_MAX, ad.ATANH_MAX)
+    n_clamped = int(np.count_nonzero(np.abs(va) >= ad.ATANH_MAX))
+    if n_clamped:
+        ad.record_atanh_clamps(n_clamped)
+    inside = np.abs(va) < ad.ATANH_MAX
+    return ad.make_node(np.arctanh(clipped),
+                        (a, lambda g: np.where(inside, g / (1.0 - clipped * clipped), 0.0)))
 
 
 def capped_tanh(s):
@@ -34,7 +56,7 @@ def exp0(v, c):
 def log0(u, c):
     """Logarithm map at the origin, rows along the last axis."""
     a = ad.sqrt(ad.maximum(geo.sq_norm(u, keepdims=True), geo._TINY_SQ)) * np.sqrt(c)
-    return (ad.atanh(a) / a) * u
+    return (atanh(a) / a) * u
 
 
 def poincare_midpoint(rows, c):
@@ -50,7 +72,7 @@ def dist_rows(z1, z2, c):
     den = ad.maximum((1.0 - c * geo.sq_norm(z1)) * (1.0 - c * geo.sq_norm(z2)) + c * s,
                      geo._TINY_SQ)
     m = ad.sqrt(ad.maximum(s / den, geo._TINY_SQ))
-    return (2.0 / np.sqrt(c)) * ad.atanh(np.sqrt(c) * m)
+    return (2.0 / np.sqrt(c)) * atanh(np.sqrt(c) * m)
 
 
 def pair_distances(rows, mode, c=1.0):
@@ -68,3 +90,40 @@ def cpcc_core(tree_dists, feat_dists):
     fd = f - ad.mean(f, axis=-1, keepdims=True)
     denom = ad.sqrt(ad.sum(td * td, axis=-1) * ad.sum(fd * fd, axis=-1))
     return ad.sum(td * fd, axis=-1) / denom
+
+
+def embed_tree_tape(tree, dim, distance_mode, cfg, budget):
+    """``training.embed_tree_direct`` with one tape and one ``ad.grad`` per step."""
+    vertices = obj.scope_vertices(tree, cfg.tree_scope)
+    k = len(vertices)
+    vids = np.asarray(vertices)
+    ii, jj, _ = geo.pair_index(k)
+    tdist = tree_metric(tree)[vids[ii], vids[jj]]
+
+    def objective(x):
+        pts = geo.exp0(x, cfg.c) if distance_mode == "poincare" else x
+        return obj.cpcc_core(tdist, geo.pair_distances(pts, distance_mode, cfg.c))
+
+    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+    x = np.stack([budget.init_scale * np.random.default_rng(seq).standard_normal((k, dim))
+                  for seq in seeds])
+    final = np.full(budget.restarts, -2.0)
+    running = np.ones(budget.restarts, dtype=bool)
+    for _ in range(budget.steps):
+        leaf = ad.Node(x)
+        out = objective(leaf)
+        g = ad.grad(ad.sum(out), [leaf])[0]
+        running &= np.isfinite(g).all(axis=(1, 2))
+        if not running.any():
+            break
+        x = np.where(running[:, None, None], x + budget.lr * g, x)
+        final = np.where(running, out.value, final)
+    last = objective(x)
+    final = np.where(np.isfinite(last), last, final)
+    top = final.max()
+    best = int(np.argmax(final >= top - tr.BEST_RESTART_RTOL * abs(top)))
+    best_x = x[best]
+    if distance_mode == "poincare":
+        best_x = np.asarray(geo.exp0(best_x, cfg.c))
+    return tr.EmbedResult(coords={int(v): best_x[i].copy() for i, v in enumerate(vertices)},
+                          cpcc=float(final[best]), per_restart=[float(v) for v in final])

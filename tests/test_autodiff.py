@@ -5,6 +5,7 @@ import pytest
 
 from hypstruct import autodiff as ad
 
+import composed_ops as composed
 from conftest import central_difference
 
 
@@ -57,16 +58,16 @@ def test_unary_functions():
     check(lambda x: ad.sum(ad.exp(x * 0.3)), rng.standard_normal(5))
     check(lambda x: ad.sum(ad.log(x)), rng.uniform(0.5, 2.0, 5))
     check(lambda x: ad.sum(ad.sqrt(x)), rng.uniform(0.5, 2.0, 5))
-    check(lambda x: ad.sum(ad.atanh(x)), rng.uniform(-0.8, 0.8, 5))
+    check(lambda x: ad.sum(composed.atanh(x)), rng.uniform(-0.8, 0.8, 5))
 
 
 def test_atanh_clamps_and_flags():
     ad.reset_events()
-    y = ad.atanh(np.array([0.5, 1.0 - 1e-16]))
+    y = composed.atanh(np.array([0.5, 1.0 - 1e-16]))
     assert np.isfinite(y).all()
     assert ad.events_active()
     # gradient through the clamped entry is zero
-    g = tape_grad(lambda x: ad.sum(ad.atanh(x)), np.array([0.5, 1.0 - 1e-16]))
+    g = tape_grad(lambda x: ad.sum(composed.atanh(x)), np.array([0.5, 1.0 - 1e-16]))
     assert g[1] == 0.0
     assert g[0] == pytest.approx(1.0 / (1.0 - 0.25))
 

@@ -12,6 +12,7 @@ from hypstruct import diagnostics as dg
 from hypstruct import spectral as sp
 from hypstruct import training as tr
 from hypstruct.hierarchy import balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
+from hypstruct.objective import ObjectiveConfig
 
 from conftest import save_dataset_csv, traced_peak_mb
 
@@ -414,6 +415,7 @@ DELETE = object()
     ("oodsim", "checkpoint", {"checkpoint": "checkpoint.json"}),
     ("spectra", "block_spec.tree", {"block_spec.tree": TREE,
                                     "block_spec.balanced_level_counts": DELETE}),
+    ("train", "encoder.input_dim", {"encoder.input_dim": 5}),
 ])
 def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
                                                          command, path, edits):
@@ -474,3 +476,69 @@ def test_eval_counts_test_cpcc_pairs_that_hit_the_atanh_clamp(tmp_path):
                           "eval_dataset": DATA, "checkpoint": str(trained / "checkpoint.json")},
                  tmp_path, "inside")
     assert json.loads((inside / "metrics.json").read_text())["test_cpcc_clamped_pairs"] == 0
+
+
+@pytest.mark.parametrize("config", [
+    {"objective": {"alpha": 0.5, "beta": 0.05, "c": 0.5, "centroid_mode": "euclidean_then_map",
+                   "map_mode": "clip", "clip_epsilon": 1e-3},
+     "train": {"epochs": 3, "batch_size": 16, "momentum": 0.5, "schedule": "constant"},
+     "encoder": {"input_dim": 4, "hidden_dim": 8, "output_dim": 4}},
+    {"objective": {"cpcc_distance": "l2", "flat_loss": "supcon", "tau": 0.2},
+     "train": {"epochs": 3, "batch_size": 16, "weight_decay": 0.0},
+     "encoder": {"kind": "linear", "output_dim": 3}},
+], ids=["poincare-clip", "l2-supcon"])
+def test_train_keys_reach_the_training_run(tmp_path, config):
+    # the same run through tr.train, from dataclasses that hold the given
+    # values and the defaults of every other key
+    out = run("train", {"hierarchy": TREE, "seed": 3, "dataset": DATA, **config}, tmp_path,
+              "train")
+    # the vertex order of the CLI's tree, so the CPCC pairs sum in its order
+    tree = cli.load_hierarchy(TREE)
+    dataset = tr.generate_hierarchical_gaussians(
+        tr.SyntheticSpec(tree=tree, n_per_leaf=10, dim=4, seed=3))
+    enc = tr.EncoderSpec(**{"input_dim": 4, **config["encoder"], "seed": 4})
+    res = tr.train(dataset, tree, enc, ObjectiveConfig(**config["objective"]),
+                   tr.TrainConfig(**config["train"], seed=5))
+    with open(out / "history.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[str(row.epoch), *(repr(float(x)) for x in
+                                       (row.flat, row.cpcc, row.center, row.lr))]
+                    for row in res.history]
+    resolved = json.loads((out / "resolved_config.json").read_text())["config"]
+    for section in ("objective", "train", "encoder"):
+        assert config[section].items() <= resolved[section].items()
+
+
+def test_eval_sampled_delta_draws_from_its_seed(trained, tmp_path):
+    held_out = {"synthetic": {"n_per_leaf": 5, "dim": 4}}
+    params, enc, _ = cli.load_checkpoint(trained / "checkpoint.json")
+    spec = tr.SyntheticSpec(tree=balanced_tree((1, 2, 4)), dim=4, n_per_leaf=5, seed=3,
+                            noise_seed=13)
+    dm = dg.pairwise_l2(tr.encode(params, enc, tr.generate_hierarchical_gaussians(spec).features))
+    values = []
+    for seed in (7, 8):
+        path = eval_config(trained, tmp_path, held_out,
+                           delta={"mode": "sampled", "k": 50, "seed": seed})
+        assert run_code("eval", path, tmp_path) == cli.EXIT_OK
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["delta_rel"] == dg.delta_hyperbolicity(dm, mode="sampled", k=50,
+                                                              seed=seed)[1]
+        values.append(metrics["delta_rel"])
+    assert values[0] != values[1]
+
+
+def test_oodsim_reads_its_in_distribution_sets_from_csv(trained, tmp_path):
+    # the CSVs hold exactly the rows the synthetic configs draw
+    tree = balanced_tree((1, 2, 4))
+    for name, spec in (("id_train", tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=10, seed=3)),
+                       ("id_eval", tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=5, seed=3,
+                                                    noise_seed=13))):
+        save_dataset_csv(tmp_path / f"{name}.csv", tr.generate_hierarchical_gaussians(spec), tree)
+    from_csv = dict(oodsim_config(trained), id_train={"csv": str(tmp_path / "id_train.csv")},
+                    id_eval={"csv": str(tmp_path / "id_eval.csv")})
+    synthetic = run("oodsim", oodsim_config(trained), tmp_path, "synthetic")
+    csv_run = run("oodsim", from_csv, tmp_path, "csv")
+    assert (json.loads((csv_run / "auroc.json").read_text())["auroc"]
+            == json.loads((synthetic / "auroc.json").read_text())["auroc"])
+    assert ((csv_run / "score_histograms.csv").read_bytes()
+            == (synthetic / "score_histograms.csv").read_bytes())

@@ -1,10 +1,14 @@
 """Every CLI config key is set by some test or benchmark.
 
-A key of ``cli.COMMAND_KEYS``, at any depth, that no file in ``tests/`` or
-``benchmark/`` names, either as a string literal or as a keyword argument,
-selects a behaviour that no test or benchmark run ever turns on: give a test
-a non-default value for it, or delete the key.  This file's own literals do
-not count.
+A key of ``cli.COMMAND_KEYS`` that no file in ``tests/`` or ``benchmark/``
+sets selects a behaviour that no test or benchmark run ever turns on: give a
+test a non-default value for it, or delete the key.  A top-level key counts
+as set when its name appears as a string literal or a keyword argument.  A
+nested key counts only under its own parent: as ``"parent": {"name": ...}``
+in a nested dict literal, or as ``"parent.name"`` inside a dotted string
+literal (``"objective.curvature"``).  So a key does not pass because a key of
+the same name in another section is set (``seed``, ``n``, ``k``, ``csv``,
+``hierarchy``).  This file's own literals do not count.
 """
 
 import ast
@@ -17,30 +21,83 @@ SOURCES = [path for path in sorted((ROOT / "tests").glob("*.py"))
            + sorted((ROOT / "benchmark").glob("*.py"))
            if path.resolve() != Path(__file__).resolve()]
 
+# Sections that map names the user picks to one table each: the key under
+# such a section is a name, and the table's keys have the section as parent.
+NAMED_ENTRIES = {"ood_sets"}
 
-def config_keys(keys, path):
-    """``(dotted path, key name)`` of every key in the table ``keys`` and below."""
+
+def config_keys(keys, path, parent=None):
+    """``(dotted path, parent key or None, key name)`` of every key in the
+    table ``keys`` and below."""
     for name, spec in keys.items():
-        yield f"{path}.{name}", name
+        yield f"{path}.{name}", parent, name
         nested = cli._key(spec).keys
         if nested:
-            yield from config_keys(nested, f"{path}.{name}")
+            yield from config_keys(nested, f"{path}.{name}", name)
 
 
-def named_in_sources():
-    """Every string literal and keyword-argument name in ``SOURCES``."""
-    names = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-            elif isinstance(node, ast.keyword) and node.arg:
-                names.add(node.arg)
-    return names
+def key_pairs(path):
+    """``(parent, name)`` of each nested key along a path of config keys."""
+    keys = [key for i, key in enumerate(path) if i == 0 or path[i - 1] not in NAMED_ENTRIES]
+    return zip(keys, keys[1:])
+
+
+def dict_paths(node, path=(), bound=None):
+    """Key paths of a dict literal, through the dict literals nested in it,
+    directly or through a name ``bound`` maps to dict literals."""
+    bound = bound or {}
+    for key, value in zip(node.keys, node.values):
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            yield path + (key.value,)
+            nested = [value] if isinstance(value, ast.Dict) else (
+                bound.get(value.id, []) if isinstance(value, ast.Name) else [])
+            for inner in nested:
+                yield from dict_paths(inner, path + (key.value,), bound)
+
+
+def literal_keys(tree):
+    """Bare names (string literals and keyword arguments) and ``(parent,
+    name)`` pairs (nested dict literals, also as keyword-argument values, and
+    dotted strings) in the parsed module ``tree``."""
+    # names assigned a dict literal (``DATA = {"synthetic": ...}``)
+    bound = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+            bound.setdefault(node.targets[0].id, []).append(node.value)
+    names, pairs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+            pairs.update(key_pairs(tuple(node.value.split("."))))
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+            if isinstance(node.value, ast.Dict):
+                for keys in dict_paths(node.value, (node.arg,), bound):
+                    pairs.update(key_pairs(keys))
+        elif isinstance(node, ast.Dict):
+            for keys in dict_paths(node, (), bound):
+                pairs.update(key_pairs(keys))
+    return names, pairs
 
 
 def test_every_config_key_is_named_by_a_test_or_the_benchmark():
-    named = named_in_sources()
+    names, pairs = set(), set()
+    for path in SOURCES:
+        file_names, file_pairs = literal_keys(ast.parse(path.read_text()))
+        names |= file_names
+        pairs |= file_pairs
     unset = [dotted for command, keys in cli.COMMAND_KEYS.items()
-             for dotted, name in config_keys(keys, command) if name not in named]
+             for dotted, parent, name in config_keys(keys, command)
+             if (name not in names if parent is None else (parent, name) not in pairs)]
     assert not unset, f"no test or benchmark sets: {unset}"
+
+
+def test_a_nested_key_counts_only_under_its_parent():
+    names, pairs = literal_keys(ast.parse(
+        'DATA = {"synthetic": {"dim": 4}}\n'
+        'run({"train": {"seed": 1}, "dataset": DATA, "ood_sets": {"far": {"far_cluster": {}}}},'
+        ' delta={"k": 5}, edits="objective.c")'))
+    assert {("train", "seed"), ("dataset", "synthetic"), ("synthetic", "dim"), ("delta", "k"),
+            ("ood_sets", "far_cluster"), ("objective", "c")} <= pairs
+    assert ("encoder", "seed") not in pairs and "seed" in names and "edits" in names

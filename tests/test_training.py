@@ -11,8 +11,9 @@ from hypstruct import geometry as geo
 from hypstruct import hierarchy as hi
 from hypstruct import objective as obj
 from hypstruct import training as tr
-from hypstruct.errors import DivergedError, InsufficientVertices
+from hypstruct.errors import DegenerateVariance, DivergedError, InsufficientVertices
 
+import composed_ops as composed
 from conftest import save_dataset_csv
 from synthetic_oracle import per_class_gaussians
 
@@ -179,6 +180,37 @@ def test_leaf_only_batches_without_a_cpcc_term_are_skipped(tree, seed):
     assert all(np.isfinite([row.flat, row.cpcc, row.center]).all() for row in res.history)
 
 
+def test_constant_prototype_distances_skip_the_cpcc_term(tree, tmp_path, monkeypatch):
+    # at lr0 0.05 the three leaf prototypes of epoch 1, batch 5 reach the
+    # ball's boundary and all three pairs clamp at 2 atanh(ATANH_MAX): the
+    # correlation would be 0/0, so that batch is skipped like one whose tree
+    # distances are constant, instead of ending the run as diverged
+    raised = []
+    term = obj.cpcc_term_core
+
+    def spy(*args, **kwargs):
+        try:
+            return term(*args, **kwargs)
+        except DegenerateVariance as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(obj, "cpcc_term_core", spy)
+    config = {"hierarchy": "builtin:cifar10", "seed": 0,
+              "dataset": {"synthetic": {"n_per_leaf": 3}},
+              "objective": {"tree_scope": "leaf_only"},
+              "train": {"epochs": 2, "batch_size": 3, "lr0": 0.05, "seed": 0}}
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(tmp_path / "train.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    ds = tr.generate_hierarchical_gaussians(tr.SyntheticSpec(tree=tree, n_per_leaf=3, seed=0))
+    tc = tr.TrainConfig(epochs=2, batch_size=3, lr0=0.05, seed=0)
+    assert summary["skipped_cpcc_steps"] == replayed_cpcc_skips(tree, ds, tc) + 1
+    assert sum(msg.startswith("prototype distances") for msg in raised) == 1
+
+
 class TestEmbedTreeDirect:
     def test_three_leaf_star_l2_exact(self):
         star = hi.balanced_tree([1, 3])
@@ -310,6 +342,64 @@ class TestBatchedRestartsMatchSequential:
             stops, res = assert_matches_sequential(tree, "l2", obj.ObjectiveConfig(), budget)
         assert stops == [1, None, 1, None]
         assert all(np.isfinite(res.per_restart))
+
+
+def assert_bitwise_equal_embeddings(got, want):
+    assert np.array_equal(got.per_restart, want.per_restart)
+    assert got.cpcc == want.cpcc
+    assert got.coords.keys() == want.coords.keys()
+    for v, xy in want.coords.items():
+        assert got.coords[v].tobytes() == xy.tobytes()
+
+
+class TestHandChainedLoopMatchesTheTape:
+    """The hand-chained VJPs give the tape's gradient bit for bit, so every
+    iterate, and so every reported value, is the tape formulation's."""
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("mode", ["poincare", "l2"])
+    def test_matches(self, tree, mode, dim, c, seed):
+        cfg = obj.ObjectiveConfig(c=c)
+        budget = tr.EmbedBudget(restarts=3, steps=120, seed=seed)
+        assert_bitwise_equal_embeddings(tr.embed_tree_direct(tree, dim, mode, cfg, budget),
+                                        composed.embed_tree_tape(tree, dim, mode, cfg, budget))
+
+    def test_non_finite_restarts(self, tree):
+        # the step size of TestBatchedRestartsMatchSequential: two of the four
+        # restarts stop after one step, and the loop leaves its fast path
+        cfg = obj.ObjectiveConfig()
+        budget = tr.EmbedBudget(restarts=4, steps=30, lr=4e154, seed=0)
+        with np.errstate(all="ignore"):
+            got = tr.embed_tree_direct(tree, 2, "l2", cfg, budget)
+            want = composed.embed_tree_tape(tree, 2, "l2", cfg, budget)
+        assert_bitwise_equal_embeddings(got, want)
+
+
+@pytest.mark.parametrize("mode", ["poincare", "l2"])
+def test_embed_tree_builds_no_tape(tree, mode, monkeypatch):
+    # embed-tree's per-step cost is the kernels' arithmetic: a tape node or
+    # an ad.grad call per step is what the hand-chained loop removed
+    calls = {"nodes": 0, "grad": 0}
+    node_init, grad = ad.Node.__init__, ad.grad
+
+    def spy_init(self, *args, **kwargs):
+        calls["nodes"] += 1
+        node_init(self, *args, **kwargs)
+
+    def spy_grad(*args, **kwargs):
+        calls["grad"] += 1
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", spy_init)
+    monkeypatch.setattr(ad, "grad", spy_grad)
+    # the spies see tape use
+    ad.grad(ad.sum(ad.Node(np.ones(2)) * 2.0), [ad.Node(np.ones(2))])
+    assert calls == {"nodes": 4, "grad": 1}
+    calls.update(nodes=0, grad=0)
+    tr.embed_tree_direct(tree, 2, mode, None, tr.EmbedBudget(restarts=2, steps=20, seed=0))
+    assert calls == {"nodes": 0, "grad": 0}
 
 
 def test_history_csv_format(tree, tmp_path):
