@@ -9,10 +9,11 @@ for both plain evaluation and differentiation.
 Boundary handling: the Poincare distance clamps its atanh argument to
 ``ATANH_MAX`` before evaluation, and the ball clip used by the geometry layer
 reports when its rescale branch fires.  Both kinds of event are counted in
-module-level counters (``record_atanh_clamps``, ``record_clip_rescales``) so
-a caller can tell whether a just-computed gradient crossed a non-smooth
-point.  The package is single-threaded; the counters are not guarded against
-concurrent use.
+cumulative module-level counters (``record_atanh_clamps``,
+``record_clip_rescales``); a caller that compares ``total_atanh_clamps()``
+and ``total_clip_rescales()`` before and after a gradient can tell whether it
+crossed a non-smooth point.  The package is single-threaded; the counters
+are not guarded against concurrent use.
 
 Fused operations (the exponential map, the all-pairs distance kernel, CPCC)
 are written once, in value-and-VJP form: a function of plain arrays that
@@ -30,35 +31,26 @@ import numpy as np
 
 ATANH_MAX = 1.0 - 1e-15
 
-# Non-smooth branch activations since the last reset_events().
+# Cumulative process-wide counts of non-smooth branch activations (never
+# reset): a caller reads a total before and after a computation.
 _atanh_clamps = 0
 _clip_rescales = 0
-# Cumulative process-wide atanh clamp diagnostic (never reset).
-_total_atanh_clamps = 0
-
-
-def reset_events():
-    """Zero the non-smooth event counters."""
-    global _atanh_clamps, _clip_rescales
-    _atanh_clamps = 0
-    _clip_rescales = 0
-
-
-def events_active():
-    """True if any clamp/clip event happened since the last reset."""
-    return _atanh_clamps > 0 or _clip_rescales > 0
 
 
 def total_atanh_clamps():
     """Cumulative process-wide count of atanh boundary clamps."""
-    return _total_atanh_clamps
+    return _atanh_clamps
+
+
+def total_clip_rescales():
+    """Cumulative process-wide count of rows rescaled by the ball clip."""
+    return _clip_rescales
 
 
 def record_atanh_clamps(count):
     """Called by the geometry layer for each batch of clamped atanh arguments."""
-    global _atanh_clamps, _total_atanh_clamps
+    global _atanh_clamps
     _atanh_clamps += count
-    _total_atanh_clamps += count
 
 
 def record_clip_rescales(count):

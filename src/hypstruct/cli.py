@@ -16,9 +16,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
+
+# One BLAS thread, forced before numpy loads: a threaded BLAS may split a
+# product's sums by thread count, and fixed seeds must give the same bytes
+# whatever the machine's cores or BLAS settings.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 

@@ -53,10 +53,14 @@ class ClassWithoutPositive(HypstructError):
 # training
 
 class DivergedError(HypstructError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.  The message also counts the
+    run's atanh clamps and ball-clip rescales so far: a run that diverged
+    at the ball's boundary shows them."""
 
-    def __init__(self, epoch, batch):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch, batch, atanh_clamps, clip_rescales):
+        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch} "
+                         f"(after {atanh_clamps} atanh clamps and {clip_rescales} "
+                         f"ball-clip rescales)")
         self.epoch = epoch
         self.batch = batch
 

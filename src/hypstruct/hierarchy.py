@@ -1,8 +1,11 @@
 """Weighted rooted label trees, tree metrics, and LCA queries.
 
-Vertices are integer ids assigned in document (preorder) order; the leaf order
-induced by the document is the canonical fine-class order used everywhere
-downstream (CPCC pair enumeration, block matrices, dataset labels).
+Vertices are integer ids in preorder: the root is 0, and every parent
+precedes its children.  Every tree is built by one walk over a nested tree
+document, so a parsed file, the built-in tree and a balanced tree are numbered
+alike, and ``parse_tree(t.serialize())`` gives back ``t``'s ids.  The leaf
+order induced by the document is the canonical fine-class order used
+everywhere downstream (CPCC pair enumeration, block matrices, dataset labels).
 
 Each tree holds one vertex x vertex ancestor matrix ``A`` (``A[v, a] = 1``
 iff ``a`` is ``v`` or an ancestor of ``v``).  The tree metric, the
@@ -30,16 +33,23 @@ from .errors import InvalidLevelCounts, NotALeaf, ParseError, ValidationError
 
 
 class LabelTree:
-    """Immutable weighted rooted tree over named class vertices."""
+    """Immutable weighted rooted tree over named class vertices.
 
-    def __init__(self, names, parent, weights, leaf_classes=None):
+    Vertex ids are in preorder: the root is 0 and ``parent[v] < v`` for every
+    other vertex, so one pass in id order sees each parent before its
+    children.  The fine classes are the leaves in id order.
+    """
+
+    root = 0
+
+    def __init__(self, names, parent, weights):
         """Build and validate a tree.
 
         names: vertex names, index = vertex id.
-        parent: per-vertex parent id, None exactly on the root.
+        parent: per-vertex parent id; None on vertex 0, the root, and a
+            smaller id on every other vertex.  This one check rejects a
+            second root, an orphan, an out-of-range parent and a cycle.
         weights: per-vertex weight of the edge to the parent (ignored on root).
-        leaf_classes: optional leaf vertex ids in fine-class order; defaults to
-            the leaves in vertex-id order and must cover exactly the leaves.
         """
         self.names = list(names)
         self.parent = list(parent)
@@ -48,65 +58,30 @@ class LabelTree:
             raise ValidationError("names, parent and weights must have equal length")
         if len(set(self.names)) != n:
             raise ValidationError("vertex names must be unique")
+        if not n or self.parent[0] is not None:
+            raise ValidationError("vertex 0 must be the root")
 
-        roots = [i for i, p in enumerate(self.parent) if p is None]
-        if len(roots) != 1:
-            raise ValidationError(f"expected a single root, found {len(roots)}")
-        self.root = roots[0]
-
-        self.weights = [0.0 if p is None else float(w) for p, w in zip(self.parent, weights)]
-        for i, (p, w) in enumerate(zip(self.parent, self.weights)):
-            if p is None:
-                continue
-            if not (0 <= p < n):
-                raise ValidationError(f"orphan vertex {self.names[i]}: parent id {p} out of range")
-            if not (w > 0.0):
-                raise ValidationError(f"nonpositive weight {w} on edge {self.names[i]} -> parent")
-
-        # depth computation doubles as cycle/orphan detection
-        self._depth = [-1] * n
-        for i in range(n):
-            chain = []
-            v = i
-            while self._depth[v] < 0:
-                chain.append(v)
-                p = self.parent[v]
-                if p is None:
-                    self._depth[v] = 0
-                    chain.pop()
-                    break
-                if p in chain or len(chain) > n:
-                    raise ValidationError("cycle detected in parent map")
-                v = p
-            base = self._depth[v]
-            for k, u in enumerate(reversed(chain)):
-                self._depth[u] = base + k + 1
-
+        self.weights = [0.0] + [float(w) for w in weights[1:]]
+        self._depth = [0] * n
         self._children = [[] for _ in range(n)]
-        for i, p in enumerate(self.parent):
-            if p is not None:
-                self._children[p].append(i)
-
-        leaves = [i for i in range(n) if not self._children[i]]
-        if leaf_classes is None:
-            leaf_classes = leaves
-        if sorted(leaf_classes) != sorted(leaves):
-            raise ValidationError("leaf_classes must cover exactly the leaves")
-        self.leaf_classes = list(leaf_classes)
-        self._id_of_name = {nm: i for i, nm in enumerate(self.names)}
-
-        # ancestors[v, a] = 1 iff a is v or an ancestor of v.  Rows are filled
-        # in depth order, so each parent's row is complete before its children
-        # copy it (a parent may have a larger id than its children, so id
-        # order would not do).
-        ancestors = np.zeros((n, n))
-        for v in sorted(range(n), key=self._depth.__getitem__):
-            if v != self.root:
-                ancestors[v] = ancestors[self.parent[v]]
-            ancestors[v, v] = 1.0
+        # ancestors[v, a] = 1 iff a is v or an ancestor of v; each parent's
+        # row is complete before its children copy it
+        ancestors = np.eye(n)
+        for v in range(1, n):
+            p, w = self.parent[v], self.weights[v]
+            if p is None or not 0 <= p < v:
+                raise ValidationError(f"parent of {self.names[v]} must be an id "
+                                      f"below {v}, got {p}")
+            if not w > 0.0:
+                raise ValidationError(f"nonpositive weight {w} on edge {self.names[v]} -> parent")
+            self._depth[v] = self._depth[p] + 1
+            self._children[p].append(v)
+            ancestors[v] += ancestors[p]
         ancestors.setflags(write=False)
         self.ancestors = ancestors
 
+        self.leaf_classes = [v for v in range(n) if not self._children[v]]
+        self._id_of_name = {nm: i for i, nm in enumerate(self.names)}
         # membership[v, k] = 1 iff fine class k is a leaf under vertex v
         self.membership = np.ascontiguousarray(ancestors[self.leaf_classes].T)
         self.membership.setflags(write=False)
@@ -183,7 +158,8 @@ class LabelTree:
         return self.lca_height(leaves[:, None], leaves[None, :])
 
     def serialize(self):
-        """JSON document whose parse yields an identical tree."""
+        """JSON document whose parse yields an identical tree: the same
+        names, parents and weights under the same vertex ids."""
         return json.dumps(self._nested(self.root), indent=2)
 
     def _nested(self, v):
@@ -217,7 +193,8 @@ def balanced_tree(level_counts) -> LabelTree:
     """Balanced tree from root-first level counts, e.g. (1, 2, 4).
 
     ``level_counts[0]`` must be 1 (the root) and each count must divide the
-    next; edge weights are 1.
+    next; edge weights are 1.  Vertices are named ``root``, ``n{level}_{j}``
+    and ``leaf_{j}``, with ``j`` counting left to right within a level.
     """
     counts = [int(c) for c in level_counts]
     if len(counts) < 2:
@@ -228,25 +205,19 @@ def balanced_tree(level_counts) -> LabelTree:
         if a < 1 or b < 1 or b % a != 0:
             raise InvalidLevelCounts(f"{a} does not divide {b}")
 
-    names = ["root"]
-    parent = [None]
-    weights = [0.0]
-    level_ids = [[0]]
-    n_levels = len(counts)
-    for lvl in range(1, n_levels):
-        fanout = counts[lvl] // counts[lvl - 1]
-        ids = []
-        for j in range(counts[lvl]):
-            vid = len(names)
-            if lvl == n_levels - 1:
-                names.append(f"leaf_{j}")
-            else:
-                names.append(f"n{lvl}_{j}")
-            parent.append(level_ids[lvl - 1][j // fanout])
-            weights.append(1.0)
-            ids.append(vid)
-        level_ids.append(ids)
-    return LabelTree(names, parent, weights)
+    last = len(counts) - 1
+
+    def node(lvl, j):
+        if lvl == 0:
+            doc = {"name": "root"}
+        else:
+            doc = {"name": f"leaf_{j}" if lvl == last else f"n{lvl}_{j}", "weight": 1.0}
+        if lvl < last:
+            fanout = counts[lvl + 1] // counts[lvl]
+            doc["children"] = [node(lvl + 1, j * fanout + i) for i in range(fanout)]
+        return doc
+
+    return _from_document(node(0, 0))
 
 
 def parse_tree(text: str) -> LabelTree:
@@ -255,6 +226,11 @@ def parse_tree(text: str) -> LabelTree:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    return _from_document(doc)
+
+
+def _from_document(doc) -> LabelTree:
+    """The tree of a nested tree document, its vertices numbered in preorder."""
     names, parent, weights = [], [], []
 
     def walk(node, parent_id):
@@ -281,7 +257,7 @@ def parse_tree(text: str) -> LabelTree:
 
 def builtin_cifar10_tree() -> LabelTree:
     """The 13-vertex toy hierarchy: transportation and animal coarse groups."""
-    doc = {
+    return _from_document({
         "name": "root",
         "children": [
             {"name": "transportation", "weight": 1, "children": [
@@ -299,5 +275,4 @@ def builtin_cifar10_tree() -> LabelTree:
                 {"name": "horse", "weight": 1},
             ]},
         ],
-    }
-    return parse_tree(json.dumps(doc))
+    })

@@ -264,6 +264,7 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
     rng = np.random.default_rng(tc.seed)
     history = []
     skipped = 0
+    clamps_before, clips_before = ad.total_atanh_clamps(), ad.total_clip_rescales()
 
     for epoch in range(tc.epochs):
         lr = learning_rate(tc, epoch)
@@ -289,7 +290,8 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
 
             value = float(ad.val(total))
             if not np.isfinite(value):
-                raise DivergedError(epoch, n_batches)
+                raise DivergedError(epoch, n_batches, ad.total_atanh_clamps() - clamps_before,
+                                    ad.total_clip_rescales() - clips_before)
             flat_sum += float(ad.val(flat))
             n_batches += 1
 

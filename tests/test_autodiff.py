@@ -62,10 +62,10 @@ def test_unary_functions():
 
 
 def test_atanh_clamps_and_flags():
-    ad.reset_events()
+    before = ad.total_atanh_clamps()
     y = composed.atanh(np.array([0.5, 1.0 - 1e-16]))
     assert np.isfinite(y).all()
-    assert ad.events_active()
+    assert ad.total_atanh_clamps() == before + 1
     # gradient through the clamped entry is zero
     g = tape_grad(lambda x: ad.sum(composed.atanh(x)), np.array([0.5, 1.0 - 1e-16]))
     assert g[1] == 0.0

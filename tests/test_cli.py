@@ -492,8 +492,7 @@ def test_train_keys_reach_the_training_run(tmp_path, config):
     # values and the defaults of every other key
     out = run("train", {"hierarchy": TREE, "seed": 3, "dataset": DATA, **config}, tmp_path,
               "train")
-    # the vertex order of the CLI's tree, so the CPCC pairs sum in its order
-    tree = cli.load_hierarchy(TREE)
+    tree = balanced_tree((1, 2, 4))
     dataset = tr.generate_hierarchical_gaussians(
         tr.SyntheticSpec(tree=tree, n_per_leaf=10, dim=4, seed=3))
     enc = tr.EncoderSpec(**{"input_dim": 4, **config["encoder"], "seed": 4})

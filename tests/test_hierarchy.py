@@ -20,13 +20,14 @@ MIXED_DEPTHS = {"name": "r", "children": [
     {"name": "mid", "weight": 3, "children": [{"name": "leaf4", "weight": 1}]},
 ]}
 
-# MIXED_DEPTHS with every leaf padded to depth 3 by unit-weight parents whose
-# ids are larger than their children's (leaf2 <- 9 <- 8 <- r, leaf4 <- 10 <- mid)
+# MIXED_DEPTHS with every leaf padded to depth 3 by unit-weight parents
+# (leaf2 <- leaf2.pad1 <- leaf2.pad0 <- r, leaf4 <- leaf4.pad0 <- mid), numbered
+# in preorder like every tree
 PADDED_MIXED = hi.LabelTree(
-    ["r", "deep", "x", "leaf1", "leaf3", "leaf2", "mid", "leaf4",
-     "leaf2.pad0", "leaf2.pad1", "leaf4.pad0"],
-    [None, 0, 1, 2, 2, 9, 0, 10, 0, 8, 6],
-    [0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+    ["r", "deep", "x", "leaf1", "leaf3", "leaf2.pad0", "leaf2.pad1", "leaf2",
+     "mid", "leaf4.pad0", "leaf4"],
+    [None, 0, 1, 2, 2, 0, 5, 6, 0, 8, 9],
+    [0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0])
 
 
 def brute_force_lca_height(tree, u, v):
@@ -75,7 +76,7 @@ class TestTreeMetric:
         for v in range(t.n_vertices):
             if parent[v] == trans:
                 weights[v] *= 2.0
-        t2 = hi.LabelTree(names, parent, weights, leaf_classes=list(t.leaf_classes))
+        t2 = hi.LabelTree(names, parent, weights)
         tm2 = hi.tree_metric(t2)
         ap, auto, cat = t.id_of("airplane"), t.id_of("automobile"), t.id_of("cat")
         assert tm2[ap, auto] == 2.0 * tm[ap, auto]
@@ -113,7 +114,7 @@ def oracle_trees():
         "four_levels": hi.balanced_tree((1, 4, 20, 200)),
         "cifar10": hi.builtin_cifar10_tree(),
         "mixed": hi.parse_tree(mixed),
-        # padded parents get larger ids than their children
+        # every leaf padded to one depth
         "normalized": PADDED_MIXED,
         "single_vertex": hi.LabelTree(["r"], [None], [0.0]),
     }
@@ -121,7 +122,7 @@ def oracle_trees():
 
 def with_random_weights(tree, rng):
     weights = [float(rng.uniform(0.2, 3.0)) for _ in tree.weights]
-    return hi.LabelTree(tree.names, tree.parent, weights, leaf_classes=tree.leaf_classes)
+    return hi.LabelTree(tree.names, tree.parent, weights)
 
 
 class TestAncestorMatrixOracle:
@@ -237,6 +238,24 @@ class TestParse:
     def test_cycle_detection_in_constructor(self):
         with pytest.raises(ValidationError):
             hi.LabelTree(["a", "b", "c"], [None, 2, 1], [0, 1, 1])
+
+    def test_parent_after_its_child_rejected(self):
+        # a valid tree, but numbered with the parent after its child
+        with pytest.raises(ValidationError):
+            hi.LabelTree(["r", "leaf", "mid"], [None, 2, 0], [0, 1, 1])
+
+    def test_out_of_range_parent_rejected(self):
+        with pytest.raises(ValidationError):
+            hi.LabelTree(["r", "a"], [None, -1], [0, 1])
+
+    @pytest.mark.parametrize("counts", [(1, 2, 4), (1, 20, 100), (1, 4, 20, 200)],
+                             ids=lambda counts: "-".join(map(str, counts)))
+    def test_balanced_round_trip_keeps_vertex_ids(self, counts):
+        t = hi.balanced_tree(counts)
+        again = hi.parse_tree(t.serialize())
+        assert again.names == t.names
+        assert again.parent == t.parent
+        assert again.weights == t.weights
 
 
 def test_delta_hyperbolicity_of_tree_metric_is_zero():

@@ -25,13 +25,7 @@ PACKAGE = ROOT / "src" / "hypstruct"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmark").glob("*.py"))
 
 # Definitions kept without a caller in the package or the benchmark.
-ALLOWED = {
-    "autodiff.reset_events": "zeroes the atanh-clamp and ball-clip counters before a "
-                             "gradient, so a caller can tell whether that gradient "
-                             "crossed a non-smooth point; the tests use it",
-    "autodiff.events_active": "reads those counters after the gradient; the tests use "
-                              "it, and a run trace is to record it",
-}
+ALLOWED = {}
 
 
 def definitions():

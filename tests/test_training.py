@@ -14,7 +14,7 @@ from hypstruct import training as tr
 from hypstruct.errors import DegenerateVariance, DivergedError, InsufficientVertices
 
 import composed_ops as composed
-from conftest import save_dataset_csv
+from conftest import event_totals, save_dataset_csv
 from synthetic_oracle import per_class_gaussians
 
 
@@ -129,6 +129,18 @@ class TestTrain:
             tr.train(ds, tree, enc, obj.ObjectiveConfig(alpha=0.0, beta=0.0), tc)
         assert err.value.epoch >= 0
         assert err.value.batch >= 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_counts_the_runs_boundary_events(self, tree):
+        ds = small_dataset(tree)
+        enc = tr.EncoderSpec(kind="linear", input_dim=8, output_dim=4, seed=0)
+        tc = tr.TrainConfig(epochs=50, batch_size=50, lr0=1e3, weight_decay=0.0, seed=0)
+        before = event_totals()
+        with pytest.raises(DivergedError) as err:
+            tr.train(ds, tree, enc, obj.ObjectiveConfig(), tc)
+        clamps, clips = np.subtract(event_totals(), before)
+        assert clamps > 0
+        assert f"(after {clamps} atanh clamps and {clips} ball-clip rescales)" in str(err.value)
 
     def test_batch_size_validated(self, tree):
         ds = small_dataset(tree)
