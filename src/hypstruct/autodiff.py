@@ -214,16 +214,9 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     return make_node(np.sum(va, axis=axis, keepdims=keepdims), (a, vjp))
 
 
-def mean(a, axis=None, keepdims=False):
-    va = val(a)
-    if axis is None:
-        n = va.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for i in ax:
-            n *= va.shape[i]
-    return sum(a, axis=axis, keepdims=keepdims) / float(n)
+def mean(a):
+    """Mean over every element."""
+    return sum(a) / float(val(a).size)
 
 
 def tanh(a):

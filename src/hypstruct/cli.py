@@ -38,7 +38,7 @@ from . import svg
 from . import training as tr
 from .errors import ConfigError, DivergedError, HypstructError
 from .hierarchy import LabelTree, balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
-from .objective import ObjectiveConfig
+from .objective import CPCC_DISTANCES, ObjectiveConfig
 from .training import EmbedBudget, EncoderSpec, LabeledDataset, SyntheticSpec, TrainConfig
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ EXIT_DIVERGED = 2
 
 OBJECTIVE_VARIANTS = {
     "flat": {"alpha": 0.0, "beta": 0.0},
-    "l2cpcc": {"cpcc_distance": "l2", "centroid_mode": "euclidean_then_map", "beta": 0.0},
+    "l2cpcc": {"cpcc_distance": "l2", "beta": 0.0},
     "hypstructure": {"cpcc_distance": "poincare"},
 }
 
@@ -264,10 +264,15 @@ def _objective(doc) -> ObjectiveConfig:
 def cmd_embed_tree(cfg: dict, out: Path) -> int:
     tree = load_hierarchy(cfg["hierarchy"])
     dim, c = cfg["dim"], cfg["curvature"]
-    budget = EmbedBudget(**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, seed=cfg["seed"])
+    if dim < 1:
+        raise ConfigError(f"dim: must be at least 1, got {dim}")
+    try:
+        objective = ObjectiveConfig(c=c, tree_scope=cfg["tree_scope"])
+        budget = EmbedBudget(**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, seed=cfg["seed"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
-    objective = ObjectiveConfig(c=c, tree_scope=cfg["tree_scope"])
     metric = tree_metric(tree)
     results = {}
     for mode in ("poincare", "l2"):
@@ -351,6 +356,11 @@ def load_checkpoint(path):
 # eval ------------------------------------------------------------------------
 
 def cmd_eval(cfg: dict, out: Path) -> int:
+    if cfg["cpcc_distance"] not in ("native", *CPCC_DISTANCES):
+        raise ConfigError(f"cpcc_distance: must be native or one of {CPCC_DISTANCES}, "
+                          f"got {cfg['cpcc_distance']!r}")
+    if cfg["knn_k"] < 1:
+        raise ConfigError(f"knn_k: must be at least 1, got {cfg['knn_k']}")
     tree = load_hierarchy(cfg["hierarchy"])
     cfg["delta"] = delta = _checked(cfg["delta"], DELTA_KEYS, "delta", cfg["seed"])
     params, enc, objective = load_checkpoint(cfg["checkpoint"])

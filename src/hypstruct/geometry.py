@@ -32,8 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-DEFAULT_CLIP_EPSILON = 1e-5
-
 # Floor under squared norms so that coef(s) = f(s)/s evaluates to its limit 1
 # at the origin instead of 0/0.
 _TINY_SQ = 1e-300
@@ -75,7 +73,7 @@ def exp0(v, c):
     return ad.make_node(out, (v, vjp))
 
 
-def clip0(v, c, epsilon=DEFAULT_CLIP_EPSILON):
+def clip0(v, c, epsilon=1e-5):
     """Rescale rows with ``||v|| >= 1/sqrt(c)`` to norm ``1/sqrt(c) - epsilon``."""
     radius = 1.0 / np.sqrt(c)
     norms = ad.sqrt(ad.maximum(sq_norm(v, keepdims=True), _TINY_SQ))

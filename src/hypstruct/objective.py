@@ -2,7 +2,8 @@
 
 The composite objective is ``flat_loss - alpha * CPCC + beta * centering``
 where the CPCC term correlates tree-metric distances with feature-space
-distances over class prototypes (Poincare or Euclidean, per configuration).
+distances over class prototypes (Poincare or Euclidean, per configuration),
+and the centering term is the norm of the root's prototype.
 
 Every ``*_core`` term accepts tape nodes as well as numpy arrays for the
 features (and the logits or embeddings), so one code path serves training (on
@@ -26,8 +27,7 @@ from .errors import ClassWithoutPositive, DegenerateVariance, InsufficientVertic
 from .hierarchy import LabelTree, tree_metric
 
 TREE_SCOPES = ("full_tree", "leaf_only")
-CENTROID_MODES = ("klein_average", "euclidean_then_map")
-MAP_MODES = ("exp_map", "clip")
+CENTROID_MODES = ("klein_average", "euclidean_then_map", "euclidean_then_clip")
 FLAT_LOSSES = ("cross_entropy", "supcon")
 CPCC_DISTANCES = geo.PAIR_MODES
 
@@ -40,6 +40,8 @@ class ObjectiveConfig:
 
     ``cpcc_distance`` selects the regularizer family: ``"poincare"`` for the
     hyperbolic objective, ``"l2"`` for the Euclidean-centroid baseline.
+    ``centroid_mode`` (see ``prototype_rows``) acts on Poincare prototypes
+    only: l2 prototypes are Euclidean means.
     """
 
     alpha: float = 1.0
@@ -48,10 +50,8 @@ class ObjectiveConfig:
     tau: float = 0.1
     tree_scope: str = "full_tree"
     centroid_mode: str = "klein_average"
-    map_mode: str = "exp_map"
     flat_loss: str = "cross_entropy"
     cpcc_distance: str = "poincare"
-    clip_epsilon: float = geo.DEFAULT_CLIP_EPSILON
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -63,7 +63,6 @@ class ObjectiveConfig:
         for name, value, allowed in (
             ("tree_scope", self.tree_scope, TREE_SCOPES),
             ("centroid_mode", self.centroid_mode, CENTROID_MODES),
-            ("map_mode", self.map_mode, MAP_MODES),
             ("flat_loss", self.flat_loss, FLAT_LOSSES),
             ("cpcc_distance", self.cpcc_distance, CPCC_DISTANCES),
         ):
@@ -134,28 +133,30 @@ def euclidean_prototype_rows(features, labels, tree, vertices):
     return ad.matmul(groups / groups.sum(axis=1, keepdims=True), features)
 
 
-def _map_rows(rows, cfg):
-    if cfg.map_mode == "clip":
-        return geo.clip0(rows, cfg.c, cfg.clip_epsilon)
-    return geo.exp0(rows, cfg.c)
-
-
 def prototype_rows(features, labels, tree, cfg, vertices):
-    """Stacked Poincare prototypes (one row per vertex), tape-friendly.
+    """Stacked prototypes in the CPCC's geometry, one row per vertex, tape-friendly.
 
+    l2: Euclidean descendant means.  Poincare, per ``cfg.centroid_mode``:
     klein_average: exp-map every sample, Einstein-average the descendants.
-    euclidean_then_map: Euclidean descendant mean, then exp map or clip.
+    euclidean_then_map: Euclidean descendant mean, then the exp map.
+    euclidean_then_clip: Euclidean descendant mean, clipped into the ball.
     """
-    if cfg.centroid_mode == "klein_average":
+    if cfg.cpcc_distance == "poincare" and cfg.centroid_mode == "klein_average":
         klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
         groups = _group_matrix(tree, labels, vertices)
         return geo.to_poincare(geo.einstein_mid(klein, cfg.c, groups), cfg.c)
-    return _map_rows(euclidean_prototype_rows(features, labels, tree, vertices), cfg)
+    means = euclidean_prototype_rows(features, labels, tree, vertices)
+    if cfg.cpcc_distance == "l2":
+        return means
+    to_ball = geo.exp0 if cfg.centroid_mode == "euclidean_then_map" else geo.clip0
+    return to_ball(means, cfg.c)
 
 
 def cpcc_term_core(features, labels, tree, cfg, metric=None):
     """CPCC between tree distances and prototype distances over present pairs.
 
+    Returns the correlation and its prototype rows, one per present vertex
+    in ascending id order.
     Raises InsufficientVertices when fewer than MIN_CPCC_PAIRS pairs exist,
     and DegenerateVariance when their tree distances or their prototype
     distances are all equal (the correlation is then 0/0), or when the
@@ -176,29 +177,44 @@ def cpcc_term_core(features, labels, tree, cfg, metric=None):
     tdist = metric[vids[ii], vids[jj]]
     if np.ptp(tdist) == 0.0:
         raise DegenerateVariance("tree distances over present vertices are constant")
-    if cfg.cpcc_distance == "poincare":
-        protos = prototype_rows(features, labels, tree, cfg, present)
-    else:
-        protos = euclidean_prototype_rows(features, labels, tree, present)
+    protos = prototype_rows(features, labels, tree, cfg, present)
     dists = geo.pair_distances(protos, cfg.cpcc_distance, cfg.c)
     # e.g. every pair clamped at the ball's boundary, at 2 atanh(ATANH_MAX)
     if not np.ptp(ad.val(dists)) > 0.0:
         raise DegenerateVariance("prototype distances over present vertices are constant "
                                  "or NaN")
-    return cpcc_core(tdist, dists)
+    return cpcc_core(tdist, dists), protos
 
 
 # centering ---------------------------------------------------------------------
 
-def centering_core(features, cfg):
-    if cfg.centroid_mode == "klein_average":
-        klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
-        everyone = np.ones((1, ad.val(features).shape[0]))
-        root = geo.to_poincare(geo.einstein_mid(klein, cfg.c, everyone), cfg.c)
-    else:
-        # valid surrogate for the exp-mapped norm by monotonicity of tanh
-        root = ad.mean(features, axis=0)
+def centering_core(root):
+    """Norm of the root's prototype row."""
     return ad.sqrt(ad.maximum(geo.sq_norm(root, axis=None), 1e-300))
+
+
+def regularizer_terms(features, labels, tree, cfg, metric=None, cpcc=True, center=True):
+    """The CPCC and centering terms of a batch, from one set of prototype rows.
+
+    Each term is None when not asked for, and the CPCC term also when
+    ``cpcc_term_core`` raises InsufficientVertices or DegenerateVariance.  In
+    full_tree scope the root (vertex 0, present in every batch) has the first
+    of the CPCC's rows; where the CPCC built none, ``prototype_rows`` builds
+    the root's row alone.
+    """
+    term = rows = None
+    if cpcc:
+        try:
+            term, rows = cpcc_term_core(features, labels, tree, cfg, metric)
+        except (InsufficientVertices, DegenerateVariance):
+            pass
+    if not center:
+        return term, None
+    if rows is not None and cfg.tree_scope == "full_tree":
+        root = ad.take(rows, [0])
+    else:
+        root = prototype_rows(features, labels, tree, cfg, [tree.root])
+    return term, centering_core(root)
 
 
 # flat losses --------------------------------------------------------------------
@@ -243,17 +259,16 @@ def composite_core(features, labels, tree, cfg, flat, metric=None):
     """``(flat - alpha * cpcc + beta * center, skipped)`` on the tape.
 
     ``flat`` is the already computed flat loss of the batch (cross-entropy
-    or SupCon, per ``cfg.flat_loss``).  A batch on which ``cpcc_term_core``
-    raises InsufficientVertices or DegenerateVariance (constant tree or
-    prototype distances) has no CPCC term: it is left out and ``skipped`` is
-    True.
+    or SupCon, per ``cfg.flat_loss``).  The two terms share one set of
+    prototype rows (``regularizer_terms``).  A batch without a CPCC term
+    (too few pairs, or constant tree or prototype distances) leaves it out,
+    and ``skipped`` is True.
     """
-    total, skipped = flat, False
-    if cfg.alpha > 0:
-        try:
-            total = total - cfg.alpha * cpcc_term_core(features, labels, tree, cfg, metric)
-        except (InsufficientVertices, DegenerateVariance):
-            skipped = True
-    if cfg.beta > 0:
-        total = total + cfg.beta * centering_core(features, cfg)
-    return total, skipped
+    cpcc, center = regularizer_terms(features, labels, tree, cfg, metric,
+                                     cpcc=cfg.alpha > 0, center=cfg.beta > 0)
+    total = flat
+    if cpcc is not None:
+        total = total - cfg.alpha * cpcc
+    if center is not None:
+        total = total + cfg.beta * center
+    return total, cfg.alpha > 0 and cpcc is None

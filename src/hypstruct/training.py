@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from . import objective as obj
-from .errors import DegenerateVariance, DivergedError, InsufficientVertices, ValidationError
+from .errors import DivergedError, InsufficientVertices, ValidationError
 from .hierarchy import LabelTree, tree_metric
 from .objective import ObjectiveConfig
 
@@ -310,14 +310,11 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
 
 
 def epoch_metrics(params, enc, dataset, tree, cfg, metric=None):
-    """Whole-dataset CPCC and centering values on the value path."""
+    """Whole-dataset CPCC (NaN without a CPCC term) and centering values on
+    the value path."""
     feats = encode(params, enc, dataset.features)
-    try:
-        cpcc_val = float(ad.val(obj.cpcc_term_core(feats, dataset.labels, tree, cfg, metric)))
-    except (InsufficientVertices, DegenerateVariance):
-        cpcc_val = float("nan")
-    center_val = float(ad.val(obj.centering_core(feats, cfg)))
-    return cpcc_val, center_val
+    cpcc, center = obj.regularizer_terms(feats, dataset.labels, tree, cfg, metric)
+    return float("nan") if cpcc is None else float(cpcc), float(center)
 
 
 # direct tree embedding ---------------------------------------------------------------
@@ -329,6 +326,10 @@ class EmbedBudget:
     lr: float = 0.5
     init_scale: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.steps < 0:
+            raise ValueError("restarts must be positive and steps nonnegative")
 
 
 @dataclass

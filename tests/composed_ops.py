@@ -86,8 +86,9 @@ def pair_distances(rows, mode, c=1.0):
 
 def cpcc_core(tree_dists, feat_dists):
     t, f = tree_dists, feat_dists
-    td = t - ad.mean(t, axis=-1, keepdims=True)
-    fd = f - ad.mean(f, axis=-1, keepdims=True)
+    n = float(ad.val(f).shape[-1])
+    td = t - ad.sum(t, axis=-1, keepdims=True) / n
+    fd = f - ad.sum(f, axis=-1, keepdims=True) / n
     denom = ad.sqrt(ad.sum(td * td, axis=-1) * ad.sum(fd * fd, axis=-1))
     return ad.sum(td * fd, axis=-1) / denom
 

@@ -300,12 +300,6 @@ def eval_config(trained, tmp_path, eval_dataset, **overrides):
     return path
 
 
-def test_eval_rejects_a_zero_knn_k(trained, tmp_path, capsys):
-    path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}}, knn_k=0)
-    assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
-    assert "k must lie in" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("delta,message", [
     pytest.param({"mode": "sampled", "k": 0}, "k >= 1", id="0"),
     pytest.param({"mode": "sampled", "k": -1}, "k >= 1", id="-1"),
@@ -416,6 +410,8 @@ DELETE = object()
     ("spectra", "block_spec.tree", {"block_spec.tree": TREE,
                                     "block_spec.balanced_level_counts": DELETE}),
     ("train", "encoder.input_dim", {"encoder.input_dim": 5}),
+    ("train", "objective.map_mode", {"objective.map_mode": "clip"}),
+    ("train", "objective.clip_epsilon", {"objective.clip_epsilon": 1e-3}),
 ])
 def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
                                                          command, path, edits):
@@ -436,6 +432,26 @@ def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, caps
     assert f"error: ConfigError: {path or 'config'}:" in err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("embed-tree", "dim", 0),
+    ("embed-tree", "restarts", 0),
+    ("embed-tree", "steps", -1),
+    ("embed-tree", "curvature", -1.0),
+    ("embed-tree", "tree_scope", "bogus"),
+    ("eval", "cpcc_distance", "bogus"),
+    ("eval", "knn_k", 0),
+])
+def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, capsys,
+                                                             command, key, value):
+    config = dict(command_configs(trained)[command], **{key: value})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and key in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -479,8 +495,7 @@ def test_eval_counts_test_cpcc_pairs_that_hit_the_atanh_clamp(tmp_path):
 
 
 @pytest.mark.parametrize("config", [
-    {"objective": {"alpha": 0.5, "beta": 0.05, "c": 0.5, "centroid_mode": "euclidean_then_map",
-                   "map_mode": "clip", "clip_epsilon": 1e-3},
+    {"objective": {"alpha": 0.5, "beta": 0.05, "c": 0.5, "centroid_mode": "euclidean_then_clip"},
      "train": {"epochs": 3, "batch_size": 16, "momentum": 0.5, "schedule": "constant"},
      "encoder": {"input_dim": 4, "hidden_dim": 8, "output_dim": 4}},
     {"objective": {"cpcc_distance": "l2", "flat_loss": "supcon", "tau": 0.2},

@@ -209,7 +209,10 @@ def reference_euclidean_rows(features, labels, tree, vertices):
 
 
 def reference_prototype_rows(features, labels, tree, cfg, vertices):
-    """Per-vertex loop: one Einstein midpoint or one mapped mean per vertex."""
+    """Per-vertex loop: one Einstein midpoint, or one plain, mapped or clipped
+    mean per vertex."""
+    if cfg.cpcc_distance == "l2":
+        return reference_euclidean_rows(features, labels, tree, vertices)
     protos = []
     if cfg.centroid_mode == "klein_average":
         klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
@@ -219,8 +222,8 @@ def reference_prototype_rows(features, labels, tree, cfg, vertices):
             protos.append(geo.to_poincare(mid, cfg.c))
     else:
         for centroid in reference_euclidean_rows(features, labels, tree, vertices):
-            if cfg.map_mode == "clip":
-                protos.append(geo.clip0(centroid, cfg.c, cfg.clip_epsilon))
+            if cfg.centroid_mode == "euclidean_then_clip":
+                protos.append(geo.clip0(centroid, cfg.c))
             else:
                 protos.append(geo.exp0(centroid, cfg.c))
     return np.stack(protos)
@@ -237,7 +240,8 @@ def partial_batch(rng, tree, n=24, dim=3, scale=0.6):
 PROTOTYPE_VARIANTS = [
     {"centroid_mode": "klein_average"},
     {"centroid_mode": "euclidean_then_map"},
-    {"centroid_mode": "euclidean_then_map", "map_mode": "clip", "c": 4.0, "clip_epsilon": 1e-2},
+    {"centroid_mode": "euclidean_then_clip", "c": 4.0},
+    {"cpcc_distance": "l2"},
 ]
 
 
@@ -315,7 +319,7 @@ def test_coincident_parent_and_child_prototypes():
     dists = geo.pair_distances(rows, "poincare", cfg.c)
     assert dists[(ii == min(a, b)) & (jj == max(a, b))] == [0.0]
     assert np.count_nonzero(dists == 0.0) == 1
-    g, nondiff = gradient(lambda x: obj.cpcc_term_core(x, labels, tree, cfg), feats,
+    g, nondiff = gradient(lambda x: obj.cpcc_term_core(x, labels, tree, cfg)[0], feats,
                           return_nondifferentiable=True)
     assert np.all(np.isfinite(g)) and np.any(g != 0.0)
     assert not nondiff
@@ -335,7 +339,7 @@ class TestCpccLosses:
                                    tr.EmbedBudget(restarts=2, steps=500, seed=1))
         feats = np.stack([res.coords[self.tree.leaf_of_class(k)] for k in range(10)])
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only", cpcc_distance="l2")
-        val = float(obj.cpcc_term_core(feats * 0.05, np.arange(10), self.tree, cfg))
+        val = float(obj.cpcc_term_core(feats * 0.05, np.arange(10), self.tree, cfg)[0])
         assert val >= res.cpcc - 1e-6
 
     def test_insufficient_vertices(self):
@@ -349,26 +353,65 @@ class TestCpccLosses:
         labels = rng.integers(0, 10, size=30)
         cfg = obj.ObjectiveConfig(tree_scope="leaf_only", c=1e-8,
                                   centroid_mode="euclidean_then_map")
-        hyp = float(obj.cpcc_term_core(feats, labels, self.tree, cfg))
+        hyp = float(obj.cpcc_term_core(feats, labels, self.tree, cfg)[0])
         l2 = float(obj.cpcc_term_core(feats, labels, self.tree,
-                                      replace(cfg, cpcc_distance="l2")))
+                                      replace(cfg, cpcc_distance="l2"))[0])
         assert hyp == pytest.approx(l2, abs=1e-3)
+
+
+# every way to form the root's prototype: each centroid mode on the ball, and
+# the Euclidean mean of an l2 CPCC
+CENTERING_VARIANTS = [{"centroid_mode": mode} for mode in obj.CENTROID_MODES] + [
+    {"cpcc_distance": "l2"}]
+
+
+def centering(features, cfg, labels=None):
+    """The centering value of a batch whose root prototype is built alone."""
+    tree = hi.builtin_cifar10_tree()
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.arange(len(features)) % tree.n_classes if labels is None else labels
+    return float(obj.regularizer_terms(features, labels, tree, cfg, cpcc=False)[1])
 
 
 class TestCenteringLoss:
     def test_zero_batch_at_origin(self):
-        for mode in ("klein_average", "euclidean_then_map"):
-            cfg = obj.ObjectiveConfig(centroid_mode=mode)
-            assert obj.centering_core(np.zeros((3, 2)), cfg) <= 1e-140
+        for variant in CENTERING_VARIANTS:
+            assert centering(np.zeros((3, 2)), obj.ObjectiveConfig(**variant)) <= 1e-140
 
     def test_symmetric_pair(self):
-        for mode in ("klein_average", "euclidean_then_map"):
-            cfg = obj.ObjectiveConfig(centroid_mode=mode)
-            assert obj.centering_core(np.array([[0.5, 0.1], [-0.5, -0.1]]), cfg) <= 1e-12
+        for variant in CENTERING_VARIANTS:
+            cfg = obj.ObjectiveConfig(**variant)
+            assert centering(np.array([[0.5, 0.1], [-0.5, -0.1]]), cfg) <= 1e-12
 
     def test_single_sample_euclidean(self):
-        cfg = obj.ObjectiveConfig(centroid_mode="euclidean_then_map")
-        assert obj.centering_core(np.array([[0.5, 0.0]]), cfg) == pytest.approx(0.5, abs=1e-12)
+        # the l2 root is the sample itself; mapped onto the ball it is tanh 0.5
+        one = np.array([[0.5, 0.0]])
+        assert centering(one, obj.ObjectiveConfig(cpcc_distance="l2")) == pytest.approx(
+            0.5, abs=1e-12)
+        for mode in ("klein_average", "euclidean_then_map"):
+            assert centering(one, obj.ObjectiveConfig(centroid_mode=mode)) == pytest.approx(
+                math.tanh(0.5), abs=1e-12)
+        # 0.5 lies inside the ball, so clipping leaves it
+        assert centering(one, obj.ObjectiveConfig(centroid_mode="euclidean_then_clip")) == 0.5
+
+    @pytest.mark.parametrize("variant", CENTERING_VARIANTS)
+    def test_is_the_norm_of_the_root_prototype(self, variant):
+        tree = hi.builtin_cifar10_tree()
+        rng = np.random.default_rng(11)
+        feats = rng.standard_normal((30, 4)) * 0.8
+        labels = rng.integers(0, tree.n_classes, size=30)
+        cfg = obj.ObjectiveConfig(**variant)
+        root = obj.prototype_rows(feats, labels, tree, cfg, [tree.root])
+        if cfg.cpcc_distance == "l2":
+            np.testing.assert_allclose(root, feats.mean(axis=0, keepdims=True),
+                                       rtol=0, atol=1e-15)
+        assert centering(feats, cfg, labels) == np.sqrt(np.sum(root * root))
+        # read from the full-tree CPCC rows, the root row is the same row up
+        # to the order of the sums
+        _, rows = obj.cpcc_term_core(feats, labels, tree, cfg)
+        _, center = obj.regularizer_terms(feats, labels, tree, cfg)
+        assert center == obj.centering_core(rows[:1])
+        np.testing.assert_allclose(rows[:1], root, rtol=1e-14, atol=0)
 
 
 class TestCrossEntropy:
@@ -498,7 +541,7 @@ class TestComposite:
         return float(total)
 
     def cpcc_term(self, cfg):
-        return float(obj.cpcc_term_core(self.features, self.labels, self.tree, cfg))
+        return float(obj.cpcc_term_core(self.features, self.labels, self.tree, cfg)[0])
 
     def test_alpha_beta_zero_equals_flat(self):
         cfg = obj.ObjectiveConfig(alpha=0.0, beta=0.0)
@@ -531,12 +574,33 @@ class TestComposite:
         flat = obj.cross_entropy_core(self.logits[:labels.size], labels)
         total, skipped = obj.composite_core(feats, labels, self.tree, cfg, flat)
         assert skipped, why
-        assert float(total) == float(flat + cfg.beta * obj.centering_core(feats, cfg))
+        _, center = obj.regularizer_terms(feats, labels, self.tree, cfg, cpcc=False)
+        assert float(total) == float(flat + cfg.beta * center)
 
     def test_default_weights(self):
         cfg = obj.ObjectiveConfig()
         assert cfg.alpha == 1.0
         assert cfg.beta == 0.01
+
+
+def assert_composite_matches(fd_oracle, rng, tree, labels, cfg, skipped):
+    """The tape gradient of composite_core on a random batch against finite
+    differences."""
+    dim = int(rng.integers(2, 6))
+    feats0 = rng.standard_normal((labels.size, dim)) * 0.4
+    logits_w = rng.standard_normal((dim, tree.n_classes)) * 0.5
+
+    def closure(feats):
+        flat = obj.cross_entropy_core(ad.matmul(feats, logits_w), labels)
+        total, was_skipped = obj.composite_core(feats, labels, tree, cfg, flat)
+        assert was_skipped == skipped
+        return total
+
+    g, nondiff = gradient(closure, feats0, return_nondifferentiable=True)
+    assert not nondiff
+    want = fd_oracle(lambda v: float(ad.val(closure(ad.Node(v)))), feats0)
+    denom = np.maximum(np.abs(want), 1e-4)
+    assert np.max(np.abs(g - want) / denom) <= 1e-4
 
 
 class TestGradient:
@@ -555,30 +619,32 @@ class TestGradient:
     def test_random_composite_matches_finite_differences(self, fd_oracle):
         rng = np.random.default_rng(10)
         tree = hi.balanced_tree([1, 2, 4])
+        labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        cfg = obj.ObjectiveConfig(alpha=1.0, beta=0.01, centroid_mode="klein_average")
         for trial in range(10):
-            dim = int(rng.integers(2, 6))
-            n = 8
-            labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-            feats0 = rng.standard_normal((n, dim)) * 0.4
-            logits_w = rng.standard_normal((dim, 4)) * 0.5
-            cfg = obj.ObjectiveConfig(alpha=1.0, beta=0.01,
-                                      centroid_mode="klein_average")
+            assert_composite_matches(fd_oracle, rng, tree, labels, cfg, skipped=False)
 
-            def closure(feats):
-                flat = obj.cross_entropy_core(ad.matmul(feats, logits_w), labels)
-                return obj.composite_core(feats, labels, tree, cfg, flat)[0]
-
-            g, nondiff = gradient(closure, feats0, return_nondifferentiable=True)
-            assert not nondiff
-            want = fd_oracle(lambda v: float(ad.val(closure(ad.Node(v)))), feats0)
-            denom = np.maximum(np.abs(want), 1e-4)
-            assert np.max(np.abs(g - want) / denom) <= 1e-4
+    @pytest.mark.parametrize("tree_levels,labels,variant,skipped", [
+        ((1, 2, 4), [0, 0, 1, 1, 2, 2, 3, 3], {"tree_scope": "leaf_only"}, False),
+        ((1, 2, 4), [0, 0, 1, 1, 2, 2, 3, 3], {"cpcc_distance": "l2"}, False),
+        # one leaf under the root: two vertices, one pair, no CPCC term
+        ((1, 4), [2, 2, 2, 2, 2, 2, 2, 2], {}, True),
+    ], ids=["leaf_only", "l2", "skipped"])
+    def test_composite_with_a_root_built_alone_or_l2_matches_finite_differences(
+            self, fd_oracle, tree_levels, labels, variant, skipped):
+        # centering's root row is built alone in leaf_only scope and on a
+        # skipped batch, and under l2 it is a Euclidean mean
+        rng = np.random.default_rng(12)
+        cfg = obj.ObjectiveConfig(alpha=1.0, beta=0.5, **variant)
+        for trial in range(3):
+            assert_composite_matches(fd_oracle, rng, hi.balanced_tree(tree_levels),
+                                     np.array(labels), cfg, skipped)
 
     def test_clip_branch_sets_flag(self):
         tree = hi.balanced_tree([1, 2, 4])
         labels = np.array([0, 1, 2, 3])
         cfg = obj.ObjectiveConfig(alpha=1.0, beta=0.0,
-                                  centroid_mode="euclidean_then_map", map_mode="clip")
+                                  centroid_mode="euclidean_then_clip")
         feats0 = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])
 
         def closure(feats):

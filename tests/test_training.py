@@ -1,6 +1,7 @@
 """Synthetic data generation, the training loop, and direct tree embedding."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -452,9 +453,11 @@ def tape_nodes(out):
 
 
 # one composite_core step of train-c100's shape built 92 nodes before the
-# all-pairs distance kernel, 90 with it, and 83 with one leaf per parameter
-# tensor instead of a slice and a reshape of one flat leaf per tensor
-MAX_STEP_NODES = 83
+# all-pairs distance kernel, 90 with it, 83 with one leaf per parameter
+# tensor instead of a slice and a reshape of one flat leaf per tensor, and 58
+# once centering read the root's row from the CPCC's prototype rows instead
+# of building its own exp0 -> Klein -> Einstein midpoint chain
+MAX_STEP_NODES = 58
 
 
 def test_train_step_tape_size_on_cifar100_shape():
@@ -492,6 +495,16 @@ def test_train_step_tape_size_on_cifar100_shape():
     np.testing.assert_array_equal(pair_nodes[0].value,
                                   geo.pair_distances(proto.value, "poincare", cfg.c))
 
+    # one prototype chain: the features pass through exp0 once
+    mapped = geo.exp0(feats.value, cfg.c)
+    assert sum(n.value.shape == mapped.shape and np.array_equal(n.value, mapped)
+               for n in nodes) == 1
+    # centering's root row is row 0 of that same prototype node
+    root_rows = [n for n in nodes if any(p is proto for p, _ in n.parents)
+                 and n.value.shape == (1, proto.value.shape[1])]
+    assert len(root_rows) == 1 and present[0] == tree.root
+    np.testing.assert_array_equal(root_rows[0].value, proto.value[:1])
+
 
 @pytest.mark.parametrize("kind", ["linear", "mlp_1hidden"])
 @pytest.mark.parametrize("flat_loss", obj.FLAT_LOSSES)
@@ -508,3 +521,34 @@ def test_init_params_are_the_per_tensor_draws_in_shape_order(kind, flat_loss):
         want = rng.uniform(-bound, bound, size=int(np.prod(shape))).reshape(shape)
         assert params[name].shape == shape
         assert params[name].tobytes() == want.tobytes(), name
+
+
+# every objective knob reaches the training run -----------------------------------------
+
+def moved_values(field):
+    """Every other allowed value of an ObjectiveConfig field: the rest of the
+    one module-level tuple of choices that holds its default (``TREE_SCOPES``
+    for ``tree_scope``), or for a number twice its default."""
+    if not isinstance(field.default, str):
+        return [2.0 * field.default]
+    choices, = {t for t in vars(obj).values() if isinstance(t, tuple) and field.default in t}
+    return [v for v in choices if v != field.default]
+
+
+def test_every_objective_field_changes_the_history():
+    # a knob that some setting leaves inert would give the default history;
+    # tau acts only through SupCon, so it is moved under flat_loss "supcon"
+    tree = hi.balanced_tree((1, 2, 4))
+    ds = tr.generate_hierarchical_gaussians(tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=6,
+                                                             seed=1))
+    enc = tr.EncoderSpec(input_dim=4, hidden_dim=8, output_dim=4, seed=2)
+    tc = tr.TrainConfig(epochs=2, batch_size=8, seed=3)
+
+    def history(**changes):
+        return tr.train(ds, tree, enc, obj.ObjectiveConfig(**changes), tc).history
+
+    for field in fields(obj.ObjectiveConfig):
+        base = {"flat_loss": "supcon"} if field.name == "tau" else {}
+        want = history(**base)
+        for value in moved_values(field):
+            assert history(**base, **{field.name: value}) != want, (field.name, value)
