@@ -347,10 +347,15 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def load_checkpoint(path):
-    """The parameter dict, encoder spec and objective of a checkpoint.json."""
+    """The parameter dict, encoder spec and objective of a checkpoint.json; an
+    encoder or objective key that ``train`` does not accept (e.g. the removed
+    ``objective.map_mode``) raises ConfigError naming the file and the key."""
     doc = json.loads(_existing(path, "checkpoint").read_text())
     params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
-    return params, EncoderSpec(**doc["encoder"]), _objective(doc["objective"])
+    # the encoder seed only drew the initial weights; it is not read again
+    encoder = _checked(doc["encoder"], ENCODER_KEYS, f"{path}: encoder", seed=0)
+    objective = _checked(doc["objective"], OBJECTIVE_KEYS, f"{path}: objective")
+    return params, EncoderSpec(**encoder), _objective(objective)
 
 
 # eval ------------------------------------------------------------------------
@@ -495,12 +500,18 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
             raise HypstructError(f"OOD set {name!r} is empty")
         ood_inputs[name] = rows
     cfg["ood_sets"] = ood_sets
+    checkpoints = {}
+    dims = {id_train.dim, id_eval.dim, *(rows.shape[1] for rows in ood_inputs.values())}
+    for method, ckpt in methods.items():
+        checkpoints[method] = params, enc, _ = load_checkpoint(ckpt)
+        if dims != {enc.input_dim}:
+            raise HypstructError(f"methods.{method}: feature dimensions {sorted(dims)} do "
+                                 f"not match checkpoint input_dim {enc.input_dim}")
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     table = {}
     hist_rows = []
-    for method, ckpt in methods.items():
-        params, enc, _ = load_checkpoint(ckpt)
+    for method, (params, enc, _) in checkpoints.items():
         fit = dg.fit_gaussian(tr.encode(params, enc, id_train.features))
 
         def scores(rows):

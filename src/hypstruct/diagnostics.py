@@ -20,12 +20,17 @@ EXACT_DELTA_MAX_N = 400
 # delta mode "auto" (eval) scans exactly up to this n: the exact scan is
 # O(n^4), 2.8 s at n = 200 but 50 s at n = 400 on a 2-core Xeon
 AUTO_EXACT_DELTA_MAX_N = 200
-# sampled delta: quadruples per chunk, and per scanned block.  A chunk of
-# ``take`` quadruples is the (4, take) C-order layout of one stream of
-# 4 * take draws (row 0 holds its first take values), so DELTA_DRAW_CHUNK is
-# part of the RNG stream: changing it changes delta.  DELTA_BLOCK is not.
+# sampled delta: quadruples per chunk.  A chunk of ``take`` quadruples is the
+# (4, take) C-order layout of one stream of 4 * take draws (row 0 holds its
+# first take values), so DELTA_DRAW_CHUNK is part of the RNG stream: changing
+# it changes delta.
 DELTA_DRAW_CHUNK = 1_000_000
-DELTA_BLOCK = 65_536
+# sampled delta: draws per ``Generator.integers`` call, and quadruples per
+# scanned block; not part of the stream.  A block's temporaries (intp indices
+# and float64 products of 128 kB each, about 1 MB) stay in a core's 2 MB L2
+# cache: at n = 500, k = 2e6 on a 2-core Xeon, 16,384 took 0.091 s (median of
+# 9), and 8,192, 32,768 and 65,536 took 0.097, 0.101 and 0.106 s.
+DELTA_BLOCK = 16_384
 # kNN: distance cells per block of query rows
 KNN_BLOCK_CELLS = 65_536
 
@@ -74,56 +79,59 @@ def _delta_exact(d: np.ndarray) -> float:
 
 
 def _delta_sampled(d: np.ndarray, k: int, seed) -> float:
-    # Each chunk's (4, take) layout is filled one row at a time, DELTA_BLOCK
-    # draws per ``integers`` call, into the smallest unsigned type that holds
-    # n - 1 (uint16 up to n = 65,536).  The calls continue one stream (PCG64
-    # keeps its spare 32-bit half-word between calls), so the values are
-    # those of one ``integers(0, n, size=(4, take))`` call.  Memory is the
-    # narrow chunk (8 MB at uint16) plus one widened block, whatever k is.
+    # A chunk's rows 0-2 are stored, in the smallest unsigned type that holds
+    # n - 1 (uint16 up to n = 65,536); row 3 is drawn one block at a time and
+    # that block is scanned at once.  Every piece is one 32-bit
+    # ``integers(..., dtype=np.uint32)`` call: the calls continue one stream
+    # (PCG64 keeps its spare 32-bit half-word between calls) and give the
+    # values of one int64 ``integers(0, n, size=(4, take))`` call, in the same
+    # order.  Memory is the stored rows (6 MB at uint16) plus one block's
+    # temporaries, whatever k is.
     n = d.shape[0]
     flat = d.ravel()
     rng = np.random.default_rng(seed)
-    draws = np.empty((4, min(DELTA_DRAW_CHUNK, k)), dtype=np.min_scalar_type(n - 1))
+    stored = np.empty(3 * min(DELTA_DRAW_CHUNK, k), dtype=np.min_scalar_type(n - 1))
     best = 0.0
     for first in range(0, k, DELTA_DRAW_CHUNK):
-        chunk = draws[:, :min(DELTA_DRAW_CHUNK, k - first)]
-        for row in chunk:
-            for start in range(0, row.size, DELTA_BLOCK):
-                piece = row[start:start + DELTA_BLOCK]
-                piece[:] = rng.integers(0, n, size=piece.size)
-        best = max(best, _four_point_slack(flat, n, chunk))
+        take = min(DELTA_DRAW_CHUNK, k - first)
+        rows = stored[:3 * take]
+        for start in range(0, rows.size, DELTA_BLOCK):
+            piece = rows[start:start + DELTA_BLOCK]
+            piece[:] = rng.integers(0, n, size=piece.size, dtype=np.uint32)
+        w, x, y = rows.reshape(3, take)
+        for start in range(0, take, DELTA_BLOCK):
+            z = rng.integers(0, n, size=min(DELTA_BLOCK, take - start), dtype=np.uint32)
+            block = slice(start, start + z.size)
+            best = max(best, _four_point_slack(flat, n, w[block], x[block], y[block], z))
     return best
 
 
-def _four_point_slack(flat: np.ndarray, n: int, draws: np.ndarray) -> float:
-    # Largest min(g_xy, g_yz) - g_xz over the drawn columns (w, x, y, z),
-    # DELTA_BLOCK columns at a time to bound the temporaries; each block is
-    # widened to intp so that the flat indices do not overflow.  Each quadruple
-    # has 6 distinct distances: gather each once by flat index and build the
-    # three Gromov products in place (no per-product arrays).  Every product
-    # is 0.5 * ((d_wa + d_wb) - d_ab), the same float operations as the direct
-    # formula, so delta is bitwise equal to it.
-    best = 0.0
-    for start in range(0, draws.shape[1], DELTA_BLOCK):
-        w, x, y, z = draws[:, start:start + DELTA_BLOCK].astype(np.intp)
-        w *= n
-        gxz = flat[w + x]
-        gyz = flat[w + y]
-        gxy = gxz + gyz
-        dwz = flat[w + z]
-        gxz += dwz
-        gyz += dwz
-        del dwz
-        x *= n
-        gxy -= flat[x + y]
-        gxz -= flat[x + z]
-        gyz -= flat[y * n + z]
-        for g in (gxy, gyz, gxz):
-            g *= 0.5
-        np.minimum(gxy, gyz, out=gxy)
-        gxy -= gxz
-        best = max(best, float(gxy.max(initial=0.0)))
-    return best
+def _four_point_slack(flat: np.ndarray, n: int, w, x, y, z) -> float:
+    # Largest min(g_xy, g_yz) - g_xz over one block of quadruples (w, x, y, z).
+    # The 6 distinct distances of each quadruple are gathered once by intp
+    # flat index, and the three Gromov products are built in place.  Each
+    # product is (d_wa + d_wb) - d_ab, the float operations of the direct
+    # formula; its 0.5 is applied once, to the block's maximum: halving is
+    # exact away from subnormals and commutes with min, max and rounding, so
+    # delta is bitwise equal to the direct formula.
+    wn = np.multiply(w, n, dtype=np.intp)
+    xn = np.multiply(x, n, dtype=np.intp)
+    gxz = flat.take(wn + x)
+    gyz = flat.take(wn + y)
+    gxy = gxz + gyz
+    wn += z
+    dwz = flat.take(wn)
+    gxz += dwz
+    gyz += dwz
+    del dwz
+    gxy -= flat.take(xn + y)
+    gxz -= flat.take(xn + z)
+    yn = np.multiply(y, n, dtype=np.intp)
+    yn += z
+    gyz -= flat.take(yn)
+    np.minimum(gxy, gyz, out=gxy)
+    gxy -= gxz
+    return 0.5 * float(gxy.max(initial=0.0))
 
 
 def check_delta_mode(mode: str, k: int, n: int):
@@ -143,8 +151,11 @@ def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
     """Four-point-condition slack of a metric space.
 
     Returns ``(delta, delta_rel)`` with ``delta_rel = 2 delta / diameter``.
-    ``mode="exact"`` scans all quadruples (n <= 400); ``mode="sampled"`` draws
-    ``k`` seeded quadruples and lower-bounds the exact value.
+    ``mode="exact"`` scans all quadruples (n <= 400) and holds a few n x n
+    arrays; ``mode="sampled"`` draws ``k`` seeded quadruples and lower-bounds
+    the exact value.  It holds three rows of up to DELTA_DRAW_CHUNK indices
+    in the narrowest unsigned type (6 MB at uint16, n <= 65,536) plus about
+    1 MB per scanned block, so its memory stops growing at k = DELTA_DRAW_CHUNK.
     """
     n = dm.n
     check_delta_mode(mode, k, n)

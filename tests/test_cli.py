@@ -11,10 +11,12 @@ from hypstruct import cli
 from hypstruct import diagnostics as dg
 from hypstruct import spectral as sp
 from hypstruct import training as tr
+from hypstruct.errors import ConfigError
 from hypstruct.hierarchy import balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 from hypstruct.objective import ObjectiveConfig
 
 from conftest import save_dataset_csv, traced_peak_mb
+from delta_oracle import nine_gather_delta_sampled
 
 TREE = json.loads(balanced_tree((1, 2, 4)).serialize())
 DATA = {"synthetic": {"n_per_leaf": 10, "dim": 4}}
@@ -523,12 +525,18 @@ def test_train_keys_reach_the_training_run(tmp_path, config):
         assert config[section].items() <= resolved[section].items()
 
 
-def test_eval_sampled_delta_draws_from_its_seed(trained, tmp_path):
-    held_out = {"synthetic": {"n_per_leaf": 5, "dim": 4}}
+def held_out_distances(trained):
+    """The L2 distances of the encoded held-out rows that eval_config's
+    ``{"synthetic": {"n_per_leaf": 5, "dim": 4}}`` draws."""
     params, enc, _ = cli.load_checkpoint(trained / "checkpoint.json")
     spec = tr.SyntheticSpec(tree=balanced_tree((1, 2, 4)), dim=4, n_per_leaf=5, seed=3,
                             noise_seed=13)
-    dm = dg.pairwise_l2(tr.encode(params, enc, tr.generate_hierarchical_gaussians(spec).features))
+    return dg.pairwise_l2(tr.encode(params, enc, tr.generate_hierarchical_gaussians(spec).features))
+
+
+def test_eval_sampled_delta_draws_from_its_seed(trained, tmp_path):
+    held_out = {"synthetic": {"n_per_leaf": 5, "dim": 4}}
+    dm = held_out_distances(trained)
     values = []
     for seed in (7, 8):
         path = eval_config(trained, tmp_path, held_out,
@@ -539,6 +547,44 @@ def test_eval_sampled_delta_draws_from_its_seed(trained, tmp_path):
                                                               seed=seed)[1]
         values.append(metrics["delta_rel"])
     assert values[0] != values[1]
+
+
+def test_eval_sampled_delta_is_the_direct_formula(trained, tmp_path):
+    # two full blocks and a partial one of the scan
+    k = 2 * dg.DELTA_BLOCK + 5
+    path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}},
+                       delta={"mode": "sampled", "k": k, "seed": 9})
+    assert run_code("eval", path, tmp_path) == cli.EXIT_OK
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    dm = held_out_distances(trained)
+    delta = nine_gather_delta_sampled(dm.dist, k, 9)
+    assert delta > 0.0
+    assert metrics["delta_rel"] == 2.0 * delta / dm.diameter
+
+
+def test_checkpoint_with_a_removed_objective_key_is_a_config_error(trained, tmp_path):
+    checkpoint = json.loads((trained / "checkpoint.json").read_text())
+    checkpoint["objective"]["map_mode"] = "exp_map"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(checkpoint))
+    with pytest.raises(ConfigError, match=r"old\.json: objective\.map_mode: unknown key"):
+        cli.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fault,message", [("missing", "checkpoint not found"),
+                                           ("input_dim", "do not match checkpoint input_dim")])
+def test_oodsim_checks_every_checkpoint_before_any_output(trained, tmp_path, capsys,
+                                                          fault, message):
+    config = oodsim_config(trained)
+    if fault == "missing":
+        config["methods"]["missing"] = str(tmp_path / "no" / "checkpoint.json")
+    else:
+        config["id_train"] = config["id_eval"] = {"synthetic": {"n_per_leaf": 5, "dim": 5}}
+    config_path = tmp_path / "oodsim.json"
+    config_path.write_text(json.dumps(config))
+    assert run_code("oodsim", config_path, tmp_path) == cli.EXIT_ERROR
+    assert message in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_oodsim_reads_its_in_distribution_sets_from_csv(trained, tmp_path):

@@ -12,6 +12,7 @@ from hypstruct.errors import DegenerateVariance, EmptyInput, InsufficientVertice
 
 import composed_ops as composed
 from conftest import traced_peak_mb
+from delta_oracle import nine_gather_delta_sampled
 from knn_oracle import knn_predict
 
 
@@ -158,24 +159,6 @@ def test_knn_rejects_k_outside_the_training_rows(k):
         dg.knn_classify(np.zeros((5, 2)), [np.zeros(5, dtype=int)], np.zeros((1, 2)), k)
 
 
-def nine_gather_delta_sampled(d, k, seed):
-    """Reference sampled estimator: the direct formula, nine gathers per quadruple."""
-    n = d.shape[0]
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    remaining = int(k)
-    while remaining > 0:
-        take = min(1_000_000, remaining)
-        remaining -= take
-        w, x, y, z = rng.integers(0, n, size=(4, take))
-        gxy = 0.5 * (d[w, x] + d[w, y] - d[x, y])
-        gyz = 0.5 * (d[w, y] + d[w, z] - d[y, z])
-        gxz = 0.5 * (d[w, x] + d[w, z] - d[x, z])
-        vals = np.minimum(gxy, gyz) - gxz
-        best = max(best, float(vals.max(initial=0.0)))
-    return best
-
-
 @pytest.mark.parametrize("seed,k", [(0, 5_001), (3, 777), (11, 1_000_003)])
 def test_sampled_delta_equals_nine_gather_form(seed, k):
     rng = np.random.default_rng(seed)
@@ -196,22 +179,35 @@ def test_sampled_delta_equals_nine_gather_form_per_quadruple():
             nine_gather_delta_sampled(dm.dist, k, seed)
 
 
+def test_sampled_delta_equals_nine_gather_form_at_the_benchmark_shape():
+    # 500 rows of dim 16, the shape of analyze-c100's held-out features; k
+    # crosses a chunk boundary and ends in a partial block
+    k = 1_000_003
+    assert k > dg.DELTA_DRAW_CHUNK and (k - dg.DELTA_DRAW_CHUNK) % dg.DELTA_BLOCK != 0
+    dm = dg.pairwise_l2(np.random.default_rng(21).standard_normal((500, 16)))
+    assert dg.delta_hyperbolicity(dm, mode="sampled", k=k, seed=4)[0] == \
+        nine_gather_delta_sampled(dm.dist, k, 4)
+
+
 @pytest.mark.parametrize("seed", [1, 12345])
 def test_piecewise_integer_draws_continue_the_one_shot_stream(seed):
-    # sampled delta fills each (4, take) chunk row by row, a block of draws
-    # per ``Generator.integers`` call, and relies on these calls giving the
-    # values of one (4, take) call: PCG64 keeps its spare 32-bit half-word in
-    # the generator state between calls.  If a numpy release breaks this,
-    # delta_rel changes for every sampled run.
-    n, take, block = 37, 1_001, 64
-    want = np.random.default_rng(seed).integers(0, n, size=(4, take))
-    rng = np.random.default_rng(seed)
-    got = np.empty((4, take), dtype=np.uint16)
-    for row in got:
-        for start in range(0, take, block):
-            piece = row[start:start + block]
-            piece[:] = rng.integers(0, n, size=piece.size)
-    assert np.array_equal(got, want)
+    # sampled delta draws each (4, take) chunk in pieces, one
+    # ``Generator.integers(..., dtype=np.uint32)`` call per piece: rows 0-2 as
+    # one run of 3 * take values, then row 3 a block at a time.  It relies on
+    # these calls giving the values of one default int64 (4, take) call:
+    # PCG64 keeps its spare 32-bit half-word in the generator state between
+    # calls, and both dtypes draw a range below 2**32 from 32-bit words.  If a
+    # numpy release breaks this, delta_rel changes for every sampled run.
+    take, block = 1_001, 64  # 64 divides neither 3 * take nor take
+    for n in (7, 37, 500, 65_536, 100_000, 2**31):
+        want = np.random.default_rng(seed).integers(0, n, size=(4, take))
+        rng = np.random.default_rng(seed)
+        got = np.empty(4 * take, dtype=np.min_scalar_type(n - 1))
+        for lo, hi in ((0, 3 * take), (3 * take, 4 * take)):
+            for start in range(lo, hi, block):
+                piece = got[start:min(start + block, hi)]
+                piece[:] = rng.integers(0, n, size=piece.size, dtype=np.uint32)
+        assert np.array_equal(got.reshape(4, take), want), n
 
 
 @pytest.mark.parametrize("k", [0, -3])
@@ -222,9 +218,12 @@ def test_sampled_delta_rejects_fewer_than_one_quadruple(k):
 
 
 def test_sampled_delta_memory_does_not_grow_with_the_draw():
-    # a million int64 quadruples alone are 32 MB; the narrow chunk is 8 MB
+    # a million int64 quadruples alone are 30.5 MB.  Three stored uint16 rows
+    # are 5.7 MB and one block's temporaries about 1 MB (6.66 MB measured at
+    # k = 1e6 and 2e6); four stored rows would be 7.6 MB alone
     dm = dg.pairwise_l2(np.random.default_rng(4).standard_normal((500, 16)))
-    assert traced_peak_mb(dg.delta_hyperbolicity, dm, mode="sampled", k=1_000_000) < 20.0
+    for k in (1_000_000, 2_000_000):
+        assert traced_peak_mb(dg.delta_hyperbolicity, dm, mode="sampled", k=k) < 7.5
 
 
 def direct_pairwise_l2(features):
