@@ -45,6 +45,8 @@ class DistanceMatrix:
         d = np.asarray(self.dist, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"expected a square matrix, got {d.shape}")
+        if not np.isfinite(d).all():
+            raise ValueError("distance matrix has a NaN or infinite entry")
         asym = d - d.T
         if np.max(np.abs(asym, out=asym), initial=0.0) > 1e-12:
             raise ValueError("distance matrix is not symmetric within 1e-12")

@@ -10,6 +10,7 @@ deterministic given the config seeds.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -167,6 +168,9 @@ def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
             leaf = tree.id_of(name)
             labels.append(tree.class_index(leaf))
             rows.append([float(x) for x in rec[1:]])
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValidationError(f"{path}, line {reader.line_num}: a feature is NaN "
+                                      "or infinite")
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return LabeledDataset(np.asarray(rows), np.asarray(labels))

@@ -11,11 +11,12 @@ from hypstruct import cli
 from hypstruct import diagnostics as dg
 from hypstruct import spectral as sp
 from hypstruct import training as tr
-from hypstruct.errors import ConfigError
+from hypstruct.errors import ConfigError, NotSymmetric
 from hypstruct.hierarchy import balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 from hypstruct.objective import ObjectiveConfig
 
 from conftest import save_dataset_csv, traced_peak_mb
+from csv_oracle import row_join_matrix_csv
 from delta_oracle import nine_gather_delta_sampled
 
 TREE = json.loads(balanced_tree((1, 2, 4)).serialize())
@@ -57,10 +58,18 @@ def test_train_eval_spectra_pipeline(trained, tmp_path):
                              "train_dataset": DATA, "eval_dataset": held_out,
                              "knn_k": 5, "gram_csv": True}, tmp_path, "eval")
     gram = np.loadtxt(evaluated / "gram.csv", delimiter=",")
+    tree = parse_tree(json.dumps(TREE))
+    params, enc, _ = cli.load_checkpoint(trained / "checkpoint.json")
+    eval_ds, _ = cli.load_dataset(held_out, tree, 3)
+    K = sp.gram_matrix(tr.encode(params, enc, eval_ds.features), eval_ds.labels, tree)
     assert gram.shape == (20, 20)
+    assert gram.tobytes() == K.tobytes()
     spectra = run("spectra", {"matrix_csv": str(evaluated / "gram.csv")}, tmp_path, "spectra")
     report = json.loads((spectra / "report.json").read_text())
     assert report["n"] == 20
+    with open(spectra / "spectrum_numerical.csv", newline="") as fh:
+        got = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+    assert got == sp.numerical_eigenvalues(K).expand().tolist()
 
 
 
@@ -157,23 +166,54 @@ def test_spectra_block_spec_on_an_uneven_hierarchy_has_no_closed_form(tmp_path):
     np.testing.assert_allclose(got, np.linalg.eigvalsh(K)[::-1], rtol=0, atol=1e-12)
 
 
+def symmetric_matrix(n, dtype, seed):
+    """A symmetric matrix of floats over the dtype's exponent range, with
+    ``nan``, ``inf``, ``-0.0`` and ``5e-324`` in mirrored cells."""
+    rng = np.random.default_rng(seed)
+    span = np.finfo(dtype).maxexp // 4
+    K = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-span, span, (n, n))
+    K = np.triu(K) + np.triu(K, 1).T
+    specials = [np.nan, np.inf, -0.0, 5e-324]
+    # spread over the cells above the diagonal (the one cell when n is 1)
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)] or [(0, 0)]
+    for k, x in enumerate(specials):
+        i, j = cells[k * len(cells) // len(specials)]
+        K[i, j] = K[j, i] = x
+    return K.astype(dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_float_matrix_csv_matches_the_per_cell_path(dtype, tmp_path):
-    rng = np.random.default_rng(8)
-    span = np.finfo(dtype).maxexp // 4
-    K = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-span, span, (6, 5))
-    K[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
-    K = K.astype(dtype)
+    K = symmetric_matrix(6, dtype, seed=8)
     per_cell = cli._csv_text(list(K))
     cli._write_matrix_csv(tmp_path / "K.csv", K)
     assert (tmp_path / "K.csv").read_bytes() == per_cell.encode()
     assert per_cell.splitlines()[1] == ",".join(cli.float_text(x) for x in K[1])
 
 
-def test_matrix_csv_writer_holds_one_row_of_text(tmp_path):
-    # the whole text of a 500 x 500 matrix is about 8 MB
-    K = np.random.default_rng(9).standard_normal((500, 500))
-    assert traced_peak_mb(cli._write_matrix_csv, tmp_path / "K.csv", K) < 2.0
+@pytest.mark.parametrize("n", [1, 2, 17, 500])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mirrored_matrix_csv_matches_the_row_join(n, dtype, tmp_path):
+    K = symmetric_matrix(n, dtype, seed=n)
+    row_join_matrix_csv(tmp_path / "rows.csv", K)
+    cli._write_matrix_csv(tmp_path / "K.csv", K)
+    assert (tmp_path / "K.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("K", [np.zeros((3, 4)), np.zeros(3),
+                               np.array([[1.0, 0.0], [-0.0, 1.0]]),
+                               np.array([[1.0, 2.0], [2.0 + 2**-51, 1.0]])])
+def test_matrix_csv_writer_rejects_a_matrix_unequal_to_its_transpose(K, tmp_path):
+    with pytest.raises(NotSymmetric):
+        cli._write_matrix_csv(tmp_path / "K.csv", K)
+    assert not (tmp_path / "K.csv").exists()
+
+
+def test_matrix_csv_writer_holds_under_2_mb_of_text(tmp_path):
+    # the whole text of a 500 x 500 matrix is about 8 MB; the writer keeps
+    # about a quarter of it
+    A = np.random.default_rng(9).standard_normal((500, 500))
+    assert traced_peak_mb(cli._write_matrix_csv, tmp_path / "K.csv", A + A.T) < 2.0
 
 
 def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
@@ -560,6 +600,34 @@ def test_eval_sampled_delta_is_the_direct_formula(trained, tmp_path):
     delta = nine_gather_delta_sampled(dm.dist, k, 9)
     assert delta > 0.0
     assert metrics["delta_rel"] == 2.0 * delta / dm.diameter
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("command,key", [("train", "dataset"), ("eval", "train_dataset"),
+                                         ("eval", "eval_dataset"), ("oodsim", "id_train"),
+                                         ("oodsim", "ood_sets"), ("spectra", "features_csv")])
+def test_a_non_finite_csv_feature_is_an_error_before_any_output(trained, tmp_path, capsys,
+                                                               command, key, bad):
+    tree = balanced_tree((1, 2, 4))
+    dataset = tr.generate_hierarchical_gaussians(
+        tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=5, seed=3))
+    dataset.features[1, 2] = bad
+    path = tmp_path / "bad.csv"
+    save_dataset_csv(path, dataset, tree)
+    config = dict(command_configs(trained)[command])
+    if key == "features_csv":
+        config = {"features_csv": str(path), "hierarchy": TREE}
+    elif key == "ood_sets":
+        config["ood_sets"] = {"far": {"csv": str(path)}}
+    else:
+        config[key] = {"csv": str(path)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
+    # the header is line 1, so the second row is line 3
+    assert (f"error: ValidationError: {path}, line 3: a feature is NaN or infinite"
+            in capsys.readouterr().err)
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_checkpoint_with_a_removed_objective_key_is_a_config_error(trained, tmp_path):

@@ -1,17 +1,25 @@
 """The command line in a process of its own: its artifacts do not depend on
 the BLAS thread count the environment asks for, and importing the package
 loads no numpy, so the CLI's one-thread pin comes before numpy's first import.
+The process ends by ``cli.run``'s exit, which skips interpreter teardown, so
+these tests also check that its messages and artifacts arrive whole, and that
+the installed ``hypstruct`` script takes the same exit.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from hypstruct import __version__, cli
 from hypstruct.hierarchy import balanced_tree
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TREE = json.loads(balanced_tree((1, 4, 20)).serialize())
@@ -61,3 +69,37 @@ def test_importing_the_package_loads_no_numpy(tmp_path):
     done = python(["-c", "import hypstruct, sys; print('numpy' in sys.modules)"], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_the_process_exit_keeps_messages_codes_and_artifacts(tmp_path):
+    missing = python(["-m", "hypstruct.cli", "train", "--config", "absent.json", "--out", "out"],
+                     tmp_path)
+    assert missing.returncode == cli.EXIT_ERROR
+    assert missing.stderr == "error: config file not found: absent.json\n"
+    version = python(["-m", "hypstruct.cli", "--version"], tmp_path)
+    assert (version.returncode, version.stdout) == (0, f"{__version__}\n")
+
+    (tmp_path / "spectra.json").write_text(json.dumps(
+        {"block_spec": {"balanced_level_counts": [1, 4, 20], "r": [0.8, 0.4]}}))
+    done = python(["-m", "hypstruct.cli", "spectra", "--config", "spectra.json",
+                   "--out", "process"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_OK, "", "")
+    assert cli.main(["spectra", "--config", str(tmp_path / "spectra.json"),
+                     "--out", str(tmp_path / "in_process")]) == cli.EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "process").iterdir())
+    assert "spectrum_numerical.csv" in names and "report.json" in names
+    for name in names:
+        assert ((tmp_path / "process" / name).read_bytes()
+                == (tmp_path / "in_process" / name).read_bytes()), name
+
+
+def test_the_installed_script_runs_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, entry = scripts["hypstruct"].split(":")
+    assert module == "hypstruct.cli"
+    source = ast.parse((SRC / "hypstruct" / "cli.py").read_text())
+    main_blocks = [node.body for node in source.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in main_blocks[0]] == [f"{entry}()"]

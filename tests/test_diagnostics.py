@@ -1,6 +1,8 @@
 """Diagnostics against independent references: test CPCC, kNN, sampled delta,
 AUROC, Borda count and the Gaussian fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ def test_cpcc_identical_prototypes_raise():
     for mode in ("l2", "poincare"):
         with pytest.raises(DegenerateVariance):
             dg.test_cpcc(np.full((4, 2), 0.3), [0, 1, 5, 6], tree, distance_mode=mode)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distance_matrix_rejects_a_non_finite_entry(bad):
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    d[0, 1] = d[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dg.DistanceMatrix(d)
 
 
 def test_cpcc_rejects_unknown_mode():

@@ -7,7 +7,7 @@ import pytest
 
 from hypstruct import hierarchy as hi
 from hypstruct import spectral as sp
-from hypstruct.errors import NonFiniteMatrix, NotALeaf, NotSymmetric
+from hypstruct.errors import DegenerateRow, NonFiniteMatrix, NotALeaf, NotSymmetric
 
 from jacobi_oracle import jacobi_eigenvalues
 from test_hierarchy import brute_force_lca_height
@@ -154,3 +154,42 @@ def test_lca_height_broadcasts_over_leaf_arrays():
     assert isinstance(tree.lca_height(tree.id_of("x"), tree.id_of("y")), int)
     with pytest.raises(NotALeaf):
         tree.lca_height(np.array([tree.id_of("x"), tree.id_of("a")]), tree.id_of("y"))
+
+
+def gram_inputs(n_per_class, dim, seed):
+    """Shuffled labels on the (1, 2, 4) tree and features off the origin, so
+    both the class sort and the centring change the result."""
+    tree = hi.balanced_tree((1, 2, 4))
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(tree.n_classes), n_per_class))
+    return tree, 3.0 + rng.standard_normal((labels.size, dim)), labels
+
+
+def test_gram_matrix_is_the_cosine_of_mean_centred_rows_in_class_order():
+    tree, Z, labels = gram_inputs(3, 5, seed=4)
+    K = sp.gram_matrix(Z, labels, tree)
+    order = sp.class_sorted_order(labels, tree)
+    keys = list(zip(tree.coarse_labels(labels[order]), labels[order], order))
+    assert keys == sorted(keys)
+    centred = Z - Z.mean(axis=0)
+    for a, i in enumerate(order):
+        for b, j in enumerate(order):
+            u, v = centred[i], centred[j]
+            cosine = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+            assert K[a, b] == pytest.approx(cosine, rel=0, abs=1e-12)
+    assert np.all(np.abs(np.diag(K) - 1.0) <= 4 * np.finfo(np.float64).eps)
+
+
+@pytest.mark.parametrize("n_per_class, dim", [(125, 16), (2, 3)])
+def test_gram_matrix_equals_its_transpose_bit_for_bit(n_per_class, dim):
+    # the precondition of the mirrored gram.csv writer
+    tree, Z, labels = gram_inputs(n_per_class, dim, seed=dim)
+    K = sp.gram_matrix(Z, labels, tree)
+    assert K.shape == (4 * n_per_class,) * 2
+    assert np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
+
+
+def test_gram_matrix_rejects_a_row_at_the_mean():
+    Z = np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]])
+    with pytest.raises(DegenerateRow):
+        sp.gram_matrix(Z, np.array([0, 1, 2]), hi.balanced_tree((1, 2, 4)))
