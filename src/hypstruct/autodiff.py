@@ -1,10 +1,10 @@
 """Small reverse-mode tape over numpy arrays.
 
-Every operation here accepts either a plain ``numpy`` array (returning a plain
-array, no overhead beyond an ``isinstance`` check) or a :class:`Node`
-(returning a ``Node`` that remembers how to push gradients back).  Writing the
-numerical core of the package in terms of these functions gives one code path
-for both plain evaluation and differentiation.
+Every operation here has one code path: it reads its operands with
+:func:`val` and returns :func:`make_node` of the value and one VJP per
+operand, which is the plain value itself when no operand is a :class:`Node`.
+So the package's numerical core, written in these functions, evaluates plain
+``numpy`` arrays without a tape and differentiates ``Node`` inputs alike.
 
 Boundary handling: the Poincare distance clamps its atanh argument to
 ``ATANH_MAX`` before evaluation, and the ball clip used by the geometry layer
@@ -103,18 +103,9 @@ class Node:
         return f"Node(shape={self.value.shape})"
 
 
-def is_node(x):
-    return isinstance(x, Node)
-
-
 def val(x):
     """Underlying numpy value of ``x`` whether or not it is a Node."""
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
-
-
-def detach(x):
-    """Constant copy of ``x``; gradients do not flow through it."""
-    return np.array(val(x))
 
 
 def unbroadcast(g, shape):
@@ -142,8 +133,6 @@ def make_node(value, *pairs):
 
 
 def add(a, b):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.add(val(a), val(b))
     va, vb = val(a), val(b)
     return make_node(va + vb,
                      (a, lambda g, s=va.shape: unbroadcast(g, s)),
@@ -151,8 +140,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.subtract(val(a), val(b))
     va, vb = val(a), val(b)
     return make_node(va - vb,
                      (a, lambda g, s=va.shape: unbroadcast(g, s)),
@@ -160,8 +147,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.multiply(val(a), val(b))
     va, vb = val(a), val(b)
     return make_node(va * vb,
                      (a, lambda g, o=vb, s=va.shape: unbroadcast(g * o, s)),
@@ -169,8 +154,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.divide(val(a), val(b))
     va, vb = val(a), val(b)
     out = va / vb
     return make_node(out,
@@ -179,37 +162,25 @@ def div(a, b):
 
 
 def matmul(a, b):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.matmul(val(a), val(b))
     va, vb = val(a), val(b)
     if va.ndim != 2 or vb.ndim != 2:
-        raise ValueError("matmul on the tape supports 2-D operands only")
+        raise ValueError("matmul supports 2-D operands only")
     return make_node(va @ vb,
                      (a, lambda g, o=vb: g @ o.T),
                      (b, lambda g, o=va: o.T @ g))
 
 
 def transpose(a):
-    if not isinstance(a, Node):
-        return np.transpose(val(a))
-    return make_node(a.value.T, (a, lambda g: g.T))
+    return make_node(val(a).T, (a, lambda g: g.T))
 
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
-    if not isinstance(a, Node):
-        return np.sum(val(a), axis=axis, keepdims=keepdims)
-    va = a.value
+    va = val(a)
 
     def vjp(g, shape=va.shape):
-        if axis is None:
-            gg = np.asarray(g).reshape((1,) * len(shape))
-            return np.broadcast_to(gg, shape).copy()
-        gg = g
-        if not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            for i in sorted(a % len(shape) for a in ax):
-                gg = np.expand_dims(gg, i)
-        return np.broadcast_to(gg, shape).copy()
+        if not (axis is None or keepdims):
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape).copy()
 
     return make_node(np.sum(va, axis=axis, keepdims=keepdims), (a, vjp))
 
@@ -220,37 +191,27 @@ def mean(a):
 
 
 def tanh(a):
-    if not isinstance(a, Node):
-        return np.tanh(val(a))
-    y = np.tanh(a.value)
+    y = np.tanh(val(a))
     return make_node(y, (a, lambda g, yy=y: g * (1.0 - yy * yy)))
 
 
 def exp(a):
-    if not isinstance(a, Node):
-        return np.exp(val(a))
-    y = np.exp(a.value)
+    y = np.exp(val(a))
     return make_node(y, (a, lambda g, yy=y: g * yy))
 
 
 def log(a):
-    if not isinstance(a, Node):
-        return np.log(val(a))
-    va = a.value
+    va = val(a)
     return make_node(np.log(va), (a, lambda g, x=va: g / x))
 
 
 def sqrt(a):
-    if not isinstance(a, Node):
-        return np.sqrt(val(a))
-    y = np.sqrt(a.value)
+    y = np.sqrt(val(a))
     return make_node(y, (a, lambda g, yy=y: g / (2.0 * yy)))
 
 
 def maximum(a, b):
     """Elementwise max; ties route the gradient to the first operand."""
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.maximum(val(a), val(b))
     va, vb = val(a), val(b)
     take_a = va >= vb
     return make_node(np.maximum(va, vb),
@@ -261,8 +222,6 @@ def maximum(a, b):
 def where(cond, a, b):
     """Select by a constant boolean mask."""
     cond = np.asarray(cond, dtype=bool)
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.where(cond, val(a), val(b))
     va, vb = val(a), val(b)
     return make_node(np.where(cond, va, vb),
                      (a, lambda g, m=cond, s=va.shape: unbroadcast(np.where(m, g, 0.0), s)),
@@ -272,27 +231,22 @@ def where(cond, a, b):
 def take(a, indices, axis=0):
     """Gather along ``axis`` (rows by default); the backward pass scatter-adds."""
     idx = np.asarray(indices)
-    # np.take returns a C-ordered array, so later reductions along the last
-    # axis sum in the same order whatever the leading axes
-    if not isinstance(a, Node):
-        return np.take(val(a), idx, axis=axis)
-    va = a.value
+    va = val(a)
 
     def vjp(g, shape=va.shape, key=(slice(None),) * (axis % va.ndim) + (idx,)):
         out = np.zeros(shape)
         np.add.at(out, key, g)
         return out
 
+    # np.take returns a C-ordered array, so later reductions along the last
+    # axis sum in the same order whatever the leading axes
     return make_node(np.take(va, idx, axis=axis), (a, vjp))
 
 
 def gather_cols(a, cols):
     """Pick one column per row: ``out[i] = a[i, cols[i]]``."""
     cols = np.asarray(cols)
-    if not isinstance(a, Node):
-        va = val(a)
-        return va[np.arange(va.shape[0]), cols]
-    va = a.value
+    va = val(a)
     rows = np.arange(va.shape[0])
 
     def vjp(g, shape=va.shape, rr=rows, cc=cols):

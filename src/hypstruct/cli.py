@@ -373,15 +373,29 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def load_checkpoint(path):
-    """The parameter dict, encoder spec and objective of a checkpoint.json; an
-    encoder or objective key that ``train`` does not accept (e.g. the removed
-    ``objective.map_mode``) raises ConfigError naming the file and the key."""
-    doc = json.loads(_existing(path, "checkpoint").read_text())
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
+    """The encoder parameters, encoder spec and objective of a checkpoint.json; a
+    missing key, a key ``train`` does not accept (e.g. the removed
+    ``objective.map_mode``) or an encoder parameter not of the shape that
+    ``training.encoder_shapes`` gives raises ConfigError naming the file and the key."""
+    doc = _object(json.loads(_existing(path, "checkpoint").read_text()), str(path))
+    for name in ("params", "encoder", "objective"):
+        if name not in doc:
+            raise ConfigError(f"{path}: {name}: required key is missing")
     # the encoder seed only drew the initial weights; it is not read again
-    encoder = _checked(doc["encoder"], ENCODER_KEYS, f"{path}: encoder", seed=0)
+    enc = EncoderSpec(**_checked(doc["encoder"], ENCODER_KEYS, f"{path}: encoder", seed=0))
     objective = _checked(doc["objective"], OBJECTIVE_KEYS, f"{path}: objective")
-    return params, EncoderSpec(**encoder), _objective(objective)
+    stored = _object(doc["params"], f"{path}: params")
+    params = {}
+    for name, shape in tr.encoder_shapes(enc).items():
+        if name not in stored:
+            raise ConfigError(f"{path}: params.{name}: required key is missing")
+        try:
+            params[name] = np.asarray(stored[name], dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or not numbers
+            raise ConfigError(f"{path}: params.{name}: not a {shape} array") from None
+        if params[name].shape != shape:
+            raise ConfigError(f"{path}: params.{name}: shape {params[name].shape} is not {shape}")
+    return params, enc, _objective(objective)
 
 
 # eval ------------------------------------------------------------------------
@@ -602,17 +616,15 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = {}
-    if args.config is not None:
-        if not args.config.exists():
-            print(f"error: config file not found: {args.config}", file=sys.stderr)
-            return EXIT_ERROR
-        try:
-            config = json.loads(args.config.read_text())
-        except json.JSONDecodeError as e:
-            print(f"error: bad config JSON: {e}", file=sys.stderr)
-            return EXIT_ERROR
     try:
+        config = {}
+        if args.config is not None:
+            if not args.config.exists():
+                raise FileNotFoundError(f"config file not found: {args.config}")
+            try:
+                config = json.loads(args.config.read_text())
+            except json.JSONDecodeError as e:
+                raise ValueError(f"bad config JSON: {e}") from None
         cfg = _checked(config, COMMAND_KEYS[args.command])
         if cfg["command"] != args.command:
             raise ConfigError(f"command: this config is for {cfg['command']!r}")
@@ -620,12 +632,9 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out)
-    except DivergedError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
     except HypstructError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_DIVERGED if isinstance(e, DivergedError) else EXIT_ERROR
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

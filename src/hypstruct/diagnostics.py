@@ -203,7 +203,6 @@ def test_cpcc(features, labels, tree: LabelTree, distance_mode: str = "l2",
     distances raise DegenerateVariance.
     """
     cfg = obj.ObjectiveConfig(c=c, tree_scope="leaf_only", cpcc_distance=distance_mode)
-    features = np.asarray(features, dtype=np.float64)
     return float(obj.cpcc_term_core(features, labels, tree, cfg)[0])
 
 

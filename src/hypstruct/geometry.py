@@ -5,10 +5,10 @@ training code build on.  The two fused kernels have one implementation each,
 in value-and-VJP form: ``exp0_vjp`` and ``pair_distances_vjp`` take plain
 arrays and return the value with its vector-Jacobian product.  ``exp0`` and
 ``pair_distances`` apply them to an array, or to a tape node as one node;
-``embed-tree`` chains the VJPs by hand.  The other functions accept tape
-nodes as well as numpy arrays, except ``dist_rows``, which pairs rows one to
-one, on values only, for the distances ``embed-tree`` writes out.  It shares
-one Poincare distance formula with ``pair_distances_vjp``.
+``embed-tree`` chains the VJPs by hand.  The others use the ``autodiff``
+operators, so a node gives a node and an array its value; ``dist_rows``
+alone works on values only, pairing rows one to one for the distances
+``embed-tree`` writes out, with the Poincare formula of ``pair_distances_vjp``.
 
 Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
 radius is ``1/sqrt(c)``.  The exponential map is taken at the origin only;
@@ -77,10 +77,10 @@ def clip0(v, c, epsilon=1e-5):
     """Rescale rows with ``||v|| >= 1/sqrt(c)`` to norm ``1/sqrt(c) - epsilon``."""
     radius = 1.0 / np.sqrt(c)
     norms = ad.sqrt(ad.maximum(sq_norm(v, keepdims=True), _TINY_SQ))
-    outside = np.asarray(ad.val(norms)) >= radius
+    outside = ad.val(norms) >= radius
     n_rescaled = int(np.count_nonzero(outside))
     if n_rescaled == 0:
-        return v * 1.0 if ad.is_node(v) else np.array(ad.val(v))
+        return v
     ad.record_clip_rescales(n_rescaled)
     scale = (radius - epsilon) / norms
     return ad.where(outside, scale * v, v)

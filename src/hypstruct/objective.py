@@ -221,7 +221,7 @@ def regularizer_terms(features, labels, tree, cfg, metric=None, cpcc=True, cente
 
 def cross_entropy_core(logits, labels):
     labels = np.asarray(labels, dtype=np.int64)
-    shift = ad.detach(ad.val(logits).max(axis=1, keepdims=True))
+    shift = ad.val(logits).max(axis=1, keepdims=True)
     s = logits - shift
     lse = ad.log(ad.sum(ad.exp(s), axis=1))
     picked = ad.gather_cols(s, labels)
@@ -246,7 +246,7 @@ def supcon_core(embeddings, labels, tau):
 
     sims = ad.matmul(embeddings, ad.transpose(embeddings)) / tau
     row_shift = np.where(offdiag, ad.val(sims), -np.inf).max(axis=1, keepdims=True)
-    weights = ad.exp(sims - ad.detach(row_shift))
+    weights = ad.exp(sims - row_shift)
     wv = ad.take(weights, valid)
     denom = ad.sum(wv * offdiag[valid], axis=1)
     numer = ad.sum(wv * pos_mask[valid], axis=1) / (counts[valid] - 1.0)

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from . import objective as obj
-from .errors import DivergedError, InsufficientVertices, ValidationError
+from .errors import DivergedError, HypstructError, InsufficientVertices, ValidationError
 from .hierarchy import LabelTree, tree_metric
 from .objective import ObjectiveConfig
 
@@ -164,13 +164,16 @@ def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
         for rec in reader:
             if not rec:
                 continue
-            name = rec[0]
-            leaf = tree.id_of(name)
-            labels.append(tree.class_index(leaf))
-            rows.append([float(x) for x in rec[1:]])
-            if not all(map(math.isfinite, rows[-1])):
-                raise ValidationError(f"{path}, line {reader.line_num}: a feature is NaN "
-                                      "or infinite")
+            try:
+                labels.append(tree.class_index(tree.id_of(rec[0])))
+                rows.append([float(x) for x in rec[1:]])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{len(rows[-1])} features where the first row has "
+                                     f"{len(rows[0])}")
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ValueError("a feature is NaN or infinite")
+            except (HypstructError, ValueError) as e:
+                raise ValidationError(f"{path}, line {reader.line_num}: {e}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return LabeledDataset(np.asarray(rows), np.asarray(labels))
@@ -178,26 +181,22 @@ def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
 
 # encoder ------------------------------------------------------------------------
 
+def encoder_shapes(enc: EncoderSpec) -> dict:
+    """Name -> shape of the encoder's tensors, the ones :func:`encode` reads."""
+    if enc.kind == "linear":
+        return {"enc.w": (enc.input_dim, enc.output_dim), "enc.b": (enc.output_dim,)}
+    return {"enc.w1": (enc.input_dim, enc.hidden_dim), "enc.b1": (enc.hidden_dim,),
+            "enc.w2": (enc.hidden_dim, enc.output_dim), "enc.b2": (enc.output_dim,)}
+
+
 def param_shapes(enc: EncoderSpec, cfg: ObjectiveConfig, n_classes: int) -> dict:
     """Name -> shape of every trained tensor: the encoder, then the CE head or
     the SupCon projection."""
-    shapes = {}
-    if enc.kind == "linear":
-        shapes["enc.w"] = (enc.input_dim, enc.output_dim)
-        shapes["enc.b"] = (enc.output_dim,)
-    else:
-        shapes["enc.w1"] = (enc.input_dim, enc.hidden_dim)
-        shapes["enc.b1"] = (enc.hidden_dim,)
-        shapes["enc.w2"] = (enc.hidden_dim, enc.output_dim)
-        shapes["enc.b2"] = (enc.output_dim,)
+    shapes = encoder_shapes(enc)
     if cfg.flat_loss == "cross_entropy":
-        shapes["head.w"] = (enc.output_dim, n_classes)
-        shapes["head.b"] = (n_classes,)
-    else:
-        proj = min(enc.output_dim, PROJECTION_WIDTH_CAP)
-        shapes["proj.w"] = (enc.output_dim, proj)
-        shapes["proj.b"] = (proj,)
-    return shapes
+        return {**shapes, "head.w": (enc.output_dim, n_classes), "head.b": (n_classes,)}
+    proj = min(enc.output_dim, PROJECTION_WIDTH_CAP)
+    return {**shapes, "proj.w": (enc.output_dim, proj), "proj.b": (proj,)}
 
 
 def init_params(shapes: dict, seed: int) -> dict:
@@ -213,7 +212,6 @@ def init_params(shapes: dict, seed: int) -> dict:
 
 def encode(params, enc: EncoderSpec, x):
     """Encoder forward pass; ``params`` maps names to arrays or tape leaves."""
-    x = np.asarray(x, dtype=np.float64)
     if enc.kind == "linear":
         return ad.matmul(x, params["enc.w"]) + params["enc.b"]
     h = ad.tanh(ad.matmul(x, params["enc.w1"]) + params["enc.b1"])
@@ -422,7 +420,7 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     best = int(np.argmax(final >= top - BEST_RESTART_RTOL * abs(top)))
     best_x = x[best]
     if distance_mode == "poincare":
-        best_x = np.asarray(geo.exp0(best_x, cfg.c))
+        best_x = geo.exp0(best_x, cfg.c)
     coords = {int(v): best_x[i].copy() for i, v in enumerate(vertices)}
     return EmbedResult(coords=coords, cpcc=float(final[best]),
                        per_restart=[float(v) for v in final])

@@ -39,7 +39,7 @@ def gradient(closure, params, *, return_nondifferentiable=False):
     before = event_totals()
     leaf = ad.Node(params)
     out = closure(leaf)
-    if not ad.is_node(out):
+    if not isinstance(out, ad.Node):
         raise TypeError("closure must return a tape Node; did it detach the parameters?")
     g = ad.grad(out, [leaf])[0]
     if return_nondifferentiable:

@@ -95,11 +95,62 @@ def test_where_maximum_slice():
     check(lambda x: ad.sum(square(ad.take(x, np.arange(1, 4)))), rng.standard_normal(6))
 
 
-def test_plain_arrays_pass_through():
-    x = rng.standard_normal((3, 3))
-    assert isinstance(ad.tanh(x), np.ndarray)
-    assert isinstance(ad.sum(x, axis=0), np.ndarray)
-    np.testing.assert_allclose(ad.tanh(x), np.tanh(x))
+_operands = np.random.default_rng(7)
+A, B = _operands.standard_normal((2, 3, 4))
+POSITIVE = np.abs(A) + 0.5
+MASK = A > B
+COLS = np.array([3, 0, 1])
+
+# name -> (operator, the numpy expression it computes, operands)
+OPERATORS = {
+    "add": (ad.add, np.add, (A, B)),
+    "sub": (ad.sub, np.subtract, (A, B)),
+    "mul": (ad.mul, np.multiply, (A, B)),
+    "div": (ad.div, np.divide, (A, POSITIVE)),
+    "matmul": (ad.matmul, np.matmul, (A, B.T)),
+    "transpose": (ad.transpose, np.transpose, (A,)),
+    "sum": (lambda a: ad.sum(a, axis=-1), lambda a: np.sum(a, axis=-1), (A,)),
+    "sum_keepdims": (lambda a: ad.sum(a, axis=(0, 1), keepdims=True),
+                     lambda a: np.sum(a, axis=(0, 1), keepdims=True), (A,)),
+    "tanh": (ad.tanh, np.tanh, (A,)),
+    "exp": (ad.exp, np.exp, (A,)),
+    "log": (ad.log, np.log, (POSITIVE,)),
+    "sqrt": (ad.sqrt, np.sqrt, (POSITIVE,)),
+    "maximum": (ad.maximum, np.maximum, (A, B)),
+    "where": (lambda a, b: ad.where(MASK, a, b), lambda a, b: np.where(MASK, a, b), (A, B)),
+    "take": (lambda a: ad.take(a, [2, 0, 2], axis=1),
+             lambda a: np.take(a, [2, 0, 2], axis=1), (A,)),
+    "gather_cols": (lambda a: ad.gather_cols(a, COLS), lambda a: a[np.arange(3), COLS], (A,)),
+}
+
+
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_one_path_for_plain_and_tape_operands(name):
+    # one code path: plain operands give the plain numpy value, bit for bit,
+    # and tape operands give a node holding the same bits
+    op, numpy_op, operands = OPERATORS[name]
+    plain = op(*operands)
+    want = numpy_op(*operands)
+    assert type(plain) is np.ndarray
+    assert (plain.dtype, plain.shape, plain.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    node = op(*map(ad.Node, operands))
+    assert isinstance(node, ad.Node)
+    assert node.value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, ad.Node], ids=["plain", "node"])
+def test_matmul_takes_2d_operands_only(wrap):
+    with pytest.raises(ValueError, match="2-D"):
+        ad.matmul(wrap(A[0]), wrap(B.T))
+    with pytest.raises(ValueError, match="2-D"):
+        ad.matmul(wrap(A), wrap(np.stack([B.T, B.T])))
+
+
+def test_sum_backward_over_negative_and_tuple_axes():
+    x = np.random.default_rng(8).standard_normal((2, 3, 4))
+    check(lambda v: ad.sum(square(ad.sum(v, axis=-1))), x)
+    check(lambda v: ad.sum(square(ad.sum(v, axis=(0, -1)))), x)
+    check(lambda v: ad.sum(ad.sum(v, axis=(-2, 0), keepdims=True) * v), x)
 
 
 def test_grad_requires_scalar():

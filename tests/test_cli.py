@@ -602,7 +602,17 @@ def test_eval_sampled_delta_is_the_direct_formula(trained, tmp_path):
     assert metrics["delta_rel"] == 2.0 * delta / dm.diameter
 
 
-@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+# what each bad cell of the second data row reads as, after "<path>, line 3: "
+CSV_FAULTS = {
+    "nan": "a feature is NaN or infinite",
+    "-inf": "a feature is NaN or infinite",
+    "ragged": "3 features where the first row has 4",
+    "abc": "could not convert string to float: 'abc'",
+    "zebra": "unknown vertex name 'zebra'",
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, "ragged", "abc", "zebra"])
 @pytest.mark.parametrize("command,key", [("train", "dataset"), ("eval", "train_dataset"),
                                          ("eval", "eval_dataset"), ("oodsim", "id_train"),
                                          ("oodsim", "ood_sets"), ("spectra", "features_csv")])
@@ -611,9 +621,16 @@ def test_a_non_finite_csv_feature_is_an_error_before_any_output(trained, tmp_pat
     tree = balanced_tree((1, 2, 4))
     dataset = tr.generate_hierarchical_gaussians(
         tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=5, seed=3))
-    dataset.features[1, 2] = bad
+    if not isinstance(bad, str):
+        dataset.features[1, 2] = bad
     path = tmp_path / "bad.csv"
     save_dataset_csv(path, dataset, tree)
+    if isinstance(bad, str):
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join({"ragged": cells[:-1], "abc": cells[:3] + ["abc"] + cells[4:],
+                             "zebra": ["zebra"] + cells[1:]}[bad])
+        path.write_text("\n".join(lines) + "\n")
     config = dict(command_configs(trained)[command])
     if key == "features_csv":
         config = {"features_csv": str(path), "hierarchy": TREE}
@@ -625,7 +642,7 @@ def test_a_non_finite_csv_feature_is_an_error_before_any_output(trained, tmp_pat
     config_path.write_text(json.dumps(config))
     assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
     # the header is line 1, so the second row is line 3
-    assert (f"error: ValidationError: {path}, line 3: a feature is NaN or infinite"
+    assert (f"error: ValidationError: {path}, line 3: {CSV_FAULTS[str(bad)]}"
             in capsys.readouterr().err)
     assert not any((tmp_path / "out").iterdir())
 
@@ -639,19 +656,61 @@ def test_checkpoint_with_a_removed_objective_key_is_a_config_error(trained, tmp_
         cli.load_checkpoint(path)
 
 
+# a fault of a checkpoint.json, and the ConfigError it reads as after its path
+CHECKPOINT_FAULTS = {
+    "no_encoder": "encoder: required key is missing",
+    "no_param": "params.enc.b2: required key is missing",
+    "param_shape": "params.enc.w1: shape (4, 7) is not (4, 8)",
+    "ragged_param": "params.enc.w1: not a (4, 8) array",
+}
+
+
+def broken_checkpoint(trained, tmp_path, fault):
+    checkpoint = json.loads((trained / "checkpoint.json").read_text())
+    if fault == "no_encoder":
+        del checkpoint["encoder"]
+    elif fault == "no_param":
+        del checkpoint["params"]["enc.b2"]
+    elif fault == "param_shape":
+        checkpoint["params"]["enc.w1"] = [row[:7] for row in checkpoint["params"]["enc.w1"]]
+    else:
+        checkpoint["params"]["enc.w1"][2].pop()
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(checkpoint))
+    return path
+
+
 @pytest.mark.parametrize("fault,message", [("missing", "checkpoint not found"),
-                                           ("input_dim", "do not match checkpoint input_dim")])
+                                           ("input_dim", "do not match checkpoint input_dim"),
+                                           *(pytest.param(fault, message, id=fault)
+                                             for fault, message in CHECKPOINT_FAULTS.items())])
 def test_oodsim_checks_every_checkpoint_before_any_output(trained, tmp_path, capsys,
                                                           fault, message):
     config = oodsim_config(trained)
     if fault == "missing":
         config["methods"]["missing"] = str(tmp_path / "no" / "checkpoint.json")
-    else:
+    elif fault == "input_dim":
         config["id_train"] = config["id_eval"] = {"synthetic": {"n_per_leaf": 5, "dim": 5}}
+    else:
+        path = broken_checkpoint(trained, tmp_path, fault)
+        config["methods"]["broken"] = str(path)
+        message = f"ConfigError: {path}: {message}"
     config_path = tmp_path / "oodsim.json"
     config_path.write_text(json.dumps(config))
     assert run_code("oodsim", config_path, tmp_path) == cli.EXIT_ERROR
     assert message in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
+def test_eval_checks_its_checkpoint_before_any_output(trained, tmp_path, capsys, fault):
+    path = broken_checkpoint(trained, tmp_path, fault)
+    config_path = tmp_path / "eval.json"
+    config_path.write_text(json.dumps(dict(command_configs(trained)["eval"],
+                                           checkpoint=str(path))))
+    assert run_code("eval", config_path, tmp_path) == cli.EXIT_ERROR
+    assert (f"error: ConfigError: {path}: {CHECKPOINT_FAULTS[fault]}"
+            in capsys.readouterr().err)
     assert not any((tmp_path / "out").iterdir())
 
 
