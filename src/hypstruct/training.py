@@ -160,6 +160,7 @@ def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
         header = next(reader, None)
         if not header or header[0] != "label":
             raise ValidationError(f"{path}: expected header starting with 'label'")
+        width = len(header) - 1
         rows, labels = [], []
         for rec in reader:
             if not rec:
@@ -167,9 +168,8 @@ def load_dataset_csv(path, tree: LabelTree) -> LabeledDataset:
             try:
                 labels.append(tree.class_index(tree.id_of(rec[0])))
                 rows.append([float(x) for x in rec[1:]])
-                if len(rows[-1]) != len(rows[0]):
-                    raise ValueError(f"{len(rows[-1])} features where the first row has "
-                                     f"{len(rows[0])}")
+                if len(rows[-1]) != width:
+                    raise ValueError(f"{len(rows[-1])} features where the header has {width}")
                 if not all(map(math.isfinite, rows[-1])):
                     raise ValueError("a feature is NaN or infinite")
             except (HypstructError, ValueError) as e:
@@ -254,7 +254,12 @@ def learning_rate(tc: TrainConfig, epoch: int) -> float:
 
 def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
           cfg: ObjectiveConfig, tc: TrainConfig) -> TrainResult:
-    """Run the composite-objective training loop; deterministic per seeds."""
+    """Run the composite-objective training loop; deterministic per seeds.
+
+    One batch's tape is alive at a time: :func:`_batch_gradients` builds it,
+    differentiates it and drops it on return, so nothing of batch b is held
+    while batch b+1's forward pass or ``epoch_metrics`` runs.
+    """
     n = dataset.n
     if tc.batch_size > n:
         raise ValueError(f"batch_size {tc.batch_size} exceeds dataset size {n}")
@@ -274,30 +279,14 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
         flat_sum = 0.0
         n_batches = 0
         for start in range(0, n, tc.batch_size):
-            idx = perm[start:start + tc.batch_size]
-            xb = dataset.features[idx]
-            yb = dataset.labels[idx]
-            if cfg.flat_loss == "supcon":
-                xb = np.vstack([xb, dataset.view2[idx]])
-                yb = np.concatenate([yb, yb])
-
-            leaves = {name: ad.Node(p) for name, p in params.items()}
-            feats = encode(leaves, enc, xb)
-            if cfg.flat_loss == "cross_entropy":
-                flat = obj.cross_entropy_core(class_logits(leaves, feats), yb)
-            else:
-                flat = obj.supcon_core(project_embeddings(leaves, feats), yb, cfg.tau)
-            total, skip = obj.composite_core(feats, yb, tree, cfg, flat, metric)
+            flat, skip, grads = _batch_gradients(
+                params, dataset, perm[start:start + tc.batch_size], tree, enc, cfg, metric)
             skipped += skip
-
-            value = float(ad.val(total))
-            if not np.isfinite(value):
+            if grads is None:
                 raise DivergedError(epoch, n_batches, ad.total_atanh_clamps() - clamps_before,
                                     ad.total_clip_rescales() - clips_before)
-            flat_sum += float(ad.val(flat))
+            flat_sum += flat
             n_batches += 1
-
-            grads = ad.grad(total, list(leaves.values()))
             for (name, p), grad in zip(params.items(), grads):
                 if tc.weight_decay > 0:
                     grad = grad + tc.weight_decay * p
@@ -309,6 +298,32 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
                                   cpcc_val, center_val, lr))
 
     return TrainResult(params=params, history=history, skipped_cpcc_steps=skipped)
+
+
+def _batch_gradients(params, dataset, idx, tree, enc, cfg, metric):
+    """One training step's forward and backward pass over the rows ``idx``.
+
+    Returns the flat loss's value, whether the CPCC term was skipped, and
+    the gradients of the composite objective in the order of ``params``, or
+    None when the objective is not finite.  The batch's tape is local to
+    this call and is released when it returns.
+    """
+    xb = dataset.features[idx]
+    yb = dataset.labels[idx]
+    if cfg.flat_loss == "supcon":
+        xb = np.vstack([xb, dataset.view2[idx]])
+        yb = np.concatenate([yb, yb])
+
+    leaves = {name: ad.Node(p) for name, p in params.items()}
+    feats = encode(leaves, enc, xb)
+    if cfg.flat_loss == "cross_entropy":
+        flat = obj.cross_entropy_core(class_logits(leaves, feats), yb)
+    else:
+        flat = obj.supcon_core(project_embeddings(leaves, feats), yb, cfg.tau)
+    total, skip = obj.composite_core(feats, yb, tree, cfg, flat, metric)
+    finite = np.isfinite(float(ad.val(total)))
+    grads = ad.grad(total, list(leaves.values())) if finite else None
+    return float(ad.val(flat)), skip, grads
 
 
 def epoch_metrics(params, enc, dataset, tree, cfg, metric=None):

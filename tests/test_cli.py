@@ -484,6 +484,7 @@ def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, caps
     ("embed-tree", "tree_scope", "bogus"),
     ("eval", "cpcc_distance", "bogus"),
     ("eval", "knn_k", 0),
+    ("train", "train", {"epochs": 1, "batch_size": 41}),
 ])
 def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, capsys,
                                                              command, key, value):
@@ -494,6 +495,34 @@ def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: ") and key in err
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_supcon_on_a_one_view_csv_dataset_is_a_config_error_before_any_output(tmp_path,
+                                                                             capsys):
+    tree = balanced_tree((1, 2, 4))
+    csv_path = tmp_path / "rows.csv"
+    save_dataset_csv(csv_path, tr.generate_hierarchical_gaussians(
+        tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=10, seed=3)), tree)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(TRAIN, dataset={"csv": str(csv_path)},
+                                           objective={"flat_loss": "supcon"})))
+    assert run_code("train", config_path, tmp_path) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith(
+        "error: ConfigError: objective.flat_loss: supcon needs a dataset with two views")
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_write_json_streams_the_bytes_of_one_indented_dump(tmp_path):
+    # a checkpoint's shape: nested float lists, ints, None and nested sections
+    rng = np.random.default_rng(0)
+    payload = {"params": {"enc.w1": rng.standard_normal((3, 4)).tolist(),
+                          "enc.b1": [0.1, -0.0, 1e-300, 5e16, 2.5e-7]},
+               "train": {"epochs": 3, "lr0": 0.05}, "loss": None, "name": "é"}
+    config = {"seed": 3, "hierarchy": TREE}
+    cli._write_json(tmp_path / "doc.json", payload, config)
+    doc = {**payload, "config": config, "version": cli.__version__}
+    assert ((tmp_path / "doc.json").read_bytes()
+            == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -602,17 +631,21 @@ def test_eval_sampled_delta_is_the_direct_formula(trained, tmp_path):
     assert metrics["delta_rel"] == 2.0 * delta / dm.diameter
 
 
-# what each bad cell of the second data row reads as, after "<path>, line 3: "
+# what each fault reads as after "<path>, ": the header is line 1, so the
+# first data row is line 2 and the second line 3
 CSV_FAULTS = {
-    "nan": "a feature is NaN or infinite",
-    "-inf": "a feature is NaN or infinite",
-    "ragged": "3 features where the first row has 4",
-    "abc": "could not convert string to float: 'abc'",
-    "zebra": "unknown vertex name 'zebra'",
+    "nan": "line 3: a feature is NaN or infinite",
+    "-inf": "line 3: a feature is NaN or infinite",
+    "ragged": "line 3: 3 features where the header has 4",
+    "abc": "line 3: could not convert string to float: 'abc'",
+    "zebra": "line 3: unknown vertex name 'zebra'",
+    "short_first": "line 2: 3 features where the header has 4",
+    "narrow_header": "line 2: 4 features where the header has 3",
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, -np.inf, "ragged", "abc", "zebra"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, "ragged", "abc", "zebra", "short_first",
+                                 "narrow_header"])
 @pytest.mark.parametrize("command,key", [("train", "dataset"), ("eval", "train_dataset"),
                                          ("eval", "eval_dataset"), ("oodsim", "id_train"),
                                          ("oodsim", "ood_sets"), ("spectra", "features_csv")])
@@ -627,9 +660,15 @@ def test_a_non_finite_csv_feature_is_an_error_before_any_output(trained, tmp_pat
     save_dataset_csv(path, dataset, tree)
     if isinstance(bad, str):
         lines = path.read_text().splitlines()
-        cells = lines[2].split(",")
-        lines[2] = ",".join({"ragged": cells[:-1], "abc": cells[:3] + ["abc"] + cells[4:],
-                             "zebra": ["zebra"] + cells[1:]}[bad])
+        if bad == "narrow_header":
+            # every row carries one feature more than the header names
+            lines[0] = ",".join(lines[0].split(",")[:-1])
+        else:
+            row = 1 if bad == "short_first" else 2
+            cells = lines[row].split(",")
+            lines[row] = ",".join({"ragged": cells[:-1], "short_first": cells[:-1],
+                                   "abc": cells[:3] + ["abc"] + cells[4:],
+                                   "zebra": ["zebra"] + cells[1:]}[bad])
         path.write_text("\n".join(lines) + "\n")
     config = dict(command_configs(trained)[command])
     if key == "features_csv":
@@ -641,8 +680,7 @@ def test_a_non_finite_csv_feature_is_an_error_before_any_output(trained, tmp_pat
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
-    # the header is line 1, so the second row is line 3
-    assert (f"error: ValidationError: {path}, line 3: {CSV_FAULTS[str(bad)]}"
+    assert (f"error: ValidationError: {path}, {CSV_FAULTS[str(bad)]}"
             in capsys.readouterr().err)
     assert not any((tmp_path / "out").iterdir())
 
@@ -662,10 +700,17 @@ CHECKPOINT_FAULTS = {
     "no_param": "params.enc.b2: required key is missing",
     "param_shape": "params.enc.w1: shape (4, 7) is not (4, 8)",
     "ragged_param": "params.enc.w1: not a (4, 8) array",
+    "not_json": "not valid JSON: Expecting property name enclosed in double quotes: "
+                "line 2 column 1 (char 2)",
 }
 
 
 def broken_checkpoint(trained, tmp_path, fault):
+    path = tmp_path / "broken.json"
+    if fault == "not_json":
+        # cut off after its first line, "{"
+        path.write_text((trained / "checkpoint.json").read_text()[:2])
+        return path
     checkpoint = json.loads((trained / "checkpoint.json").read_text())
     if fault == "no_encoder":
         del checkpoint["encoder"]
@@ -675,7 +720,6 @@ def broken_checkpoint(trained, tmp_path, fault):
         checkpoint["params"]["enc.w1"] = [row[:7] for row in checkpoint["params"]["enc.w1"]]
     else:
         checkpoint["params"]["enc.w1"][2].pop()
-    path = tmp_path / "broken.json"
     path.write_text(json.dumps(checkpoint))
     return path
 

@@ -506,6 +506,44 @@ def test_train_step_tape_size_on_cifar100_shape():
     np.testing.assert_array_equal(root_rows[0].value, proto.value[:1])
 
 
+@pytest.mark.parametrize("flat_loss", obj.FLAT_LOSSES)
+def test_train_holds_one_batch_tape_at_a_time(tree, monkeypatch, flat_loss):
+    # Node has __slots__ and no weakref slot, so the live nodes are the ids
+    # that __init__ added and __del__ has not yet removed.  A node without
+    # parents is a leaf; the first leaf after a non-leaf starts a batch.
+    alive, at_batch_start, at_epoch_metrics = set(), [], []
+    in_leaves, most_alive = False, 0
+    node_init, epoch_metrics = ad.Node.__init__, tr.epoch_metrics
+
+    def spy_init(self, value, parents=()):
+        nonlocal in_leaves, most_alive
+        if not parents and not in_leaves:
+            at_batch_start.append(len(alive))
+        in_leaves = not parents
+        node_init(self, value, parents)
+        alive.add(id(self))
+        most_alive = max(most_alive, len(alive))
+
+    def spy_del(self):
+        alive.discard(id(self))
+
+    def spy_epoch_metrics(*args, **kwargs):
+        at_epoch_metrics.append(len(alive))
+        return epoch_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", spy_init)
+    monkeypatch.setattr(ad.Node, "__del__", spy_del, raising=False)
+    monkeypatch.setattr(tr, "epoch_metrics", spy_epoch_metrics)
+    enc = tr.EncoderSpec(input_dim=8, hidden_dim=8, output_dim=4, seed=1)
+    cfg = obj.ObjectiveConfig(flat_loss=flat_loss)
+    tr.train(small_dataset(tree), tree, enc, cfg, tr.TrainConfig(epochs=2, batch_size=32, seed=2))
+    # 100 rows in batches of 32 make four batches per epoch, and each
+    # batch's tape has more nodes than leaves
+    assert at_batch_start == [0] * 8
+    assert at_epoch_metrics == [0, 0]
+    assert most_alive > len(tr.param_shapes(enc, cfg, tree.n_classes))
+
+
 @pytest.mark.parametrize("kind", ["linear", "mlp_1hidden"])
 @pytest.mark.parametrize("flat_loss", obj.FLAT_LOSSES)
 def test_init_params_are_the_per_tensor_draws_in_shape_order(kind, flat_loss):
