@@ -15,14 +15,15 @@ and ``total_clip_rescales()`` before and after a gradient can tell whether it
 crossed a non-smooth point.  The package is single-threaded; the counters
 are not guarded against concurrent use.
 
-Fused operations (the exponential map, the all-pairs distance kernel, CPCC)
-are written once, in value-and-VJP form: a function of plain arrays that
-returns its value and a hand-written vector-Jacobian product.  On the tape
-such a function is one node, built by :func:`make_node` over that VJP,
-instead of one node per elementary step; off the tape the same function
-gives the value, and a caller may chain the VJPs itself.  Each fused node
-has one parent on the tape: training differentiates with respect to the
-features only, so tree distances enter as constants.
+Fused operations (the exponential map, group means and Einstein midpoints
+over class sums, the all-pairs distance kernel, CPCC) are written once, in
+value-and-VJP form: a function of plain arrays that returns its value and a
+hand-written vector-Jacobian product.  On the tape such a function is one
+node, built by :func:`make_node` over that VJP, instead of one node per
+elementary step; off the tape the same function gives the value, and a
+caller may chain the VJPs itself.  Each fused node has one parent on the
+tape: training differentiates with respect to the features only, so tree
+distances and class memberships enter as constants.
 """
 
 from __future__ import annotations

@@ -157,6 +157,15 @@ def _checked(doc, keys, path="", seed=None, **derived):
     return out
 
 
+def _spec(cls, doc, path):
+    """``cls(**doc)``, its rejection of a value as a ConfigError naming the key
+    under ``path`` (the fields' checks name the field first)."""
+    try:
+        return cls(**doc)
+    except ValueError as e:
+        raise ConfigError(f"{path}.{e}") from None
+
+
 def _one_of(doc, names, path, default=None):
     """The one key of ``names`` that ``doc`` sets; ``default`` when it sets none."""
     given = [name for name in names if name in doc]
@@ -267,10 +276,14 @@ def load_dataset(spec, tree: LabelTree, seed, path="dataset", keys=DATASET.keys)
     the section checked against ``keys``, its seeds derived from ``seed``."""
     spec = _checked(spec, keys, path)
     if _one_of(spec, ("csv", "synthetic"), path, default="synthetic") == "csv":
-        return tr.load_dataset_csv(_existing(spec["csv"], "dataset file"), tree), spec
+        dataset = tr.load_dataset_csv(_existing(spec["csv"], "dataset file"), tree)
+        if dataset.dim < 1:
+            raise ConfigError(f"{path}.csv: {spec['csv']} has no feature column")
+        return dataset, spec
     synthetic = _checked(spec.get("synthetic", {}), keys["synthetic"].keys,
                          f"{path}.synthetic", seed=seed)
-    return (tr.generate_hierarchical_gaussians(SyntheticSpec(tree=tree, **synthetic)),
+    return (tr.generate_hierarchical_gaussians(
+        _spec(SyntheticSpec, dict(synthetic, tree=tree), f"{path}.synthetic")),
             {"synthetic": synthetic})
 
 
@@ -290,8 +303,8 @@ def objective_config(doc, path="objective") -> dict:
     return _checked(doc, OBJECTIVE_KEYS, path, **OBJECTIVE_VARIANTS.get(variant, {}))
 
 
-def _objective(doc) -> ObjectiveConfig:
-    return ObjectiveConfig(**{k: v for k, v in doc.items() if k != "variant"})
+def _objective(doc, path="objective") -> ObjectiveConfig:
+    return _spec(ObjectiveConfig, {k: v for k, v in doc.items() if k != "variant"}, path)
 
 
 # embed-tree ------------------------------------------------------------------
@@ -301,6 +314,8 @@ def cmd_embed_tree(cfg: dict, out: Path) -> int:
     dim, c = cfg["dim"], cfg["curvature"]
     if dim < 1:
         raise ConfigError(f"dim: must be at least 1, got {dim}")
+    if not c > 0:
+        raise ConfigError(f"curvature: must be positive, got {c}")
     try:
         objective = ObjectiveConfig(c=c, tree_scope=cfg["tree_scope"])
         budget = EmbedBudget(**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, seed=cfg["seed"])
@@ -357,9 +372,9 @@ def cmd_train(cfg: dict, out: Path) -> int:
                           f"the dataset's feature dimension {dataset.dim}")
     cfg["objective"] = objective_config(cfg["objective"])
     cfg["train"] = _checked(cfg["train"], TRAIN_KEYS, "train", seed)
-    enc = EncoderSpec(**cfg["encoder"])
+    enc = _spec(EncoderSpec, cfg["encoder"], "encoder")
     objective = _objective(cfg["objective"])
-    tc = TrainConfig(**cfg["train"])
+    tc = _spec(TrainConfig, cfg["train"], "train")
     if tc.batch_size > dataset.n:
         raise ConfigError(f"train.batch_size: {tc.batch_size} exceeds the dataset's "
                           f"{dataset.n} rows")
@@ -406,7 +421,8 @@ def load_checkpoint(path):
         if name not in doc:
             raise ConfigError(f"{path}: {name}: required key is missing")
     # the encoder seed only drew the initial weights; it is not read again
-    enc = EncoderSpec(**_checked(doc["encoder"], ENCODER_KEYS, f"{path}: encoder", seed=0))
+    enc = _spec(EncoderSpec, _checked(doc["encoder"], ENCODER_KEYS, f"{path}: encoder", seed=0),
+                f"{path}: encoder")
     objective = _checked(doc["objective"], OBJECTIVE_KEYS, f"{path}: objective")
     stored = _object(doc["params"], f"{path}: params")
     params = {}
@@ -419,7 +435,7 @@ def load_checkpoint(path):
             raise ConfigError(f"{path}: params.{name}: not a {shape} array") from None
         if params[name].shape != shape:
             raise ConfigError(f"{path}: params.{name}: shape {params[name].shape} is not {shape}")
-    return params, enc, _objective(objective)
+    return params, enc, _objective(objective, f"{path}: objective")
 
 
 # eval ------------------------------------------------------------------------
@@ -445,8 +461,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     dg.check_delta_mode(run_mode, delta["k"], eval_ds.n)
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
-    feats_train = tr.encode(params, enc, train_ds.features)
-    feats_eval = tr.encode(params, enc, eval_ds.features)
+    feats_train = tr.encode_rows(params, enc, train_ds.features)
+    feats_eval = tr.encode_rows(params, enc, eval_ds.features)
 
     cpcc_distance = cfg["cpcc_distance"]
     if cpcc_distance == "native":
@@ -576,10 +592,10 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
     table = {}
     hist_rows = []
     for method, (params, enc, _) in checkpoints.items():
-        fit = dg.fit_gaussian(tr.encode(params, enc, id_train.features))
+        fit = dg.fit_gaussian(tr.encode_rows(params, enc, id_train.features))
 
         def scores(rows):
-            return dg.mahalanobis_scores(tr.encode(params, enc, rows), fit)
+            return dg.mahalanobis_scores(tr.encode_rows(params, enc, rows), fit)
 
         id_scores = scores(id_eval.features)
         table[method] = {}

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check of its
+config dataclasses."""
+
+
+def check_fields(spec, checks):
+    """Raise ValueError ``"<field>: must be <rule>, got <value>"`` for the
+    first ``(field, ok, rule)`` of ``checks`` on ``spec`` that is not ok, so
+    that a caller can name the config key of the field."""
+    for name, ok, rule in checks:
+        if not ok:
+            raise ValueError(f"{name}: must be {rule}, got {getattr(spec, name)!r}")
 
 
 class HypstructError(Exception):

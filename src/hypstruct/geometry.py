@@ -1,14 +1,18 @@
 """Poincare-ball and Klein-model primitives on raw arrays.
 
 Every function takes rows along the last axis and is what the objective and
-training code build on.  The two fused kernels have one implementation each,
-in value-and-VJP form: ``exp0_vjp`` and ``pair_distances_vjp`` take plain
-arrays and return the value with its vector-Jacobian product.  ``exp0`` and
+training code build on.  The fused kernels have one implementation each, in
+value-and-VJP form: ``exp0_vjp``, ``group_means_vjp``, ``einstein_mid_vjp``
+and ``pair_distances_vjp`` take plain arrays and return the value with its
+vector-Jacobian product.  ``exp0``, ``group_means``, ``einstein_mid`` and
 ``pair_distances`` apply them to an array, or to a tape node as one node;
 ``embed-tree`` chains the VJPs by hand.  The others use the ``autodiff``
 operators, so a node gives a node and an array its value; ``dist_rows``
 alone works on values only, pairing rows one to one for the distances
 ``embed-tree`` writes out, with the Poincare formula of ``pair_distances_vjp``.
+
+No array grows with the rows times the tree: a group mean sums each class's
+rows once, and the pair kernel makes its differences a block of rows at a time.
 
 Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
 radius is ``1/sqrt(c)``.  The exponential map is taken at the origin only;
@@ -21,7 +25,7 @@ Closed forms::
     exp0(v)    = tanh(sqrt(c)||v||) * v / (sqrt(c)||v||)
     z_K        = 2 z_B / (1 + c||z_B||^2)
     z_B        = z_K / (1 + sqrt(1 - c||z_K||^2))
-    midpoint   = sum_i gamma_i z_i / sum_i gamma_i,  gamma_i = 1/sqrt(1 - c||z_i||^2)
+    midpoint   = sum_i gamma_i k_i / sum_i gamma_i,  gamma_i = 1/sqrt(1 - c||k_i||^2)
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ _TINY_SQ = 1e-300
 # tanh saturates to exactly 1.0 in float64 around |x| ~ 19; cap it just below
 # so exp0 output always satisfies the strict ball invariant.
 _TANH_MAX = np.nextafter(1.0, 0.0)
+
+# lorentz_gamma of a row whose 1 - c||k||^2 is floored
+_GAMMA_MAX = 1.0 / np.sqrt(_TINY_SQ)
+
+# Cells (leading axes x rows x k x d) of a block of the pair kernel's
+# differences, 256 KB: 16 rows at train-c100's k = 121, d = 16; all of
+# embed-tree's 8 x 13 x 13 x 2.  train-c100's peak RSS read 42.7 MB with one
+# block, 41.1 MB at 65,536 cells and 40.7 MB at 32,768, no lower below.
+PAIR_BLOCK_CELLS = 32_768
 
 
 def sq_norm(x, axis=-1, keepdims=False):
@@ -100,16 +113,65 @@ def lorentz_gamma(k, c):
     return 1.0 / ad.sqrt(ad.maximum(1.0 - c * sq_norm(k, keepdims=True), _TINY_SQ))
 
 
-def einstein_mid(k_rows, c, groups):
-    """Einstein midpoints of groups of Klein rows (tape-friendly).
+def group_means_vjp(rows, labels, groups, weights=None):
+    """Weighted means of plain ``(n, d)`` rows over groups of their classes.
 
-    ``groups`` is a constant ``(m, n)`` 0/1 matrix over the ``n`` rows of
-    ``k_rows``; row ``i`` of the ``(m, d)`` result is the Lorentz-factor
-    weighted average of the rows that group ``i`` selects.  Every group must
-    select at least one row.
+    Row ``i`` of the ``(m, d)`` result is ``sum_j w_j rows_j / sum_j w_j``
+    over the rows ``j`` whose class ``labels[j]`` row ``i`` of the constant
+    0/1 ``(m, C)`` matrix ``groups`` selects, taken as ``groups`` times the
+    per-class sums: no ``(m, n)`` array is formed.  ``weights`` is an
+    ``(n, 1)`` column, ones when not given.  Returns the means and their VJP
+    ``g -> (g_rows, g_weights)``.
     """
-    g = lorentz_gamma(k_rows, c)
-    return ad.matmul(groups, g * k_rows) / ad.matmul(groups, g)
+    labels, n_classes = np.asarray(labels), groups.shape[1]
+    w = np.ones((rows.shape[0], 1)) if weights is None else weights
+
+    def group_sums(a):
+        # each class's rows summed in row order, then each group's classes
+        bins = (labels[:, None] * a.shape[1] + np.arange(a.shape[1])).ravel()
+        return groups @ np.bincount(bins, a.ravel(), n_classes * a.shape[1]).reshape(
+            n_classes, -1)
+
+    den = group_sums(w)
+    mean = group_sums(rows if weights is None else w * rows) / den
+
+    def vjp(g):
+        # each group's gradient spreads over its classes, each class's over its rows
+        g_num = g / den
+        g_wrows = (groups.T @ g_num)[labels]
+        g_w = (groups.T @ -(g_num * mean).sum(axis=-1, keepdims=True))[labels]
+        return w * g_wrows, (g_wrows * rows).sum(axis=-1, keepdims=True) + g_w
+
+    return mean, vjp
+
+
+def group_means(rows, labels, groups):
+    """Unweighted :func:`group_means_vjp` on an array or a tape node; one node
+    on the tape."""
+    mean, vjp = group_means_vjp(ad.val(rows), labels, groups)
+    return ad.make_node(mean, (rows, lambda g: vjp(g)[0]))
+
+
+def einstein_mid_vjp(k_rows, c, labels, groups):
+    """:func:`group_means_vjp` of plain Klein rows weighted by
+    :func:`lorentz_gamma`: Einstein midpoints, and their VJP ``g -> g_k``.
+    A row whose ``1 - c||k||^2`` is floored keeps its factor as a constant."""
+    gamma = lorentz_gamma(k_rows, c)
+    mid, back = group_means_vjp(k_rows, labels, groups, gamma)
+
+    def vjp(g):
+        g_k, g_gamma = back(g)
+        # d gamma / dk = c gamma^3 k off the floor
+        live = np.where(gamma < _GAMMA_MAX, gamma, 0.0)
+        return g_k + (c * g_gamma * live * live * live) * k_rows
+
+    return mid, vjp
+
+
+def einstein_mid(k_rows, c, labels, groups):
+    """:func:`einstein_mid_vjp` on an array or a tape node; one node on the tape."""
+    mid, vjp = einstein_mid_vjp(ad.val(k_rows), c, labels, groups)
+    return ad.make_node(mid, (k_rows, vjp))
 
 
 def _poincare_from_sq(s, ni, nj, c):
@@ -182,12 +244,15 @@ def pair_distances_vjp(x, mode, c=1.0, scratch=None):
 
     Returns ``(..., P)``, ``P = k(k-1)/2``, in ``np.triu_indices(k, 1)``
     order, and its VJP ``g -> g_x``; ``mode`` is ``"poincare"`` (curvature
-    ``c``) or ``"l2"``.  Both modes start from the ``(..., k, k, d)``
-    difference tensor ``D``, so close pairs stay accurate and identical rows
-    give exactly 0 with zero gradient.  The VJP scatters the per-pair
-    gradients into ``(..., k, k)`` matrices and contracts them with ``D``: no
-    gathered ``(P, d)`` arrays.  Memory is ``O(k^2 d)``.  ``scratch``, if
-    given, is a ``(..., k, k)`` array with a zero diagonal that the VJP
+    ``c``) or ``"l2"``.  Both modes work from the differences
+    ``x[..., rows, None, :] - x[..., None, :, :]`` of ``PAIR_BLOCK_CELLS //
+    x.size`` rows at a time (at least one), so close pairs stay accurate and
+    identical rows give exactly 0 with zero gradient.  The VJP scatters the
+    per-pair gradients into ``(..., k, k)`` matrices and contracts each block
+    of their rows with that block's differences, made again.  Memory is
+    ``O(k^2)`` per leading index plus a block, and every cell sums in the
+    order of one whole ``(..., k, k, d)`` tensor, bit for bit.  ``scratch``,
+    if given, is a ``(..., k, k)`` array with a zero diagonal that the VJP
     scatters into instead of allocating one; it rewrites every off-diagonal
     cell, so one array serves every call with the same shape.
     """
@@ -195,12 +260,28 @@ def pair_distances_vjp(x, mode, c=1.0, scratch=None):
         raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
     k = x.shape[-2]
     ii, jj, flat = pair_index(k)
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    # take keeps the pair axis C-ordered (indexing ``[..., flat]`` does
-    # not), so the per-row reductions that follow sum in the same order
-    # whatever the leading axes
-    s = np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(x.shape[:-2] + (k * k,)).take(
-        flat, axis=-1)
+    step = max(1, PAIR_BLOCK_CELLS // x.size)
+
+    def diffs(r):
+        # x[..., rows, None, :] - x[..., None, :, :] with the same bits: each
+        # row repeated k times, less x, runs one long inner loop, not k short ones
+        diff = np.repeat(x[..., r:r + step, :], k, axis=-2).reshape(
+            x.shape[:-2] + (-1,) + x.shape[-2:])
+        diff -= x[..., None, :, :]
+        return diff
+
+    s = np.empty(x.shape[:-2] + ii.shape)
+    for r in range(0, k, step):
+        # the block's pairs, from row r's first in triu order to the next block's
+        p0, p1 = (i * (2 * k - i - 1) // 2 for i in (r, min(r + step, k)))
+        diff = diffs(r)
+        # take keeps the pair axis C-ordered (indexing ``[..., flat]`` does
+        # not), so the per-row reductions that follow sum in the same order
+        # whatever the leading axes
+        s[..., p0:p1] = np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(
+            x.shape[:-2] + (-1,)).take(flat[p0:p1] - r * k, axis=-1)
+    # one block is kept for the VJP; several are made again there
+    kept = diff if step >= k else None
     if mode == "l2":
         dist = np.sqrt(s)
 
@@ -215,7 +296,11 @@ def pair_distances_vjp(x, mode, c=1.0, scratch=None):
         w = np.zeros(x.shape[:-1] + (k,)) if scratch is None else scratch
         w[..., ii, jj] = g_s
         w[..., jj, ii] = g_s
-        g_x = 2.0 * np.einsum("...ij,...ijd->...id", w, diff)
+        g_x = np.empty(x.shape)
+        for r in range(0, k, step):
+            g_x[..., r:r + step, :] = np.einsum("...ij,...ijd->...id", w[..., r:r + step, :],
+                                                diffs(r) if kept is None else kept)
+        g_x *= 2.0
         if g_ni is not None:
             # row-norm term: row a collects dd/dn_a over every pair it is in
             w[..., ii, jj] = g_ni

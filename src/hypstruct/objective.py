@@ -3,7 +3,10 @@
 The composite objective is ``flat_loss - alpha * CPCC + beta * centering``
 where the CPCC term correlates tree-metric distances with feature-space
 distances over class prototypes (Poincare or Euclidean, per configuration),
-and the centering term is the norm of the root's prototype.
+and the centering term is the norm of the root's prototype.  A vertex's
+prototype averages its descendant samples through their class sums: each
+class's rows are summed once, and the vertex's row of ``tree.membership``
+combines those sums, so no (vertices, samples) matrix is formed.
 
 Every ``*_core`` term accepts tape nodes as well as numpy arrays for the
 features (and the logits or embeddings), so one code path serves training (on
@@ -23,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
-from .errors import ClassWithoutPositive, DegenerateVariance, InsufficientVertices
+from .errors import (ClassWithoutPositive, DegenerateVariance, InsufficientVertices,
+                     check_fields)
 from .hierarchy import LabelTree, tree_metric
 
 TREE_SCOPES = ("full_tree", "leaf_only")
@@ -54,20 +58,14 @@ class ObjectiveConfig:
     cpcc_distance: str = "poincare"
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
-        if not (self.c > 0):
-            raise ValueError("curvature must be positive")
-        for name, value, allowed in (
-            ("tree_scope", self.tree_scope, TREE_SCOPES),
-            ("centroid_mode", self.centroid_mode, CENTROID_MODES),
-            ("flat_loss", self.flat_loss, FLAT_LOSSES),
-            ("cpcc_distance", self.cpcc_distance, CPCC_DISTANCES),
-        ):
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        check_fields(self, [
+            ("alpha", self.alpha >= 0, "nonnegative"),
+            ("beta", self.beta >= 0, "nonnegative"),
+            ("tau", self.tau > 0, "positive"),
+            ("c", self.c > 0, "positive"),
+        ] + [(name, getattr(self, name) in allowed, f"one of {allowed}") for name, allowed in (
+            ("tree_scope", TREE_SCOPES), ("centroid_mode", CENTROID_MODES),
+            ("flat_loss", FLAT_LOSSES), ("cpcc_distance", CPCC_DISTANCES))])
 
 
 # CPCC ------------------------------------------------------------------------
@@ -122,15 +120,9 @@ def present_vertices(tree: LabelTree, labels, scope: str):
     return vids[tree.membership[vids] @ in_batch > 0].tolist()
 
 
-def _group_matrix(tree, labels, vertices):
-    """Constant (vertices, samples) 0/1 matrix: sample j descends from vertex i."""
-    return tree.membership[vertices][:, np.asarray(labels)]
-
-
 def euclidean_prototype_rows(features, labels, tree, vertices):
     """Euclidean means of each vertex's descendant samples, one row per vertex."""
-    groups = _group_matrix(tree, labels, vertices)
-    return ad.matmul(groups / groups.sum(axis=1, keepdims=True), features)
+    return geo.group_means(features, labels, tree.membership[vertices])
 
 
 def prototype_rows(features, labels, tree, cfg, vertices):
@@ -140,11 +132,15 @@ def prototype_rows(features, labels, tree, cfg, vertices):
     klein_average: exp-map every sample, Einstein-average the descendants.
     euclidean_then_map: Euclidean descendant mean, then the exp map.
     euclidean_then_clip: Euclidean descendant mean, clipped into the ball.
+    Each mean or midpoint is one ``geometry`` node over the vertices' rows of
+    ``tree.membership`` and the per-class sums of the samples, so memory
+    grows with the samples only through per-sample rows, never as a
+    (vertices, samples) matrix.
     """
     if cfg.cpcc_distance == "poincare" and cfg.centroid_mode == "klein_average":
         klein = geo.to_klein(geo.exp0(features, cfg.c), cfg.c)
-        groups = _group_matrix(tree, labels, vertices)
-        return geo.to_poincare(geo.einstein_mid(klein, cfg.c, groups), cfg.c)
+        return geo.to_poincare(
+            geo.einstein_mid(klein, cfg.c, labels, tree.membership[vertices]), cfg.c)
     means = euclidean_prototype_rows(features, labels, tree, vertices)
     if cfg.cpcc_distance == "l2":
         return means

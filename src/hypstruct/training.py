@@ -20,12 +20,15 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from . import objective as obj
-from .errors import DivergedError, HypstructError, InsufficientVertices, ValidationError
+from .errors import (DivergedError, HypstructError, InsufficientVertices, ValidationError,
+                     check_fields)
 from .hierarchy import LabelTree, tree_metric
 from .objective import ObjectiveConfig
 
 PROJECTION_WIDTH_CAP = 128
 BEST_RESTART_RTOL = 1e-12
+# rows per block of encode_rows: its activations do not grow with the data
+ENCODE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,10 @@ class EncoderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "mlp_1hidden"):
-            raise ValueError("kind must be 'linear' or 'mlp_1hidden'")
-        if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
-            raise ValueError("dimensions must be >= 1")
+        check_fields(self, [("kind", self.kind in ("linear", "mlp_1hidden"),
+                             "'linear' or 'mlp_1hidden'")]
+                     + [(name, getattr(self, name) >= 1, "at least 1")
+                        for name in ("input_dim", "hidden_dim", "output_dim")])
 
 
 @dataclass(frozen=True)
@@ -56,16 +59,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if not (self.lr0 > 0):
-            raise ValueError("lr0 must be positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError("schedule must be 'constant' or 'cosine'")
+        check_fields(self, [
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size >= 1, "at least 1"),
+            ("lr0", self.lr0 > 0, "positive"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("weight_decay", self.weight_decay >= 0, "nonnegative"),
+            ("schedule", self.schedule in ("constant", "cosine"), "'constant' or 'cosine'"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ class SyntheticSpec:
     noise_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.dim < 1 or self.n_per_leaf < 1:
-            raise ValueError("dim and n_per_leaf must be positive")
+        check_fields(self, [("dim", self.dim >= 1, "at least 1"),
+                            ("n_per_leaf", self.n_per_leaf >= 1, "at least 1")])
         if not (self.coarse_spread > self.fine_spread > self.noise_sigma):
             warnings.warn(
                 "recommended ordering coarse_spread > fine_spread > noise_sigma "
@@ -218,6 +219,18 @@ def encode(params, enc: EncoderSpec, x):
     return ad.matmul(h, params["enc.w2"]) + params["enc.b2"]
 
 
+def encode_rows(params, enc: EncoderSpec, x):
+    """:func:`encode` of plain rows, ``ENCODE_BLOCK_ROWS`` at a time, bit for
+    bit the whole-array encode: a product of two or more rows sums each row
+    in one order, but a one-row product (BLAS's matrix-vector kernel) in
+    another, so a lone last row joins the block before it."""
+    out = np.empty((x.shape[0], enc.output_dim))
+    stops = [*range(ENCODE_BLOCK_ROWS, x.shape[0] - 1, ENCODE_BLOCK_ROWS), x.shape[0]]
+    for start, stop in zip([0, *stops], stops):
+        out[start:stop] = encode(params, enc, x[start:stop])
+    return out
+
+
 def class_logits(params, feats):
     return ad.matmul(feats, params["head.w"]) + params["head.b"]
 
@@ -328,8 +341,8 @@ def _batch_gradients(params, dataset, idx, tree, enc, cfg, metric):
 
 def epoch_metrics(params, enc, dataset, tree, cfg, metric=None):
     """Whole-dataset CPCC (NaN without a CPCC term) and centering values on
-    the value path."""
-    feats = encode(params, enc, dataset.features)
+    the value path, from features encoded in row blocks."""
+    feats = encode_rows(params, enc, dataset.features)
     cpcc, center = obj.regularizer_terms(feats, dataset.labels, tree, cfg, metric)
     return float("nan") if cpcc is None else float(cpcc), float(center)
 
@@ -345,8 +358,8 @@ class EmbedBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.steps < 0:
-            raise ValueError("restarts must be positive and steps nonnegative")
+        check_fields(self, [("restarts", self.restarts >= 1, "at least 1"),
+                            ("steps", self.steps >= 0, "nonnegative")])
 
 
 @dataclass

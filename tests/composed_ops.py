@@ -1,10 +1,15 @@
 """Composed-op references for the fused tape operations.
 
 These build the same values as ``geometry.exp0``, ``geometry.dist_rows``,
-``geometry.pair_distances`` and ``objective.cpcc_core`` out of elementary
-tape operations, one node per step, so the tape derives their gradients.  The
-tests compare the fused hand-written backward passes against them; the
-value-only ``geometry.dist_rows`` is compared by value.
+``geometry.einstein_mid``, ``geometry.pair_distances`` and
+``objective.cpcc_core`` out of elementary tape operations, one node per step,
+so the tape derives their gradients.  The tests compare the fused
+hand-written backward passes against them; the value-only
+``geometry.dist_rows`` is compared by value.  ``einstein_mid`` here averages
+over a ``(groups, rows)`` matrix, where the fused node sums classes first.
+``pair_distances_vjp`` is the fused pair kernel over the whole ``(..., k, k,
+d)`` difference tensor at once, which the row-blocked kernel must match bit
+for bit.
 ``cpcc_core`` here reduces along the last axis like the fused version.
 ``log0``, the inverse of ``exp0``, and ``poincare_midpoint``, one Poincare
 prototype from the Klein round trip, serve the round-trip and per-class
@@ -59,11 +64,18 @@ def log0(u, c):
     return (atanh(a) / a) * u
 
 
+def einstein_mid(k_rows, c, groups):
+    """Einstein midpoints of groups of Klein rows; ``groups`` is a constant
+    ``(m, n)`` 0/1 matrix over the ``n`` rows."""
+    g = geo.lorentz_gamma(k_rows, c)
+    return ad.matmul(groups, g * k_rows) / ad.matmul(groups, g)
+
+
 def poincare_midpoint(rows, c):
     """Einstein midpoint of Poincare ``(n, d)`` rows, mapped back to the ball."""
     rows = np.asarray(rows, dtype=np.float64)
     everyone = np.ones((1, rows.shape[0]))
-    return geo.to_poincare(geo.einstein_mid(geo.to_klein(rows, c), c, everyone), c)[0]
+    return geo.to_poincare(einstein_mid(geo.to_klein(rows, c), c, everyone), c)[0]
 
 
 def dist_rows(z1, z2, c):
@@ -82,6 +94,37 @@ def pair_distances(rows, mode, c=1.0):
     if mode == "poincare":
         return dist_rows(z1, z2, c)
     return ad.sqrt(ad.maximum(geo.sq_norm(z1 - z2), geo._TINY_SQ))
+
+
+def pair_distances_vjp(x, mode, c=1.0):
+    """``geometry.pair_distances_vjp`` from the whole difference tensor ``D``."""
+    k = x.shape[-2]
+    ii, jj, flat = geo.pair_index(k)
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    s = np.einsum("...ijd,...ijd->...ij", diff, diff).reshape(x.shape[:-2] + (k * k,)).take(
+        flat, axis=-1)
+    if mode == "l2":
+        dist = np.sqrt(s)
+
+        def back(g):
+            return np.divide(0.5 * g, dist, out=np.zeros(s.shape), where=s > 0.0), None, None
+    else:
+        n = np.einsum("...id,...id->...i", x, x)
+        dist, back = geo._poincare_from_sq(s, n.take(ii, axis=-1), n.take(jj, axis=-1), c)
+
+    def vjp(g):
+        g_s, g_ni, g_nj = back(g)
+        w = np.zeros(x.shape[:-1] + (k,))
+        w[..., ii, jj] = g_s
+        w[..., jj, ii] = g_s
+        g_x = 2.0 * np.einsum("...ij,...ijd->...id", w, diff)
+        if g_ni is not None:
+            w[..., ii, jj] = g_ni
+            w[..., jj, ii] = g_nj
+            g_x += (2.0 * w.sum(axis=-1))[..., None] * x
+        return g_x
+
+    return dist, vjp
 
 
 def cpcc_core(tree_dists, feat_dists):

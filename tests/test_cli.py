@@ -82,12 +82,22 @@ def test_spectra_rejects_a_non_finite_matrix_csv(tmp_path, capsys):
     assert code == cli.EXIT_ERROR
     assert "NonFiniteMatrix" in capsys.readouterr().err
 
-def test_same_seed_gives_byte_identical_artifacts(trained, tmp_path):
-    again = run("train", TRAIN, tmp_path, "again")
-    names = sorted(p.name for p in trained.iterdir())
+# an artifact each command must write; embed-tree and oodsim have same-seed
+# tests of their own below
+SAME_SEED_ARTIFACT = {"train": "checkpoint.json", "eval": "gram.csv",
+                      "spectra": "spectrum_closed.csv"}
+
+
+@pytest.mark.parametrize("command", list(SAME_SEED_ARTIFACT))
+def test_same_seed_gives_byte_identical_artifacts(trained, tmp_path, command):
+    config = command_configs(trained)[command]
+    first = run(command, config, tmp_path, "first")
+    again = run(command, config, tmp_path, "again")
+    names = sorted(p.name for p in first.iterdir())
+    assert SAME_SEED_ARTIFACT[command] in names
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
-        assert (trained / name).read_bytes() == (again / name).read_bytes(), name
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_eval_default_held_out_set_shares_class_centres(tmp_path):
@@ -214,19 +224,6 @@ def test_matrix_csv_writer_holds_under_2_mb_of_text(tmp_path):
     # about a quarter of it
     A = np.random.default_rng(9).standard_normal((500, 500))
     assert traced_peak_mb(cli._write_matrix_csv, tmp_path / "K.csv", A + A.T) < 2.0
-
-
-def test_eval_with_gram_csv_is_byte_identical_across_runs(trained, tmp_path):
-    config = {"hierarchy": TREE, "seed": 3, "checkpoint": str(trained / "checkpoint.json"),
-              "train_dataset": DATA, "eval_dataset": {"synthetic": {"n_per_leaf": 5, "dim": 4}},
-              "knn_k": 5, "gram_csv": True}
-    first = run("eval", config, tmp_path, "first")
-    again = run("eval", config, tmp_path, "again")
-    names = sorted(p.name for p in first.iterdir())
-    assert "gram.csv" in names and "metrics.json" in names
-    assert names == sorted(p.name for p in again.iterdir())
-    for name in names:
-        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_svg_text_is_escaped(tmp_path):
@@ -485,15 +482,23 @@ def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, caps
     ("eval", "cpcc_distance", "bogus"),
     ("eval", "knn_k", 0),
     ("train", "train", {"epochs": 1, "batch_size": 41}),
+    ("train", "train", {"epochs": 0}),
+    ("train", "objective", {"alpha": -1}),
+    ("train", "dataset", "label_only_csv"),
+    ("train", "dataset", {"synthetic": {"n_per_leaf": 0}}),
 ])
 def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, capsys,
                                                              command, key, value):
+    if value == "label_only_csv":
+        # a csv dataset whose header names no feature column
+        (tmp_path / "rows.csv").write_text("label\nleaf_0\nleaf_1\n")
+        value = {"csv": str(tmp_path / "rows.csv")}
     config = dict(command_configs(trained)[command], **{key: value})
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError: ") and key in err
+    assert err.startswith(f"error: ConfigError: {key}")
     assert not any((tmp_path / "out").iterdir())
 
 

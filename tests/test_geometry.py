@@ -9,7 +9,7 @@ from hypstruct import autodiff as ad
 from hypstruct import geometry as geo
 
 import composed_ops as composed
-from conftest import central_difference, event_totals, weighted_grad
+from conftest import central_difference, event_totals, traced_peak_mb, weighted_grad
 
 
 def rand_ball_point(rng, dim, c=1.0, max_norm=0.9):
@@ -24,8 +24,9 @@ def dist(a, b, c=1.0):
 
 
 def midpoint(rows, c=1.0):
-    """Einstein midpoint of Klein rows: one group holding every row."""
-    return geo.einstein_mid(np.asarray(rows), c, np.ones((1, len(rows))))[0]
+    """Einstein midpoint of Klein rows: one group holding the one class of every row."""
+    return geo.einstein_mid(np.asarray(rows), c, np.zeros(len(rows), dtype=np.int64),
+                            np.ones((1, 1)))[0]
 
 
 class TestPoincareDistance:
@@ -273,6 +274,37 @@ class TestFusedBackward:
                                  lambda x: composed.exp0(x, 1.0), v, w)
         np.testing.assert_allclose(np.sum(g * v, axis=-1), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("c", [1.0, 0.6])
+    def test_group_means_and_einstein_mid(self, c):
+        # 9 rows of 4 classes, class 2 without rows, in 5 groups of classes
+        rng = np.random.default_rng(24)
+        k = geo.to_klein(0.5 * geo.exp0(rng.standard_normal((9, 3)), c), c)
+        labels = np.array([0, 1, 3, 0, 1, 1, 3, 0, 3])
+        groups = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1],
+                           [1, 0, 0, 0]], dtype=float)
+        over_rows = groups[:, labels]
+        w = rng.standard_normal((5, 3))
+        means = over_rows / over_rows.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(geo.group_means(k, labels, groups), means @ k,
+                                   rtol=0, atol=1e-15)
+        assert_fused_matches(lambda x: geo.group_means(x, labels, groups),
+                             lambda x: ad.matmul(means, x), k, w)
+        np.testing.assert_allclose(geo.einstein_mid(k, c, labels, groups),
+                                   composed.einstein_mid(k, c, over_rows), rtol=0, atol=1e-15)
+        assert_fused_matches(lambda x: geo.einstein_mid(x, c, labels, groups),
+                             lambda x: composed.einstein_mid(x, c, over_rows), k, w)
+
+    def test_einstein_mid_on_a_floored_row(self):
+        # row 1 lies on the unit sphere, where 1 - ||k||^2 floors: its Lorentz
+        # factor is a constant of the backward pass in both forms
+        k = np.array([[0.3, 0.1], [1.0, 0.0], [-0.2, 0.4]])
+        labels, groups = np.array([0, 1, 2]), np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        w = np.array([[0.5, -1.0], [2.0, 0.3]])
+        fused = weighted_grad(lambda x: geo.einstein_mid(x, 1.0, labels, groups), k, w)
+        chain = weighted_grad(lambda x: composed.einstein_mid(x, 1.0, groups[:, labels]), k, w)
+        assert np.all(np.isfinite(fused))
+        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-300)
+
     @pytest.mark.parametrize("shape", FUSED_SHAPES)
     @pytest.mark.parametrize("c", [1.0, 0.6])
     def test_dist_rows(self, shape, c):
@@ -411,3 +443,59 @@ class TestCoincidentRows:
         before = ad.total_atanh_clamps()
         assert np.all(geo.dist_rows(z, z, 1.0) == 0.0)
         assert ad.total_atanh_clamps() == before
+
+
+# row blocks of the pair kernel --------------------------------------------------
+
+def assert_blocks_match_the_whole_tensor(x, mode, c, g, rows, monkeypatch):
+    """Value and VJP of the row-blocked kernel, ``rows`` rows a block (None:
+    the default budget), bit for bit those of the whole-tensor oracle."""
+    if rows is not None:
+        monkeypatch.setattr(geo, "PAIR_BLOCK_CELLS", rows * x.size)
+    dist, vjp = geo.pair_distances_vjp(x, mode, c)
+    want, want_vjp = composed.pair_distances_vjp(x, mode, c)
+    np.testing.assert_array_equal(dist, want)
+    np.testing.assert_array_equal(vjp(g), want_vjp(g))
+
+
+class TestRowBlocks:
+    # k = 13 is embed-tree's, 121 train-c100's; 64 and 70 are exact
+    # multiples of 32 and 7 rows, 121 of 11 rows and of none of the others
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("k", [13, 64, 70, 121])
+    @pytest.mark.parametrize("rows", [None, 1, 7, 11, 32])
+    @pytest.mark.parametrize("mode,c", [("poincare", 1.0), ("poincare", 0.6), ("l2", 1.0)])
+    def test_match_the_whole_tensor_bit_for_bit(self, lead, k, rows, mode, c, monkeypatch):
+        rng = np.random.default_rng(k)
+        x = 0.8 * geo.exp0(rng.standard_normal(lead + (k, 16)), c)
+        g = rng.standard_normal(lead + (k * (k - 1) // 2,))
+        assert_blocks_match_the_whole_tensor(x, mode, c, g, rows, monkeypatch)
+
+    @pytest.mark.parametrize("c", [1.0, 0.6])
+    @pytest.mark.parametrize("r", [0.0, 0.5, -0.7])
+    @pytest.mark.parametrize("sep", SEPARATIONS)
+    @pytest.mark.parametrize("mode", geo.PAIR_MODES)
+    def test_close_pairs_in_one_row_blocks(self, sep, r, c, mode, monkeypatch):
+        z, _ = colinear_pair(r, sep, 3)
+        assert_blocks_match_the_whole_tensor(z, mode, c, np.ones(1), 1, monkeypatch)
+
+    def test_embed_tree_shape_is_one_block(self):
+        # embed-tree's 8 restarts of the 13-vertex tree in 2 dimensions
+        assert geo.PAIR_BLOCK_CELLS // (8 * 13 * 2) >= 13
+
+    @pytest.mark.parametrize("mode", geo.PAIR_MODES)
+    def test_memory_is_bounded_by_pairs_not_by_the_difference_tensor(self, mode):
+        # k = 1,111, d = 16: the whole (k, k, d) float64 difference tensor is
+        # 158 MB.  What is left is O(k^2): the P = 616,605 per-pair arrays and
+        # the (k, k) scatter matrix, 71 MB (poincare) and 24 MB (l2) here.
+        # Bound: half the tensor, eight (k, k) float64 matrices.
+        k, d = 1111, 16
+        rng = np.random.default_rng(27)
+        x = 0.8 * geo.exp0(rng.standard_normal((k, d)), 1.0)
+        g = rng.standard_normal(k * (k - 1) // 2)
+
+        def forward_and_vjp():
+            _, vjp = geo.pair_distances_vjp(x, mode)
+            vjp(g)
+
+        assert traced_peak_mb(forward_and_vjp) < 8 * k * k * 8 / 2**20

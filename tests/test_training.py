@@ -15,7 +15,7 @@ from hypstruct import training as tr
 from hypstruct.errors import DegenerateVariance, DivergedError, InsufficientVertices
 
 import composed_ops as composed
-from conftest import event_totals, save_dataset_csv
+from conftest import event_totals, save_dataset_csv, traced_peak_mb
 from synthetic_oracle import per_class_gaussians
 
 
@@ -590,3 +590,32 @@ def test_every_objective_field_changes_the_history():
         want = history(**base)
         for value in moved_values(field):
             assert history(**base, **{field.name: value}) != want, (field.name, value)
+
+
+@pytest.mark.parametrize("objective", [{}, {"centroid_mode": "euclidean_then_map"},
+                                       {"cpcc_distance": "l2"}])
+def test_epoch_metrics_holds_no_vertices_by_samples_array(objective):
+    # 20,000 rows under 121 vertices: one (vertices, samples) float64 matrix
+    # is 18.5 MB.  The per-row arrays of the prototype pass peak at 10.6 MB
+    # (Einstein midpoints) and 5.6 MB (means) here.  Bound: one such matrix.
+    tree = hi.balanced_tree((1, 20, 100))
+    ds = tr.generate_hierarchical_gaussians(
+        tr.SyntheticSpec(tree=tree, dim=32, n_per_leaf=200, seed=1))
+    ds.view2 = None
+    enc = tr.EncoderSpec(input_dim=32, hidden_dim=64, output_dim=16, seed=2)
+    cfg = obj.ObjectiveConfig(**objective)
+    params = tr.init_params(tr.param_shapes(enc, cfg, tree.n_classes), enc.seed)
+    assert ds.n == 20_000
+    peak = traced_peak_mb(tr.epoch_metrics, params, enc, ds, tree, cfg)
+    assert peak < tree.n_vertices * ds.n * 8 / 2**20
+
+
+# 1,000 rows in blocks of 3 leave a lone last row
+@pytest.mark.parametrize("kind", ["linear", "mlp_1hidden"])
+@pytest.mark.parametrize("block_rows", [2, 3, 7, 256, 10_000])
+def test_encode_rows_is_the_whole_array_encode_bit_for_bit(monkeypatch, block_rows, kind):
+    enc = tr.EncoderSpec(kind=kind, input_dim=32, hidden_dim=64, output_dim=16, seed=2)
+    params = tr.init_params(tr.encoder_shapes(enc), enc.seed)
+    x = np.random.default_rng(28).standard_normal((1000, 32))
+    monkeypatch.setattr(tr, "ENCODE_BLOCK_ROWS", block_rows)
+    np.testing.assert_array_equal(tr.encode_rows(params, enc, x), tr.encode(params, enc, x))
