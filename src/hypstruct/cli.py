@@ -8,6 +8,11 @@ an error.  Every run materializes its fully-resolved config (defaults
 included) into the output directory and into each emitted JSON, so a rerun
 never depends on built-in defaults drifting: fed back through --config, that
 config gives the same artifacts.  Fixed seeds give byte-identical artifacts.
+
+Config values are strictly typed: an int key takes an integer or an integral
+float (kept as an int), a float key any number (kept as a float), a bool key
+only true or false, a str or path key only a string.  A value of the wrong
+type or range is a ConfigError naming its key, raised before any output.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from . import geometry as geo
 from . import spectral as sp
 from . import svg
 from . import training as tr
-from .errors import ConfigError, DivergedError, HypstructError, NotSymmetric
+from .errors import ConfigError, DivergedError, HypstructError, NotSymmetric, must_be
 from .hierarchy import LabelTree, balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 from .objective import CPCC_DISTANCES, ObjectiveConfig
 from .training import EmbedBudget, EncoderSpec, LabeledDataset, SyntheticSpec, TrainConfig
@@ -45,36 +50,68 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGED = 2
 
-OBJECTIVE_VARIANTS = {
-    "flat": {"alpha": 0.0, "beta": 0.0},
-    "l2cpcc": {"cpcc_distance": "l2", "beta": 0.0},
-    "hypstructure": {"cpcc_distance": "poincare"},
-}
+OBJECTIVE_VARIANTS = {"flat": {"alpha": 0.0, "beta": 0.0},
+                      "l2cpcc": {"cpcc_distance": "l2", "beta": 0.0},
+                      "hypstructure": {"cpcc_distance": "poincare"}}
 
 
 # config keys -------------------------------------------------------------------
 
 REQUIRED = "required"
+CASTS = {int: ("an integer", lambda v: type(v) in (int, float) and v % 1 == 0, int),
+         float: ("a number", lambda v: type(v) in (int, float), float),
+         bool: ("true or false", lambda v: type(v) is bool, bool),
+         str: ("a string", lambda v: type(v) is str, str),
+         dict: ("a JSON object", lambda v: type(v) is dict, dict)}
+SEED = ("a nonnegative integer", lambda v: CASTS[int][1](v) and v >= 0, int)
+HIERARCHY = ("a path string or a tree object", lambda v: type(v) in (str, dict), lambda v: v)
+NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(CASTS[float][1], v)), list)
+INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(CASTS[int][1], v)),
+            lambda v: [int(x) for x in v])
+CHECKPOINTS = ("an object of one or more checkpoint paths", lambda v: type(v) is dict
+               and v and all(type(path) is str for path in v.values()), dict)
+OOD_SETS = ("an object of one or more OOD sets", lambda v: type(v) is dict and v, dict)
+RULES = {"positive": lambda v: v > 0, "at least 1": lambda v: v >= 1}
+
+
+def _must(path, ok, rule, value):
+    if not ok:
+        raise ConfigError(must_be(path, rule, value))
 
 
 class Key:
-    """A config key without one fixed default.  An absent key takes ``default``,
+    """A config key.  A given value must be of ``kind``, by default the
+    default's type.  An int key takes an integer or an integral float, kept as
+    an int; a float key any number, kept as a float; a bool key true or false;
+    a str key, every path too, a string; a dict key an object.  CASTS maps
+    these, the kinds after it are the other shapes, and ``check`` is a rule of
+    RULES or a tuple of the allowed values.  An absent key takes ``default``,
     else the command's seed plus ``offset``, else a value the command derives
-    (``rule`` says how, for --help), else stays out; a rule starting with
-    REQUIRED makes it an error.
-    ``cast`` converts a given value (None keeps it); ``keys`` is a nested
-    section's table, which the command checks."""
+    (``rule`` says how, for --help), else stays out; a REQUIRED rule makes it
+    an error.  ``keys`` is a nested section's table, which the command checks."""
 
-    def __init__(self, cast=None, rule="optional", default=None, keys=None, offset=None):
+    def __init__(self, kind=None, rule="optional", default=None, keys=None, offset=None,
+                 check=None):
         if offset is not None:
             rule = f"seed + {offset}" if offset else "seed"
-        self.cast, self.rule, self.default, self.keys = cast, rule, default, keys
-        self.offset = offset
+        self.kind, self.rule, self.default = type(default) if kind is None else kind, rule, default
+        self.keys, self.offset, self.check = keys, offset, check
+
+    def cast(self, value, path):
+        """``value`` as the key keeps it, or ConfigError naming ``path``."""
+        what, ok, keep = CASTS.get(self.kind, self.kind)
+        _must(path, ok(value), what, value)
+        value, check = keep(value), self.check
+        if isinstance(check, tuple):
+            _must(path, value in check, f"one of {check}", value)
+        elif check:
+            _must(path, RULES[check](value), check, value)
+        return value
 
 
 def _key(spec) -> Key:
-    """A table entry as a Key; a plain value is a default cast to its type."""
-    return spec if isinstance(spec, Key) else Key(type(spec), default=spec)
+    """A table entry as a Key; a plain value is a default of its own type."""
+    return spec if isinstance(spec, Key) else Key(default=spec)
 
 
 def _defaults(cls, *skip):
@@ -82,70 +119,70 @@ def _defaults(cls, *skip):
 
 
 def _dataset_key(noise_seed):
-    synthetic = {**_defaults(SyntheticSpec, "tree"), "seed": Key(int, offset=0),
+    synthetic = {**_defaults(SyntheticSpec, "tree"), "seed": Key(SEED, offset=0),
                  "noise_seed": noise_seed}
-    return Key(default={"synthetic": {}},
-               keys={"csv": Key(), "synthetic": Key(keys=synthetic)})
+    return Key(dict, default={"synthetic": {}},
+               keys={"csv": Key(str), "synthetic": Key(dict, keys=synthetic)})
 
 
 DEFAULT_HIERARCHY = "builtin:cifar10"
-DATASET = _dataset_key(Key(int, "optional: noise drawn from seed"))
+DATASET = _dataset_key(Key(SEED, "optional: noise drawn from seed"))
 # a held-out set keeps the training set's class centres and draws fresh noise
-HELD_OUT = _dataset_key(Key(int, offset=10))
+HELD_OUT = _dataset_key(Key(SEED, offset=10))
 ENCODER_KEYS = {**_defaults(EncoderSpec), "input_dim": Key(int, "feature dim of the data"),
-                "seed": Key(int, offset=1)}
-TRAIN_KEYS = {**_defaults(TrainConfig), "seed": Key(int, offset=2)}
-OBJECTIVE_KEYS = {"variant": Key(str, "optional: " + " | ".join(OBJECTIVE_VARIANTS)),
+                "seed": Key(SEED, offset=1)}
+TRAIN_KEYS = {**_defaults(TrainConfig), "seed": Key(SEED, offset=2)}
+OBJECTIVE_KEYS = {"variant": Key(str, "optional: " + " | ".join(OBJECTIVE_VARIANTS),
+                                 check=tuple(OBJECTIVE_VARIANTS)),
                   **_defaults(ObjectiveConfig)}
-DELTA_KEYS = {"mode": "auto", "k": 2_000_000, "seed": Key(int, offset=0)}
-FAR_CLUSTER_KEYS = {"offset_sigmas": 10.0, "n": 200, "seed": Key(int, offset=0)}
-OOD_SET_KEYS = {"csv": Key(), "far_cluster": Key(keys=FAR_CLUSTER_KEYS), "id_eval": Key()}
-BLOCK_SPEC_KEYS = {"r": Key(rule=REQUIRED), "balanced_level_counts": Key(), "hierarchy": Key()}
+DELTA_KEYS = {"mode": Key(default="auto", check=("auto", "exact", "sampled")),
+              "k": 2_000_000, "seed": Key(SEED, offset=0)}
+FAR_CLUSTER_KEYS = {"offset_sigmas": 10.0, "n": Key(default=200, check="at least 1"),
+                    "seed": Key(SEED, offset=0)}
+OOD_SET_KEYS = {"csv": Key(str), "far_cluster": Key(dict, keys=FAR_CLUSTER_KEYS),
+                "id_eval": Key(bool, check=(True,))}
+BLOCK_SPEC_KEYS = {"r": Key(NUMBERS, REQUIRED), "balanced_level_counts": Key(INTEGERS),
+                   "hierarchy": Key(HIERARCHY)}
 EMBED_BUDGET_KEYS = _defaults(EmbedBudget, "seed")
 
 # each command's top-level table
-COMMAND_KEYS = {name: {"command": name, "hierarchy": Key(default=DEFAULT_HIERARCHY),
-                       "seed": 0, **keys} for name, keys in {
-    "embed-tree": {"dim": 2, "tree_scope": ObjectiveConfig.tree_scope,
-                   "curvature": ObjectiveConfig.c, **EMBED_BUDGET_KEYS},
-    "train": {"dataset": DATASET, "encoder": Key(default={}, keys=ENCODER_KEYS),
-              "objective": Key(default={}, keys=OBJECTIVE_KEYS),
-              "train": Key(default={}, keys=TRAIN_KEYS)},
-    "eval": {"checkpoint": Key(rule=REQUIRED), "train_dataset": DATASET,
-             "eval_dataset": HELD_OUT, "knn_k": 50, "delta": Key(default={}, keys=DELTA_KEYS),
-             "cpcc_distance": "native", "gram_csv": False},
-    "spectra": {"hierarchy": Key(rule=f"{DEFAULT_HIERARCHY} with features_csv"),
-                "block_spec": Key(keys=BLOCK_SPEC_KEYS), "features_csv": Key(),
-                "matrix_csv": Key(), "top_k": 100},
-    "oodsim": {"methods": Key(rule=f"{REQUIRED}: {{name: checkpoint path}}"),
+COMMAND_KEYS = {name: {"command": Key(default=name, check=(name,)),
+                       "hierarchy": Key(HIERARCHY, default=DEFAULT_HIERARCHY),
+                       "seed": Key(SEED, default=0), **keys} for name, keys in {
+    "embed-tree": {"dim": Key(default=2, check="at least 1"),
+                   "tree_scope": ObjectiveConfig.tree_scope,
+                   "curvature": Key(default=ObjectiveConfig.c, check="positive"),
+                   **EMBED_BUDGET_KEYS},
+    "train": {"dataset": DATASET, "encoder": Key(dict, default={}, keys=ENCODER_KEYS),
+              "objective": Key(dict, default={}, keys=OBJECTIVE_KEYS),
+              "train": Key(dict, default={}, keys=TRAIN_KEYS)},
+    "eval": {"checkpoint": Key(str, REQUIRED), "train_dataset": DATASET,
+             "eval_dataset": HELD_OUT, "knn_k": Key(default=50, check="at least 1"),
+             "delta": Key(dict, default={}, keys=DELTA_KEYS), "gram_csv": False,
+             "cpcc_distance": Key(default="native", check=("native", *CPCC_DISTANCES))},
+    "spectra": {"hierarchy": Key(HIERARCHY, f"{DEFAULT_HIERARCHY} with features_csv"),
+                "block_spec": Key(dict, keys=BLOCK_SPEC_KEYS), "features_csv": Key(str),
+                "matrix_csv": Key(str), "top_k": Key(default=100, check="at least 1")},
+    "oodsim": {"methods": Key(CHECKPOINTS, f"{REQUIRED}: {{name: checkpoint path}}"),
                "id_train": DATASET, "id_eval": HELD_OUT,
-               "ood_sets": Key(rule=f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS)},
+               "ood_sets": Key(OOD_SETS, f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS)},
 }.items()}
 
 
-def _object(doc, path):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'}: must be a JSON object")
-    return doc
-
-
 def _checked(doc, keys, path="", seed=None, **derived):
-    """``doc`` checked against the table ``keys``, as one new dict.
-
-    A given value is cast; an absent key takes its value from ``derived``, else
-    from the table's default or ``seed`` plus its offset.  An unknown or a
-    missing required key raises ConfigError naming its path.
-    """
+    """``doc`` checked against the table ``keys``, as one new dict: a given
+    value cast by its Key, an absent one taken from ``derived``, else the
+    default or ``seed`` plus the offset.  An unknown or a missing required
+    key raises ConfigError naming its path."""
     prefix = f"{path}." if path else ""
-    for name in _object(doc, path):
+    for name in Key(dict).cast(doc, path or "config"):
         if name not in keys:
             raise ConfigError(f"{prefix}{name}: unknown key; known: {', '.join(keys)}")
     out = {}
     for name, spec in keys.items():
         key = _key(spec)
         if name in doc:
-            value = doc[name]
-            out[name] = value if key.cast is None or value is None else key.cast(value)
+            out[name] = key.cast(doc[name], prefix + name)
         elif name in derived:
             out[name] = derived[name]
         elif key.default is not None:
@@ -157,13 +194,12 @@ def _checked(doc, keys, path="", seed=None, **derived):
     return out
 
 
-def _spec(cls, doc, path):
-    """``cls(**doc)``, its rejection of a value as a ConfigError naming the key
-    under ``path`` (the fields' checks name the field first)."""
+def _spec(make, doc, path=""):
+    """``make(**doc)``; its ValueError, which names the field, a ConfigError under ``path``."""
     try:
-        return cls(**doc)
+        return make(**doc)
     except ValueError as e:
-        raise ConfigError(f"{path}.{e}") from None
+        raise ConfigError(f"{path}.{e}".lstrip(".")) from None
 
 
 def _one_of(doc, names, path, default=None):
@@ -277,8 +313,7 @@ def load_dataset(spec, tree: LabelTree, seed, path="dataset", keys=DATASET.keys)
     spec = _checked(spec, keys, path)
     if _one_of(spec, ("csv", "synthetic"), path, default="synthetic") == "csv":
         dataset = tr.load_dataset_csv(_existing(spec["csv"], "dataset file"), tree)
-        if dataset.dim < 1:
-            raise ConfigError(f"{path}.csv: {spec['csv']} has no feature column")
+        _must(f"{path}.csv", dataset.dim >= 1, "a CSV file with a feature column", spec["csv"])
         return dataset, spec
     synthetic = _checked(spec.get("synthetic", {}), keys["synthetic"].keys,
                          f"{path}.synthetic", seed=seed)
@@ -287,20 +322,13 @@ def load_dataset(spec, tree: LabelTree, seed, path="dataset", keys=DATASET.keys)
             {"synthetic": synthetic})
 
 
-def _dataset(cfg, key, tree) -> LabeledDataset:
-    """Load the dataset section ``cfg[key]`` and put its checked form in its place."""
+def _dataset(cfg, key, tree, dim=None) -> LabeledDataset:
+    """Load ``cfg[key]``, of ``dim`` features if given; put its checked form there."""
     dataset, cfg[key] = load_dataset(cfg[key], tree, cfg["seed"], key,
                                      COMMAND_KEYS[cfg["command"]][key].keys)
+    _must(key, dim in (None, dataset.dim), f"{dim} features wide, the checkpoint's input_dim",
+          dataset.dim)
     return dataset
-
-
-def objective_config(doc, path="objective") -> dict:
-    """The objective section checked: its variant's preset under the given
-    keys, every other key at its ObjectiveConfig default."""
-    variant = _object(doc, path).get("variant")
-    if variant is not None and variant not in OBJECTIVE_VARIANTS:
-        raise ConfigError(f"{path}.variant: unknown objective variant {variant!r}")
-    return _checked(doc, OBJECTIVE_KEYS, path, **OBJECTIVE_VARIANTS.get(variant, {}))
 
 
 def _objective(doc, path="objective") -> ObjectiveConfig:
@@ -312,15 +340,8 @@ def _objective(doc, path="objective") -> ObjectiveConfig:
 def cmd_embed_tree(cfg: dict, out: Path) -> int:
     tree = load_hierarchy(cfg["hierarchy"])
     dim, c = cfg["dim"], cfg["curvature"]
-    if dim < 1:
-        raise ConfigError(f"dim: must be at least 1, got {dim}")
-    if not c > 0:
-        raise ConfigError(f"curvature: must be positive, got {c}")
-    try:
-        objective = ObjectiveConfig(c=c, tree_scope=cfg["tree_scope"])
-        budget = EmbedBudget(**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, seed=cfg["seed"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    objective = _spec(ObjectiveConfig, {"c": c, "tree_scope": cfg["tree_scope"]})
+    budget = _spec(EmbedBudget, {**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, "seed": cfg["seed"]})
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     metric = tree_metric(tree)
@@ -363,26 +384,25 @@ def cmd_embed_tree(cfg: dict, out: Path) -> int:
 
 def cmd_train(cfg: dict, out: Path) -> int:
     tree = load_hierarchy(cfg["hierarchy"])
-    seed = cfg["seed"]
     dataset = _dataset(cfg, "dataset", tree)
-    cfg["encoder"] = _checked(cfg["encoder"], ENCODER_KEYS, "encoder", seed,
+    cfg["encoder"] = _checked(cfg["encoder"], ENCODER_KEYS, "encoder", cfg["seed"],
                               input_dim=dataset.dim)
-    if cfg["encoder"]["input_dim"] != dataset.dim:
-        raise ConfigError(f"encoder.input_dim: {cfg['encoder']['input_dim']} does not match "
-                          f"the dataset's feature dimension {dataset.dim}")
-    cfg["objective"] = objective_config(cfg["objective"])
-    cfg["train"] = _checked(cfg["train"], TRAIN_KEYS, "train", seed)
+    _must("encoder.input_dim", cfg["encoder"]["input_dim"] == dataset.dim,
+          f"the dataset's feature dimension {dataset.dim}", cfg["encoder"]["input_dim"])
+    # the variant's preset stands in for each key the section does not give
+    variant = _checked(cfg["objective"], OBJECTIVE_KEYS, "objective").get("variant")
+    cfg["objective"] = _checked(cfg["objective"], OBJECTIVE_KEYS, "objective",
+                                **OBJECTIVE_VARIANTS.get(variant, {}))
+    cfg["train"] = _checked(cfg["train"], TRAIN_KEYS, "train", cfg["seed"])
     enc = _spec(EncoderSpec, cfg["encoder"], "encoder")
     objective = _objective(cfg["objective"])
     tc = _spec(TrainConfig, cfg["train"], "train")
-    if tc.batch_size > dataset.n:
-        raise ConfigError(f"train.batch_size: {tc.batch_size} exceeds the dataset's "
-                          f"{dataset.n} rows")
+    _must("train.batch_size", tc.batch_size <= dataset.n,
+          f"at most the dataset's {dataset.n} rows", tc.batch_size)
+    _must("objective.flat_loss", objective.flat_loss != "supcon" or dataset.view2 is not None,
+          "'cross_entropy' on a csv dataset, which has one view per sample", objective.flat_loss)
     if objective.flat_loss != "supcon":
         dataset.view2 = None  # only SupCon reads the second view
-    elif dataset.view2 is None:
-        raise ConfigError("objective.flat_loss: supcon needs a dataset with two views "
-                          "per sample, and a csv dataset has one")
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     result = tr.train(dataset, tree, enc, objective, tc)
@@ -416,7 +436,7 @@ def load_checkpoint(path):
         doc = json.loads(_existing(path, "checkpoint").read_text())
     except ValueError as e:  # a JSONDecodeError, or bytes that are not text
         raise ConfigError(f"{path}: not valid JSON: {e}") from None
-    doc = _object(doc, str(path))
+    doc = Key(dict).cast(doc, str(path))
     for name in ("params", "encoder", "objective"):
         if name not in doc:
             raise ConfigError(f"{path}: {name}: required key is missing")
@@ -424,7 +444,7 @@ def load_checkpoint(path):
     enc = _spec(EncoderSpec, _checked(doc["encoder"], ENCODER_KEYS, f"{path}: encoder", seed=0),
                 f"{path}: encoder")
     objective = _checked(doc["objective"], OBJECTIVE_KEYS, f"{path}: objective")
-    stored = _object(doc["params"], f"{path}: params")
+    stored = Key(dict).cast(doc["params"], f"{path}: params")
     params = {}
     for name, shape in tr.encoder_shapes(enc).items():
         if name not in stored:
@@ -441,24 +461,16 @@ def load_checkpoint(path):
 # eval ------------------------------------------------------------------------
 
 def cmd_eval(cfg: dict, out: Path) -> int:
-    if cfg["cpcc_distance"] not in ("native", *CPCC_DISTANCES):
-        raise ConfigError(f"cpcc_distance: must be native or one of {CPCC_DISTANCES}, "
-                          f"got {cfg['cpcc_distance']!r}")
-    if cfg["knn_k"] < 1:
-        raise ConfigError(f"knn_k: must be at least 1, got {cfg['knn_k']}")
     tree = load_hierarchy(cfg["hierarchy"])
     cfg["delta"] = delta = _checked(cfg["delta"], DELTA_KEYS, "delta", cfg["seed"])
     params, enc, objective = load_checkpoint(cfg["checkpoint"])
-    train_ds = _dataset(cfg, "train_dataset", tree)
-    eval_ds = _dataset(cfg, "eval_dataset", tree)
-    if train_ds.dim != enc.input_dim or eval_ds.dim != enc.input_dim:
-        raise HypstructError(f"feature dimension {train_ds.dim}/{eval_ds.dim} does not "
-                             f"match checkpoint input_dim {enc.input_dim}")
+    train_ds = _dataset(cfg, "train_dataset", tree, enc.input_dim)
+    eval_ds = _dataset(cfg, "eval_dataset", tree, enc.input_dim)
     # auto resolves from the held-out row count; exact ignores k
     run_mode = delta["mode"]
     if run_mode == "auto":
         run_mode = "exact" if eval_ds.n <= dg.AUTO_EXACT_DELTA_MAX_N else "sampled"
-    dg.check_delta_mode(run_mode, delta["k"], eval_ds.n)
+    _spec(dg.check_delta_mode, {"mode": run_mode, "k": delta["k"], "n": eval_ds.n}, "delta")
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     feats_train = tr.encode_rows(params, enc, train_ds.features)
@@ -501,14 +513,12 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
         raise ConfigError(f"hierarchy: read only with features_csv, not with {source}")
     if source == "block_spec":
         cfg["block_spec"] = spec = _checked(cfg["block_spec"], BLOCK_SPEC_KEYS, "block_spec")
-        r = [float(x) for x in spec["r"]]
         if _one_of(spec, ("balanced_level_counts", "hierarchy"), "block_spec") == "hierarchy":
             tree = load_hierarchy(spec["hierarchy"])
         else:
-            counts = [int(c) for c in spec["balanced_level_counts"]]
-            tree = balanced_tree(counts)
-            closed = sp.balanced_eigenvalues_closed_form(list(reversed(counts)), r)
-        K = sp.build_block_matrix(tree, r)
+            tree = balanced_tree(counts := spec["balanced_level_counts"])
+            closed = sp.balanced_eigenvalues_closed_form(counts[::-1], spec["r"])
+        K = sp.build_block_matrix(tree, spec["r"])
     elif source == "features_csv":
         tree = load_hierarchy(cfg.setdefault("hierarchy", DEFAULT_HIERARCHY))
         ds, _ = load_dataset({"csv": cfg["features_csv"]}, tree, cfg["seed"])
@@ -559,14 +569,11 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
     tree = load_hierarchy(cfg["hierarchy"])
     id_train = _dataset(cfg, "id_train", tree)
     id_eval = _dataset(cfg, "id_eval", tree)
-    methods = _object(cfg["methods"], "methods")
-    if not _object(cfg["ood_sets"], "ood_sets"):
-        raise ConfigError("ood_sets: needs at least one OOD set")
 
-    ood_sets, ood_inputs = {}, {}
+    ood_inputs = {}
     for name, doc in cfg["ood_sets"].items():
         path = f"ood_sets.{name}"
-        ood_sets[name] = doc = _checked(doc, OOD_SET_KEYS, path)
+        cfg["ood_sets"][name] = doc = _checked(doc, OOD_SET_KEYS, path)
         source = _one_of(doc, tuple(OOD_SET_KEYS), path)
         if source == "csv":
             rows = tr.load_dataset_csv(_existing(doc["csv"], "OOD dataset"), tree).features
@@ -576,17 +583,13 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
             rows = _far_cluster(doc["far_cluster"], id_train)
         else:
             rows = id_eval.features
-        if rows.shape[0] == 0:
-            raise HypstructError(f"OOD set {name!r} is empty")
         ood_inputs[name] = rows
-    cfg["ood_sets"] = ood_sets
     checkpoints = {}
     dims = {id_train.dim, id_eval.dim, *(rows.shape[1] for rows in ood_inputs.values())}
-    for method, ckpt in methods.items():
+    for method, ckpt in cfg["methods"].items():
         checkpoints[method] = params, enc, _ = load_checkpoint(ckpt)
-        if dims != {enc.input_dim}:
-            raise HypstructError(f"methods.{method}: feature dimensions {sorted(dims)} do "
-                                 f"not match checkpoint input_dim {enc.input_dim}")
+        _must(f"methods.{method}", dims == {enc.input_dim},
+              f"a checkpoint of the data's feature dimension {sorted(dims)}", enc.input_dim)
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     table = {}
@@ -627,13 +630,8 @@ def _histogram_rows(method, name, id_scores, ood_scores, bins=50):
 
 # entry point -------------------------------------------------------------------
 
-COMMANDS = {
-    "embed-tree": cmd_embed_tree,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "spectra": cmd_spectra,
-    "oodsim": cmd_oodsim,
-}
+COMMANDS = {"embed-tree": cmd_embed_tree, "train": cmd_train, "eval": cmd_eval,
+            "spectra": cmd_spectra, "oodsim": cmd_oodsim}
 
 
 def build_parser():
@@ -665,11 +663,9 @@ def main(argv=None) -> int:
                 config = json.loads(args.config.read_text())
             except json.JSONDecodeError as e:
                 raise ValueError(f"bad config JSON: {e}") from None
-        cfg = _checked(config, COMMAND_KEYS[args.command])
-        if cfg["command"] != args.command:
-            raise ConfigError(f"command: this config is for {cfg['command']!r}")
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            config = {**Key(dict).cast(config, "config"), "seed": args.seed}
+        cfg = _checked(config, COMMAND_KEYS[args.command])
         args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out)
     except HypstructError as e:

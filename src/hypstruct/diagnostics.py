@@ -13,6 +13,7 @@ from .errors import (
     MissingEntry,
     SingularAfterRegularization,
     ZeroDiameter,
+    must_be,
 )
 from .hierarchy import LabelTree
 
@@ -137,15 +138,15 @@ def _four_point_slack(flat: np.ndarray, n: int, w, x, y, z) -> float:
 
 
 def check_delta_mode(mode: str, k: int, n: int):
-    """Raise ValueError unless ``delta_hyperbolicity`` can run ``mode`` with
-    ``k`` quadruples on ``n`` points.  Exact mode ignores ``k``."""
+    """Raise ValueError(must_be(...)) unless ``delta_hyperbolicity`` can run
+    ``mode`` with ``k`` quadruples on ``n`` points.  Exact mode ignores ``k``."""
     if mode not in ("exact", "sampled"):
-        raise ValueError("mode must be 'exact' or 'sampled'")
+        raise ValueError(must_be("mode", "'exact' or 'sampled'", mode))
     if mode == "exact" and n > EXACT_DELTA_MAX_N:
-        raise ValueError(f"exact mode is capped at n <= {EXACT_DELTA_MAX_N}; "
-                         "use mode='sampled'")
+        raise ValueError(must_be("mode", f"'sampled' on {n} points: exact mode is capped at "
+                                 f"n <= {EXACT_DELTA_MAX_N}", mode))
     if mode == "sampled" and k < 1:
-        raise ValueError(f"sampled mode needs k >= 1 quadruples, got {k}")
+        raise ValueError(must_be("k", "at least 1 in sampled mode", k))
 
 
 def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
@@ -153,11 +154,12 @@ def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
     """Four-point-condition slack of a metric space.
 
     Returns ``(delta, delta_rel)`` with ``delta_rel = 2 delta / diameter``.
-    ``mode="exact"`` scans all quadruples (n <= 400) and holds a few n x n
-    arrays; ``mode="sampled"`` draws ``k`` seeded quadruples and lower-bounds
-    the exact value.  It holds three rows of up to DELTA_DRAW_CHUNK indices
-    in the narrowest unsigned type (6 MB at uint16, n <= 65,536) plus about
-    1 MB per scanned block, so its memory stops growing at k = DELTA_DRAW_CHUNK.
+    ``mode="exact"`` scans all quadruples in a few n x n arrays, for n <=
+    EXACT_DELTA_MAX_N (400) only; eval's ``auto`` picks it for n <=
+    AUTO_EXACT_DELTA_MAX_N (200).  ``mode="sampled"`` draws ``k`` seeded
+    quadruples and lower-bounds the exact value, in three rows of up to
+    DELTA_DRAW_CHUNK indices of the narrowest unsigned type (6 MB at uint16,
+    n <= 65,536) plus 1 MB per scanned block: no more from k = DELTA_DRAW_CHUNK.
     """
     n = dm.n
     check_delta_mode(mode, k, n)

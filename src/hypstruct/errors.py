@@ -1,14 +1,16 @@
-"""Exception types shared across the package, and the field check of its
-config dataclasses."""
+"""Exception types shared across the package, and the message and field
+check of a rejected config value."""
+
+
+def must_be(name, rule, value) -> str:
+    return f"{name}: must be {rule}, got {value!r}"
 
 
 def check_fields(spec, checks):
-    """Raise ValueError ``"<field>: must be <rule>, got <value>"`` for the
-    first ``(field, ok, rule)`` of ``checks`` on ``spec`` that is not ok, so
-    that a caller can name the config key of the field."""
+    """Raise ValueError(must_be(...)) for the first ``(field, ok, rule)`` not ok."""
     for name, ok, rule in checks:
         if not ok:
-            raise ValueError(f"{name}: must be {rule}, got {getattr(spec, name)!r}")
+            raise ValueError(must_be(name, rule, getattr(spec, name)))
 
 
 class HypstructError(Exception):

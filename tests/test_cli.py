@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from xml.etree import ElementTree
 
 import numpy as np
@@ -340,11 +341,13 @@ def eval_config(trained, tmp_path, eval_dataset, **overrides):
 
 
 @pytest.mark.parametrize("delta,message", [
-    pytest.param({"mode": "sampled", "k": 0}, "k >= 1", id="0"),
-    pytest.param({"mode": "sampled", "k": -1}, "k >= 1", id="-1"),
-    pytest.param({"mode": "auto", "k": 0}, "k >= 1", id="auto_sampled"),
-    pytest.param({"mode": "hyperbolic", "k": 1000}, "mode must be", id="unknown_mode"),
-    pytest.param({"mode": "exact", "k": 1000}, "capped at", id="exact_over_cap"),
+    pytest.param({"mode": "sampled", "k": 0}, "delta.k: must be at least 1", id="0"),
+    pytest.param({"mode": "sampled", "k": -1}, "delta.k: must be at least 1", id="-1"),
+    pytest.param({"mode": "auto", "k": 0}, "delta.k: must be at least 1", id="auto_sampled"),
+    pytest.param({"mode": "hyperbolic", "k": 1000}, "delta.mode: must be one of",
+                 id="unknown_mode"),
+    pytest.param({"mode": "exact", "k": 1000}, "delta.mode: must be 'sampled' on 20 points: "
+                 "exact mode is capped at n <= 12", id="exact_over_cap"),
 ])
 def test_eval_rejects_a_sampled_delta_without_quadruples(trained, tmp_path, capsys,
                                                          monkeypatch, delta, message):
@@ -355,7 +358,7 @@ def test_eval_rejects_a_sampled_delta_without_quadruples(trained, tmp_path, caps
     path = eval_config(trained, tmp_path, {"synthetic": {"n_per_leaf": 5, "dim": 4}},
                        delta=delta)
     assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
     # rejected before any output is written
     assert not (tmp_path / "out" / "resolved_config.json").exists()
     assert not (tmp_path / "out" / "metrics.json").exists()
@@ -422,6 +425,33 @@ def test_resolved_config_reruns_to_byte_identical_artifacts(trained, tmp_path, c
 DELETE = object()
 
 
+def edited(config, edits):
+    """A deep copy of ``config`` with each dotted path of ``edits`` set to its
+    value, or deleted for DELETE."""
+    config = json.loads(json.dumps(config))
+    for dotted, value in edits.items():
+        *parents, last = dotted.split(".")
+        doc = config
+        for name in parents:
+            doc = doc.setdefault(name, {})
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+    return config
+
+
+def rejected(command, config, tmp_path, capsys, *args):
+    """The stderr of a run of ``config`` that exits 1 and writes nothing."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out),
+                     *args]) == cli.EXIT_ERROR
+    assert not out.exists() or not any(out.iterdir())
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,path,edits", [
     ("embed-tree", "step", {"step": 10}),
     ("train", "objectve", {"objectve": {"variant": "flat"}}),
@@ -454,23 +484,12 @@ DELETE = object()
 ])
 def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, capsys,
                                                          command, path, edits):
-    config = json.loads(json.dumps(command_configs(trained)[command]))
-    for dotted, value in edits.items():
-        *parents, last = dotted.split(".")
-        doc = config
-        for name in parents:
-            doc = doc.setdefault(name, {})
-        if value is DELETE:
-            del doc[last]
-        else:
-            doc[last] = value
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
-    err = capsys.readouterr().err
+    err = rejected(command, edited(command_configs(trained)[command], edits), tmp_path, capsys)
     assert f"error: ConfigError: {path or 'config'}:" in err
-    out = tmp_path / "out"
-    assert not out.exists() or not any(out.iterdir())
+
+
+class Edits(dict):
+    """The dotted-path edits of a bad-value case that needs more than one."""
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -486,6 +505,18 @@ def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, caps
     ("train", "objective", {"alpha": -1}),
     ("train", "dataset", "label_only_csv"),
     ("train", "dataset", {"synthetic": {"n_per_leaf": 0}}),
+    # a nested key, named by its dotted path: its type, range or choice
+    ("eval", "gram_csv", "false"),
+    ("spectra", "block_spec.balanced_level_counts", [1, 4.5, 8]),
+    ("spectra", "block_spec.r", 0.5),
+    ("train", "train.epochs", 1.7),
+    ("eval", "delta.mode", "bogus"),
+    ("eval", "delta.k", Edits({"delta.mode": "sampled", "delta.k": 0})),
+    ("oodsim", "ood_sets.far.far_cluster.n", -3),
+    ("oodsim", "ood_sets.far.far_cluster.n", 0),
+    ("oodsim", "methods", {}),
+    ("train", "dataset.synthetic.seed", -2),
+    ("oodsim", "ood_sets.same.id_eval", False),
 ])
 def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, capsys,
                                                              command, key, value):
@@ -493,13 +524,18 @@ def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, 
         # a csv dataset whose header names no feature column
         (tmp_path / "rows.csv").write_text("label\nleaf_0\nleaf_1\n")
         value = {"csv": str(tmp_path / "rows.csv")}
-    config = dict(command_configs(trained)[command], **{key: value})
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: ConfigError: {key}")
-    assert not any((tmp_path / "out").iterdir())
+    edits = value if isinstance(value, Edits) else {key: value}
+    err = rejected(command, edited(command_configs(trained)[command], edits), tmp_path, capsys)
+    # a section's key names the key below it that is at fault
+    assert re.match(rf"error: ConfigError: {re.escape(key)}[.:]", err), err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_negative_seed_override_is_a_config_error_before_any_output(trained, tmp_path,
+                                                                      capsys, command):
+    err = rejected(command, command_configs(trained)[command], tmp_path, capsys,
+                   "--seed", "-1")
+    assert err == "error: ConfigError: seed: must be a nonnegative integer, got -1\n"
 
 
 def test_supcon_on_a_one_view_csv_dataset_is_a_config_error_before_any_output(tmp_path,
@@ -513,7 +549,7 @@ def test_supcon_on_a_one_view_csv_dataset_is_a_config_error_before_any_output(tm
                                            objective={"flat_loss": "supcon"})))
     assert run_code("train", config_path, tmp_path) == cli.EXIT_ERROR
     assert capsys.readouterr().err.startswith(
-        "error: ConfigError: objective.flat_loss: supcon needs a dataset with two views")
+        "error: ConfigError: objective.flat_loss: must be 'cross_entropy' on a csv dataset")
     assert not any((tmp_path / "out").iterdir())
 
 
@@ -730,7 +766,7 @@ def broken_checkpoint(trained, tmp_path, fault):
 
 
 @pytest.mark.parametrize("fault,message", [("missing", "checkpoint not found"),
-                                           ("input_dim", "do not match checkpoint input_dim"),
+                                           ("input_dim", "methods.method: must be a checkpoint of the data's"),
                                            *(pytest.param(fault, message, id=fault)
                                              for fault, message in CHECKPOINT_FAULTS.items())])
 def test_oodsim_checks_every_checkpoint_before_any_output(trained, tmp_path, capsys,

@@ -9,12 +9,19 @@ in a nested dict literal, or as ``"parent.name"`` inside a dotted string
 literal (``"objective.curvature"``).  So a key does not pass because a key of
 the same name in another section is set (``seed``, ``n``, ``k``, ``csv``,
 ``hierarchy``).  This file's own literals do not count.
+
+Every key also takes only values of its type: each key, under a working
+config of its command, is set to values of other types, and the command must
+exit with a ConfigError that names the key before it writes any output.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 from hypstruct import cli
+from test_cli import command_configs, edited, rejected, trained  # noqa: F401 (a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [path for path in sorted((ROOT / "tests").glob("*.py"))
@@ -101,3 +108,35 @@ def test_a_nested_key_counts_only_under_its_parent():
     assert {("train", "seed"), ("dataset", "synthetic"), ("synthetic", "dim"), ("delta", "k"),
             ("ood_sets", "far_cluster"), ("objective", "c")} <= pairs
     assert ("encoder", "seed") not in pairs and "seed" in names and "edits" in names
+
+
+# Values of the wrong type for a key of each kind: an int key also gets a
+# non-integral number, and a seed a negative one.  A kind without an entry
+# here fails the test below, so a key of a new kind cannot skip the check.
+WRONG = {int: ["3", 2.5], cli.SEED: ["3", 2.5, -1], float: ["x", True], bool: ["false", 1],
+         str: [5, {"x": 1}], dict: [5], cli.HIERARCHY: [5], cli.NUMBERS: [0.5, ["x", 0.2]],
+         cli.INTEGERS: [4, [1, 4.5, 8]], cli.CHECKPOINTS: [{"a": 5}, {}], cli.OOD_SETS: [{}]}
+NO_WRONG_VALUES = object()
+
+
+def typed_keys(keys, path=()):
+    """``(config path, Key)`` of every key in the table ``keys`` and below.  The
+    keys of a named-entry section sit under its entry ``far`` of the working
+    oodsim config."""
+    for name, spec in keys.items():
+        key = cli._key(spec)
+        yield path + (name,), key
+        if key.keys:
+            yield from typed_keys(key.keys, path + ((name, "far") if name in NAMED_ENTRIES
+                                                    else (name,)))
+
+
+@pytest.mark.parametrize("command,dotted,value", [
+    (command, ".".join(path), value) for command, keys in cli.COMMAND_KEYS.items()
+    for path, key in typed_keys(keys) for value in WRONG.get(key.kind, [NO_WRONG_VALUES])])
+def test_a_value_of_the_wrong_type_is_a_config_error_naming_its_key(trained, tmp_path, capsys,
+                                                                   command, dotted, value):
+    assert value is not NO_WRONG_VALUES, f"WRONG has no values for the kind of {dotted}"
+    err = rejected(command, edited(command_configs(trained)[command], {dotted: value}),
+                   tmp_path, capsys)
+    assert err.startswith(f"error: ConfigError: {dotted}: must be "), err

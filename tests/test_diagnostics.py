@@ -225,7 +225,7 @@ def test_piecewise_integer_draws_continue_the_one_shot_stream(seed):
 @pytest.mark.parametrize("k", [0, -3])
 def test_sampled_delta_rejects_fewer_than_one_quadruple(k):
     dm = dg.pairwise_l2(np.random.default_rng(0).standard_normal((9, 3)))
-    with pytest.raises(ValueError, match="k >= 1"):
+    with pytest.raises(ValueError, match="k: must be at least 1 in sampled mode, got"):
         dg.delta_hyperbolicity(dm, mode="sampled", k=k)
 
 
