@@ -11,8 +11,9 @@ config gives the same artifacts.  Fixed seeds give byte-identical artifacts.
 
 Config values are strictly typed: an int key takes an integer or an integral
 float (kept as an int), a float key any number (kept as a float), a bool key
-only true or false, a str or path key only a string.  A value of the wrong
-type or range is a ConfigError naming its key, raised before any output.
+only true or false, a str key only a string, a path key only a non-empty
+string.  A value of the wrong type or range is a ConfigError naming its key,
+raised before any output.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from . import geometry as geo
 from . import spectral as sp
 from . import svg
 from . import training as tr
-from .errors import ConfigError, DivergedError, HypstructError, NotSymmetric, must_be
+from .errors import (ConfigError, DivergedError, HypstructError, InvalidLevelCounts, NotSymmetric,
+                     must_be)
 from .hierarchy import LabelTree, balanced_tree, builtin_cifar10_tree, parse_tree, tree_metric
 from .objective import CPCC_DISTANCES, ObjectiveConfig
 from .training import EmbedBudget, EncoderSpec, LabeledDataset, SyntheticSpec, TrainConfig
@@ -64,12 +66,15 @@ CASTS = {int: ("an integer", lambda v: type(v) in (int, float) and v % 1 == 0, i
          str: ("a string", lambda v: type(v) is str, str),
          dict: ("a JSON object", lambda v: type(v) is dict, dict)}
 SEED = ("a nonnegative integer", lambda v: CASTS[int][1](v) and v >= 0, int)
-HIERARCHY = ("a path string or a tree object", lambda v: type(v) in (str, dict), lambda v: v)
+# "" would be the working directory
+PATH = ("a non-empty path string", lambda v: type(v) is str and v != "", str)
+HIERARCHY = ("a non-empty path string or a tree object",
+             lambda v: type(v) is dict or PATH[1](v), lambda v: v)
 NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(CASTS[float][1], v)), list)
 INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(CASTS[int][1], v)),
             lambda v: [int(x) for x in v])
 CHECKPOINTS = ("an object of one or more checkpoint paths", lambda v: type(v) is dict
-               and v and all(type(path) is str for path in v.values()), dict)
+               and v and all(map(PATH[1], v.values())), dict)
 OOD_SETS = ("an object of one or more OOD sets", lambda v: type(v) is dict and v, dict)
 RULES = {"positive": lambda v: v > 0, "at least 1": lambda v: v >= 1}
 
@@ -83,12 +88,13 @@ class Key:
     """A config key.  A given value must be of ``kind``, by default the
     default's type.  An int key takes an integer or an integral float, kept as
     an int; a float key any number, kept as a float; a bool key true or false;
-    a str key, every path too, a string; a dict key an object.  CASTS maps
-    these, the kinds after it are the other shapes, and ``check`` is a rule of
-    RULES or a tuple of the allowed values.  An absent key takes ``default``,
-    else the command's seed plus ``offset``, else a value the command derives
-    (``rule`` says how, for --help), else stays out; a REQUIRED rule makes it
-    an error.  ``keys`` is a nested section's table, which the command checks."""
+    a str key a string; a dict key an object.  CASTS maps these, the kinds
+    after it are the other shapes (PATH a non-empty string), and ``check`` is
+    a rule of RULES or a tuple of the allowed values.  An absent key takes
+    ``default``, else the command's seed plus ``offset``, else a value the
+    command derives (``rule`` says how, for --help), else stays out; a
+    REQUIRED rule makes it an error.  ``keys`` is a nested section's table,
+    which the command checks."""
 
     def __init__(self, kind=None, rule="optional", default=None, keys=None, offset=None,
                  check=None):
@@ -122,7 +128,7 @@ def _dataset_key(noise_seed):
     synthetic = {**_defaults(SyntheticSpec, "tree"), "seed": Key(SEED, offset=0),
                  "noise_seed": noise_seed}
     return Key(dict, default={"synthetic": {}},
-               keys={"csv": Key(str), "synthetic": Key(dict, keys=synthetic)})
+               keys={"csv": Key(PATH), "synthetic": Key(dict, keys=synthetic)})
 
 
 DEFAULT_HIERARCHY = "builtin:cifar10"
@@ -139,7 +145,7 @@ DELTA_KEYS = {"mode": Key(default="auto", check=("auto", "exact", "sampled")),
               "k": 2_000_000, "seed": Key(SEED, offset=0)}
 FAR_CLUSTER_KEYS = {"offset_sigmas": 10.0, "n": Key(default=200, check="at least 1"),
                     "seed": Key(SEED, offset=0)}
-OOD_SET_KEYS = {"csv": Key(str), "far_cluster": Key(dict, keys=FAR_CLUSTER_KEYS),
+OOD_SET_KEYS = {"csv": Key(PATH), "far_cluster": Key(dict, keys=FAR_CLUSTER_KEYS),
                 "id_eval": Key(bool, check=(True,))}
 BLOCK_SPEC_KEYS = {"r": Key(NUMBERS, REQUIRED), "balanced_level_counts": Key(INTEGERS),
                    "hierarchy": Key(HIERARCHY)}
@@ -156,13 +162,13 @@ COMMAND_KEYS = {name: {"command": Key(default=name, check=(name,)),
     "train": {"dataset": DATASET, "encoder": Key(dict, default={}, keys=ENCODER_KEYS),
               "objective": Key(dict, default={}, keys=OBJECTIVE_KEYS),
               "train": Key(dict, default={}, keys=TRAIN_KEYS)},
-    "eval": {"checkpoint": Key(str, REQUIRED), "train_dataset": DATASET,
+    "eval": {"checkpoint": Key(PATH, REQUIRED), "train_dataset": DATASET,
              "eval_dataset": HELD_OUT, "knn_k": Key(default=50, check="at least 1"),
              "delta": Key(dict, default={}, keys=DELTA_KEYS), "gram_csv": False,
              "cpcc_distance": Key(default="native", check=("native", *CPCC_DISTANCES))},
     "spectra": {"hierarchy": Key(HIERARCHY, f"{DEFAULT_HIERARCHY} with features_csv"),
-                "block_spec": Key(dict, keys=BLOCK_SPEC_KEYS), "features_csv": Key(str),
-                "matrix_csv": Key(str), "top_k": Key(default=100, check="at least 1")},
+                "block_spec": Key(dict, keys=BLOCK_SPEC_KEYS), "features_csv": Key(PATH),
+                "matrix_csv": Key(PATH), "top_k": Key(default=100, check="at least 1")},
     "oodsim": {"methods": Key(CHECKPOINTS, f"{REQUIRED}: {{name: checkpoint path}}"),
                "id_train": DATASET, "id_eval": HELD_OUT,
                "ood_sets": Key(OOD_SETS, f"{REQUIRED}: {{name: OOD set}}", keys=OOD_SET_KEYS)},
@@ -516,7 +522,15 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
         if _one_of(spec, ("balanced_level_counts", "hierarchy"), "block_spec") == "hierarchy":
             tree = load_hierarchy(spec["hierarchy"])
         else:
-            tree = balanced_tree(counts := spec["balanced_level_counts"])
+            try:
+                tree = balanced_tree(counts := spec["balanced_level_counts"])
+            except InvalidLevelCounts as e:
+                raise ConfigError(must_be("block_spec.balanced_level_counts",
+                                          f"balanced level counts ({e})", counts)) from None
+        height = max(map(tree.depth, tree.leaf_classes))
+        _must("block_spec.r", len(spec["r"]) == height,
+              f"{height} values, one per level below the root", spec["r"])
+        if "balanced_level_counts" in spec:
             closed = sp.balanced_eigenvalues_closed_form(counts[::-1], spec["r"])
         K = sp.build_block_matrix(tree, spec["r"])
     elif source == "features_csv":
@@ -524,8 +538,12 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
         ds, _ = load_dataset({"csv": cfg["features_csv"]}, tree, cfg["seed"])
         K = sp.gram_matrix(ds.features, ds.labels, tree)
     else:
-        K = np.loadtxt(_existing(cfg["matrix_csv"], "matrix file"), delimiter=",",
-                       dtype=np.float64)
+        try:
+            K = np.loadtxt(_existing(cfg["matrix_csv"], "matrix file"), delimiter=",",
+                           dtype=np.float64)
+        except ValueError as e:  # a cell that is not a number, or ragged rows
+            raise ConfigError(must_be("matrix_csv", f"a CSV file of equal rows of numbers ({e})",
+                                      cfg["matrix_csv"])) from None
 
     numerical = sp.numerical_eigenvalues(K)
     _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
@@ -616,7 +634,8 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _histogram_rows(method, name, id_scores, ood_scores, bins=50):
+def _histogram_rows(method, name, id_scores, ood_scores):
+    bins = 50
     lo = float(min(id_scores.min(), ood_scores.min()))
     hi = float(max(id_scores.max(), ood_scores.max()))
     if hi <= lo:

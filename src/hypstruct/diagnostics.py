@@ -140,8 +140,6 @@ def _four_point_slack(flat: np.ndarray, n: int, w, x, y, z) -> float:
 def check_delta_mode(mode: str, k: int, n: int):
     """Raise ValueError(must_be(...)) unless ``delta_hyperbolicity`` can run
     ``mode`` with ``k`` quadruples on ``n`` points.  Exact mode ignores ``k``."""
-    if mode not in ("exact", "sampled"):
-        raise ValueError(must_be("mode", "'exact' or 'sampled'", mode))
     if mode == "exact" and n > EXACT_DELTA_MAX_N:
         raise ValueError(must_be("mode", f"'sampled' on {n} points: exact mode is capped at "
                                  f"n <= {EXACT_DELTA_MAX_N}", mode))
@@ -149,8 +147,7 @@ def check_delta_mode(mode: str, k: int, n: int):
         raise ValueError(must_be("k", "at least 1 in sampled mode", k))
 
 
-def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
-                        k: int = 2_000_000, seed: int = 0):
+def delta_hyperbolicity(dm: DistanceMatrix, mode: str, k: int, seed: int):
     """Four-point-condition slack of a metric space.
 
     Returns ``(delta, delta_rel)`` with ``delta_rel = 2 delta / diameter``.
@@ -160,13 +157,12 @@ def delta_hyperbolicity(dm: DistanceMatrix, mode: str = "exact",
     quadruples and lower-bounds the exact value, in three rows of up to
     DELTA_DRAW_CHUNK indices of the narrowest unsigned type (6 MB at uint16,
     n <= 65,536) plus 1 MB per scanned block: no more from k = DELTA_DRAW_CHUNK.
+    The caller checks ``mode`` and ``k`` with :func:`check_delta_mode`.
     """
-    n = dm.n
-    check_delta_mode(mode, k, n)
     diam = dm.diameter
     if diam == 0.0:
         raise ZeroDiameter("all points coincide; delta_rel undefined")
-    if n < 4:
+    if dm.n < 4:
         return 0.0, 0.0
     if mode == "exact":
         delta = _delta_exact(dm.dist)
@@ -193,8 +189,7 @@ def pairwise_l2(features) -> DistanceMatrix:
     return DistanceMatrix(s)
 
 
-def test_cpcc(features, labels, tree: LabelTree, distance_mode: str = "l2",
-              c: float = 1.0) -> float:
+def test_cpcc(features, labels, tree: LabelTree, distance_mode: str, c: float) -> float:
     """CPCC between d_T and class-prototype distances over leaf pairs.
 
     ``distance_mode="l2"`` uses Euclidean centroids and distances;
@@ -216,13 +211,12 @@ def knn_classify(train_feats, label_sets, query_feats, k: int):
     labels and their ``LabelTree.coarse_labels``), and the result holds one
     prediction array per set.  Neighbour-distance ties break toward the
     smallest training index; vote ties break toward the smallest label.
-    Queries are searched KNN_BLOCK_CELLS // len(train_feats) rows at a time.
+    Queries are searched KNN_BLOCK_CELLS // len(train_feats) rows at a time;
+    ``k`` lies in [1, len(train_feats)].
     """
     train_feats = np.asarray(train_feats, dtype=np.float64)
     query_feats = np.asarray(query_feats, dtype=np.float64)
     n = train_feats.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"k must lie in [1, {n}]")
     label_sets = [np.asarray(labels, dtype=np.int64) for labels in label_sets]
     n_labels = [int(labels.max()) + 1 for labels in label_sets]
     preds = [np.empty(query_feats.shape[0], dtype=np.int64) for _ in label_sets]

@@ -85,8 +85,7 @@ def cpcc_vjp(td, s_tt, f):
     so ``(R, P)`` feature distances against ``(P,)`` tree distances give
     ``R`` correlations.
     """
-    fd = f - f.sum(axis=-1, keepdims=True) / float(f.shape[-1])
-    s_ff = (fd * fd).sum(axis=-1)
+    fd, s_ff = centred(f)
     denom = np.sqrt(s_tt * s_ff)
     r = (td * fd).sum(axis=-1) / denom
 

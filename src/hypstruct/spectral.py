@@ -77,16 +77,13 @@ def build_block_matrix(tree: LabelTree, r) -> np.ndarray:
     """K[i, j] = 1 on the diagonal, else r^(LCA height of leaves i and j).
 
     The tree's leaves are the samples; ``r[h-1]`` is the entry for pairs whose
-    LCA has height ``h``.  Raises ValueError when ``r`` misses a height of the
-    tree.  The closed form's preconditions want ``r^1 >= r^2 >= ... >= r^H >= 0``;
-    a violation warns.
+    LCA has height ``h``, one value per level below the root.  The closed
+    form's preconditions want ``r^1 >= r^2 >= ... >= r^H >= 0``; a violation
+    warns.
     """
     heights = tree.leaf_lca_heights()
     r = tuple(float(x) for x in r)
-    max_h = int(heights.max(initial=0))
-    if len(r) < max_h:
-        raise ValueError(f"need r values for heights 1..{max_h}, got {len(r)}")
-    rs = r[:max_h]
+    rs = r[:int(heights.max(initial=0))]
     if any(b > a for a, b in zip(rs, rs[1:])) or (rs and rs[-1] < 0):
         warnings.warn("r values are not descending nonnegative; "
                       "closed-form preconditions may not hold", stacklevel=2)
@@ -96,23 +93,15 @@ def build_block_matrix(tree: LabelTree, r) -> np.ndarray:
 def balanced_eigenvalues_closed_form(level_counts, r) -> EigenSpectrum:
     """Closed-form spectrum for a balanced tree given leaf-first level counts.
 
-    ``level_counts = (C_0, ..., C_H)`` with ``C_0`` the number of samples and
-    ``C_H = 1`` the root; ``r = (r^1, ..., r^H)``.  Recurrence: ``C_0 - C_1``
-    eigenvalues ``1 - r^1``; at each higher height ``h`` the value grows by
-    ``(r^h - r^{h+1}) C_0 / C_h`` with multiplicity ``C_h - C_{h+1}``; the top
-    eigenvalue adds ``C_0 r^H``.
+    ``level_counts = (C_0, ..., C_H)``, a ``hierarchy.balanced_tree``'s counts
+    reversed, with ``C_0`` the number of samples and ``C_H = 1`` the root;
+    ``r = (r^1, ..., r^H)``.  Recurrence: ``C_0 - C_1`` eigenvalues ``1 - r^1``;
+    at each higher height ``h`` the value grows by ``(r^h - r^{h+1}) C_0 / C_h``
+    with multiplicity ``C_h - C_{h+1}``; the top eigenvalue adds ``C_0 r^H``.
     """
     counts = [int(c) for c in level_counts]
     r = [float(x) for x in r]
-    if counts[-1] != 1:
-        raise ValueError("level_counts must end with the root count 1 "
-                         "(leaf-first ordering C_0..C_H)")
-    for a, b in zip(counts, counts[1:]):
-        if b < 1 or a % b != 0:
-            raise ValueError(f"unbalanced level counts: {b} does not divide {a}")
     H = len(counts) - 1
-    if len(r) != H:
-        raise ValueError(f"need {H} r values for height {H}, got {len(r)}")
     if any(x < 0 for x in r):
         raise PreconditionViolated("closed form requires r^h >= 0 for all h")
     c0 = counts[0]

@@ -23,14 +23,15 @@ def _fmt(x):
     return f"{float(x):.6g}"
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 5)
 
 
-def scatter_svg(x, y, xlabel="", ylabel="", title="", width=480, height=360):
+def scatter_svg(x, y, xlabel, ylabel, title):
     """Scatter plot with axes and tick labels; returns the SVG document."""
+    width, height = 480, 360
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     margin = 50
@@ -82,8 +83,9 @@ def scatter_svg(x, y, xlabel="", ylabel="", title="", width=480, height=360):
     return "\n".join(parts)
 
 
-def disk_svg(named_points, title="", size=480):
+def disk_svg(named_points, title):
     """Unit-disk plot with labeled points (2-D ball coordinates)."""
+    size = 480
     center = size / 2
     radius = size / 2 - 30
 

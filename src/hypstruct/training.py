@@ -271,13 +271,10 @@ def train(dataset: LabeledDataset, tree: LabelTree, enc: EncoderSpec,
 
     One batch's tape is alive at a time: :func:`_batch_gradients` builds it,
     differentiates it and drops it on return, so nothing of batch b is held
-    while batch b+1's forward pass or ``epoch_metrics`` runs.
+    while batch b+1's forward pass or ``epoch_metrics`` runs.  The caller
+    checks that a batch fits the dataset and that SupCon has ``view2``.
     """
     n = dataset.n
-    if tc.batch_size > n:
-        raise ValueError(f"batch_size {tc.batch_size} exceeds dataset size {n}")
-    if cfg.flat_loss == "supcon" and dataset.view2 is None:
-        raise ValueError("supcon training needs a dataset with two views per sample")
     params = init_params(param_shapes(enc, cfg, tree.n_classes), enc.seed)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     metric = tree_metric(tree)
@@ -369,9 +366,8 @@ class EmbedResult:
     per_restart: list
 
 
-def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
-                      cfg: Optional[ObjectiveConfig] = None,
-                      budget: Optional[EmbedBudget] = None) -> EmbedResult:
+def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str, cfg: ObjectiveConfig,
+                      budget: EmbedBudget) -> EmbedResult:
     """Optimize free per-vertex coordinates to maximize CPCC against d_T.
 
     Plain gradient ascent from ``budget.restarts`` seeded starting points;
@@ -387,12 +383,6 @@ def embed_tree_direct(tree: LabelTree, dim: int, distance_mode: str,
     mode optimizes tangent coordinates passed through the origin exponential
     map, so returned coordinates always satisfy the ball invariant.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if distance_mode not in ("l2", "poincare"):
-        raise ValueError("distance_mode must be 'l2' or 'poincare'")
-    cfg = cfg or ObjectiveConfig()
-    budget = budget or EmbedBudget()
     vertices = obj.scope_vertices(tree, cfg.tree_scope)
     k = len(vertices)
     if k * (k - 1) // 2 < obj.MIN_CPCC_PAIRS:

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import re
 from xml.etree import ElementTree
 
 import numpy as np
@@ -478,7 +477,6 @@ def rejected(command, config, tmp_path, capsys, *args):
     ("oodsim", "checkpoint", {"checkpoint": "checkpoint.json"}),
     ("spectra", "block_spec.tree", {"block_spec.tree": TREE,
                                     "block_spec.balanced_level_counts": DELETE}),
-    ("train", "encoder.input_dim", {"encoder.input_dim": 5}),
     ("train", "objective.map_mode", {"objective.map_mode": "clip"}),
     ("train", "objective.clip_epsilon", {"objective.clip_epsilon": 1e-3}),
 ])
@@ -488,69 +486,12 @@ def test_bad_config_key_is_a_typed_error_naming_its_path(trained, tmp_path, caps
     assert f"error: ConfigError: {path or 'config'}:" in err
 
 
-class Edits(dict):
-    """The dotted-path edits of a bad-value case that needs more than one."""
-
-
-@pytest.mark.parametrize("command,key,value", [
-    ("embed-tree", "dim", 0),
-    ("embed-tree", "restarts", 0),
-    ("embed-tree", "steps", -1),
-    ("embed-tree", "curvature", -1.0),
-    ("embed-tree", "tree_scope", "bogus"),
-    ("eval", "cpcc_distance", "bogus"),
-    ("eval", "knn_k", 0),
-    ("train", "train", {"epochs": 1, "batch_size": 41}),
-    ("train", "train", {"epochs": 0}),
-    ("train", "objective", {"alpha": -1}),
-    ("train", "dataset", "label_only_csv"),
-    ("train", "dataset", {"synthetic": {"n_per_leaf": 0}}),
-    # a nested key, named by its dotted path: its type, range or choice
-    ("eval", "gram_csv", "false"),
-    ("spectra", "block_spec.balanced_level_counts", [1, 4.5, 8]),
-    ("spectra", "block_spec.r", 0.5),
-    ("train", "train.epochs", 1.7),
-    ("eval", "delta.mode", "bogus"),
-    ("eval", "delta.k", Edits({"delta.mode": "sampled", "delta.k": 0})),
-    ("oodsim", "ood_sets.far.far_cluster.n", -3),
-    ("oodsim", "ood_sets.far.far_cluster.n", 0),
-    ("oodsim", "methods", {}),
-    ("train", "dataset.synthetic.seed", -2),
-    ("oodsim", "ood_sets.same.id_eval", False),
-])
-def test_bad_config_value_is_a_typed_error_before_any_output(trained, tmp_path, capsys,
-                                                             command, key, value):
-    if value == "label_only_csv":
-        # a csv dataset whose header names no feature column
-        (tmp_path / "rows.csv").write_text("label\nleaf_0\nleaf_1\n")
-        value = {"csv": str(tmp_path / "rows.csv")}
-    edits = value if isinstance(value, Edits) else {key: value}
-    err = rejected(command, edited(command_configs(trained)[command], edits), tmp_path, capsys)
-    # a section's key names the key below it that is at fault
-    assert re.match(rf"error: ConfigError: {re.escape(key)}[.:]", err), err
-
-
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_a_negative_seed_override_is_a_config_error_before_any_output(trained, tmp_path,
                                                                       capsys, command):
     err = rejected(command, command_configs(trained)[command], tmp_path, capsys,
                    "--seed", "-1")
     assert err == "error: ConfigError: seed: must be a nonnegative integer, got -1\n"
-
-
-def test_supcon_on_a_one_view_csv_dataset_is_a_config_error_before_any_output(tmp_path,
-                                                                             capsys):
-    tree = balanced_tree((1, 2, 4))
-    csv_path = tmp_path / "rows.csv"
-    save_dataset_csv(csv_path, tr.generate_hierarchical_gaussians(
-        tr.SyntheticSpec(tree=tree, dim=4, n_per_leaf=10, seed=3)), tree)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(dict(TRAIN, dataset={"csv": str(csv_path)},
-                                           objective={"flat_loss": "supcon"})))
-    assert run_code("train", config_path, tmp_path) == cli.EXIT_ERROR
-    assert capsys.readouterr().err.startswith(
-        "error: ConfigError: objective.flat_loss: must be 'cross_entropy' on a csv dataset")
-    assert not any((tmp_path / "out").iterdir())
 
 
 def test_write_json_streams_the_bytes_of_one_indented_dump(tmp_path):

@@ -12,7 +12,12 @@ the same name in another section is set (``seed``, ``n``, ``k``, ``csv``,
 
 Every key also takes only values of its type: each key, under a working
 config of its command, is set to values of other types, and the command must
-exit with a ConfigError that names the key before it writes any output.
+exit with a ConfigError that names the key before it writes any output.  The
+same holds for a value out of range: outside a key's own check, outside a
+field rule of the spec dataclass the command builds from its section, or
+outside a rule the command checks against the data (a batch larger than the
+dataset, an exact delta over too many rows, one ``r`` value per tree level).
+So no value out of range reaches the numerical code below the command line.
 """
 
 import ast
@@ -21,7 +26,10 @@ from pathlib import Path
 import pytest
 
 from hypstruct import cli
-from test_cli import command_configs, edited, rejected, trained  # noqa: F401 (a fixture)
+from hypstruct import objective as obj
+from hypstruct import training as tr
+from hypstruct.hierarchy import balanced_tree
+from test_cli import DELETE, TREE, command_configs, edited, rejected, trained  # noqa: F401
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [path for path in sorted((ROOT / "tests").glob("*.py"))
@@ -111,11 +119,13 @@ def test_a_nested_key_counts_only_under_its_parent():
 
 
 # Values of the wrong type for a key of each kind: an int key also gets a
-# non-integral number, and a seed a negative one.  A kind without an entry
+# non-integral number, a seed a negative one, and a path the empty string
+# (the working directory).  A kind without an entry
 # here fails the test below, so a key of a new kind cannot skip the check.
 WRONG = {int: ["3", 2.5], cli.SEED: ["3", 2.5, -1], float: ["x", True], bool: ["false", 1],
-         str: [5, {"x": 1}], dict: [5], cli.HIERARCHY: [5], cli.NUMBERS: [0.5, ["x", 0.2]],
-         cli.INTEGERS: [4, [1, 4.5, 8]], cli.CHECKPOINTS: [{"a": 5}, {}], cli.OOD_SETS: [{}]}
+         str: [5, {"x": 1}], cli.PATH: [5, ""], dict: [5], cli.HIERARCHY: [5, ""],
+         cli.NUMBERS: [0.5, ["x", 0.2]], cli.INTEGERS: [4, [1, 4.5, 8]],
+         cli.CHECKPOINTS: [{"a": 5}, {}, {"a": ""}], cli.OOD_SETS: [{}]}
 NO_WRONG_VALUES = object()
 
 
@@ -140,3 +150,145 @@ def test_a_value_of_the_wrong_type_is_a_config_error_naming_its_key(trained, tmp
     err = rejected(command, edited(command_configs(trained)[command], {dotted: value}),
                    tmp_path, capsys)
     assert err.startswith(f"error: ConfigError: {dotted}: must be "), err
+
+
+# A value outside each rule of ``cli.RULES``; a tuple of allowed values is
+# left by a string not in it, or by the other bool.  A rule without an entry
+# fails the test below, so a key with a new rule cannot skip it.
+BEYOND = {"positive": [0.0, -1.0], "at least 1": [0, -3]}
+
+
+def beyond(check):
+    if isinstance(check, tuple):
+        return ["bogus"] if isinstance(check[0], str) else [not check[0]]
+    return BEYOND.get(check, [NO_WRONG_VALUES])
+
+
+# The sections each command builds a spec dataclass from: its fields are the
+# section's keys ("" is the top level).
+SPEC_SECTIONS = {
+    tr.EncoderSpec: [("train", "encoder")],
+    tr.TrainConfig: [("train", "train")],
+    obj.ObjectiveConfig: [("train", "objective"), ("embed-tree", "")],
+    tr.EmbedBudget: [("embed-tree", "")],
+    tr.SyntheticSpec: [("train", "dataset.synthetic"), ("eval", "train_dataset.synthetic"),
+                       ("eval", "eval_dataset.synthetic"), ("oodsim", "id_train.synthetic"),
+                       ("oodsim", "id_eval.synthetic")],
+}
+# A value outside each field rule of a spec dataclass; a field whose rule has
+# no entry fails the test below.
+SPEC_BEYOND = {"kind": ["cnn"], "input_dim": [0], "hidden_dim": [0], "output_dim": [0],
+               "epochs": [0], "batch_size": [0], "lr0": [0.0], "momentum": [1.0, -0.1],
+               "weight_decay": [-1e-4], "schedule": ["step"], "alpha": [-1.0],
+               "beta": [-0.01], "tau": [0.0], "c": [0.0], "tree_scope": ["bogus"],
+               "centroid_mode": ["bogus"], "flat_loss": ["bogus"], "cpcc_distance": ["bogus"],
+               "restarts": [0], "steps": [-1], "dim": [0], "n_per_leaf": [0]}
+
+
+def judged_fields(cls):
+    """The fields whose rules ``cls`` checks through ``errors.check_fields``."""
+    judged = []
+
+    def spy(spec, checks):
+        judged.extend(name for name, _, _ in checks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (tr, obj):
+            patch.setattr(module, "check_fields", spy)
+        cls(**({"tree": balanced_tree((1, 2))} if cls is tr.SyntheticSpec else {}))
+    return judged
+
+
+def section_keys(command, section):
+    keys = cli.COMMAND_KEYS[command]
+    for name in filter(None, section.split(".")):
+        keys = cli._key(keys[name]).keys
+    return keys
+
+
+def out_of_range_cases():
+    """``(command, dotted key, edits, rule)`` of every key check and every
+    spec field rule a config key reaches; a case without a command or a
+    value fails the test."""
+    for command, keys in cli.COMMAND_KEYS.items():
+        for path, key in typed_keys(keys):
+            if key.check:
+                dotted = ".".join(path)
+                for value in beyond(key.check):
+                    yield pytest.param(command, dotted, {dotted: value}, "",
+                                       id=f"{command}:{dotted}={value!r}")
+    for cls, sections in SPEC_SECTIONS.items():
+        for field in judged_fields(cls):
+            reached = [(command, f"{section}.{field}".lstrip(".")) for command, section
+                       in sections if field in section_keys(command, section)]
+            for command, dotted in reached or [(None, f"{cls.__name__}.{field}")]:
+                for value in SPEC_BEYOND.get(field, [NO_WRONG_VALUES]):
+                    yield pytest.param(command, dotted, {dotted: value}, "",
+                                       id=f"{command}:{dotted}={value!r}")
+
+
+class File:
+    """The path of a file of ``text``, as an edit's value; written when the case runs."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def write(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(self.text)
+        return str(path)
+
+
+# 40 rows of one view each
+ONE_VIEW_CSV = "label,a,b,c,d\n" + "".join(f"leaf_{i % 4},{i},0,0,1\n" for i in range(40))
+
+# Rules the commands check against the data, each with the start of its rule text.
+DATA_RULES = [
+    ("train", "train.batch_size", {"train.batch_size": 41}, "at most the dataset's 40 rows"),
+    ("train", "encoder.input_dim", {"encoder.input_dim": 5},
+     "the dataset's feature dimension 4"),
+    ("train", "dataset.csv",
+     {"dataset.synthetic": DELETE, "dataset.csv": File("label\nleaf_0\nleaf_1\n")},
+     "a CSV file with a feature column"),
+    ("train", "objective.flat_loss", {"dataset.synthetic": DELETE,
+                                      "dataset.csv": File(ONE_VIEW_CSV),
+                                      "objective.flat_loss": "supcon"},
+     "'cross_entropy' on a csv dataset"),
+    ("eval", "train_dataset", {"train_dataset.synthetic.dim": 5}, "4 features wide"),
+    ("eval", "delta.k", {"delta.mode": "sampled", "delta.k": 0}, "at least 1 in sampled mode"),
+    ("eval", "delta.mode", {"delta.mode": "exact", "eval_dataset.synthetic.n_per_leaf": 101},
+     "'sampled' on 404 points: exact mode is capped at n <= 400"),
+    ("oodsim", "methods.method", {"id_eval.synthetic.dim": 5},
+     "a checkpoint of the data's feature dimension [4, 5]"),
+    ("spectra", "block_spec.r", {"block_spec.r": [0.8]},
+     "2 values, one per level below the root"),
+    ("spectra", "block_spec.r", {"block_spec.r": [0.8, 0.4, 0.2]},
+     "2 values, one per level below the root"),
+    ("spectra", "block_spec.r", {"block_spec.balanced_level_counts": DELETE,
+                                 "block_spec.hierarchy": TREE, "block_spec.r": [0.8, 0.4, 0.2]},
+     "2 values, one per level below the root"),
+    ("spectra", "block_spec.balanced_level_counts",
+     {"block_spec.balanced_level_counts": [2, 4]},
+     "balanced level counts (the root level count must be 1)"),
+    ("spectra", "block_spec.balanced_level_counts",
+     {"block_spec.balanced_level_counts": [1, 2, 5]}, "balanced level counts (2 does not divide 5)"),
+    ("spectra", "block_spec.balanced_level_counts", {"block_spec.balanced_level_counts": [1]},
+     "balanced level counts (need at least a root level and a leaf level)"),
+    ("spectra", "matrix_csv", {"block_spec": DELETE, "matrix_csv": File("1,a\na,1\n")},
+     "a CSV file of equal rows of numbers (could not convert string 'a' to float64"),
+    ("spectra", "matrix_csv", {"block_spec": DELETE, "matrix_csv": File("1,0\n0\n")},
+     "a CSV file of equal rows of numbers (the number of columns changed"),
+]
+
+
+@pytest.mark.parametrize("command,dotted,edits,rule", [
+    *out_of_range_cases(),
+    *(pytest.param(*case, id=f"{case[0]}:{case[1]}:data{i}") for i, case in enumerate(DATA_RULES))])
+def test_a_value_out_of_range_is_a_config_error_naming_its_key(trained, tmp_path, capsys,
+                                                              command, dotted, edits, rule):
+    assert command is not None, f"no config key reaches the rule on {dotted}"
+    assert NO_WRONG_VALUES not in edits.values(), f"no out-of-range value for {dotted}"
+    edits = {key: value.write(tmp_path) if isinstance(value, File) else value
+             for key, value in edits.items()}
+    err = rejected(command, edited(command_configs(trained)[command], edits), tmp_path, capsys)
+    assert err.startswith(f"error: ConfigError: {dotted}: must be {rule}"), err

@@ -349,10 +349,6 @@ class TestPairDistances:
         assert_fused_matches(lambda x: geo.pair_distances(x, mode, c),
                              lambda x: composed.pair_distances(x, mode, c), z, w)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            geo.pair_distances(np.zeros((3, 2)), "cosine")
-
     @pytest.mark.parametrize("k", [2, 13, 121])
     def test_pair_index_is_the_cached_read_only_upper_triangle(self, k):
         ii, jj, flat = geo.pair_index(k)

@@ -138,8 +138,6 @@ def test_block_matrix_on_uneven_tree():
     want = np.array([[1.0 if u == v else r[tree.lca_height(u, v) - 1] for v in leaves]
                      for u in leaves])
     assert np.array_equal(K, want)
-    with pytest.raises(ValueError):
-        sp.build_block_matrix(tree, r[:2])
     # rising or negative values break the closed form's preconditions
     for bad in ((0.3, 0.6, 0.9), (0.9, 0.6, -0.3)):
         with pytest.warns(UserWarning, match="preconditions"):

@@ -143,13 +143,6 @@ class TestTrain:
         assert clamps > 0
         assert f"(after {clamps} atanh clamps and {clips} ball-clip rescales)" in str(err.value)
 
-    def test_batch_size_validated(self, tree):
-        ds = small_dataset(tree)
-        enc = tr.EncoderSpec(kind="linear", input_dim=8, output_dim=4, seed=0)
-        tc = tr.TrainConfig(epochs=1, batch_size=101, lr0=0.05, seed=0)
-        with pytest.raises(ValueError):
-            tr.train(ds, tree, enc, obj.ObjectiveConfig(), tc)
-
     def test_supcon_training_runs(self, tree):
         ds = small_dataset(tree)
         enc = tr.EncoderSpec(kind="linear", input_dim=8, output_dim=8, seed=4)
@@ -227,25 +220,25 @@ def test_constant_prototype_distances_skip_the_cpcc_term(tree, tmp_path, monkeyp
 class TestEmbedTreeDirect:
     def test_three_leaf_star_l2_exact(self):
         star = hi.balanced_tree([1, 3])
-        res = tr.embed_tree_direct(star, 2, "l2",
-                                   budget=tr.EmbedBudget(restarts=3, steps=1500, seed=0))
+        res = tr.embed_tree_direct(star, 2, "l2", obj.ObjectiveConfig(),
+                                   tr.EmbedBudget(restarts=3, steps=1500, seed=0))
         assert res.cpcc >= 0.999
 
     def test_two_vertex_tree_rejected(self):
         chain = hi.balanced_tree([1, 1])
         with pytest.raises(InsufficientVertices):
-            tr.embed_tree_direct(chain, 2, "l2")
+            tr.embed_tree_direct(chain, 2, "l2", obj.ObjectiveConfig(), tr.EmbedBudget())
 
     def test_poincare_coords_inside_ball(self, tree):
-        res = tr.embed_tree_direct(tree, 2, "poincare",
-                                   budget=tr.EmbedBudget(restarts=1, steps=200, seed=0))
+        res = tr.embed_tree_direct(tree, 2, "poincare", obj.ObjectiveConfig(),
+                                   tr.EmbedBudget(restarts=1, steps=200, seed=0))
         for xy in res.coords.values():
             assert float(xy @ xy) < 1.0
 
     def test_deterministic_across_runs(self, tree):
         budget = tr.EmbedBudget(restarts=2, steps=100, seed=5)
-        a = tr.embed_tree_direct(tree, 2, "poincare", budget=budget)
-        b = tr.embed_tree_direct(tree, 2, "poincare", budget=budget)
+        a = tr.embed_tree_direct(tree, 2, "poincare", obj.ObjectiveConfig(), budget)
+        b = tr.embed_tree_direct(tree, 2, "poincare", obj.ObjectiveConfig(), budget)
         assert a.cpcc == b.cpcc
         assert a.per_restart == b.per_restart
 
@@ -261,7 +254,7 @@ def test_best_restart_is_the_first_near_tie(tree):
     # their final CPCC values agree to the last bits; a one-ulp change of the
     # step size reorders them (argmax picks restart 7, then 0) but must not
     # move the reported restart
-    runs = [tr.embed_tree_direct(tree, 2, "l2", None,
+    runs = [tr.embed_tree_direct(tree, 2, "l2", obj.ObjectiveConfig(),
                                  tr.EmbedBudget(restarts=8, steps=1000, lr=lr, seed=0))
             for lr in (0.5, np.nextafter(0.5, 1.0))]
     chosen = []
@@ -411,7 +404,8 @@ def test_embed_tree_builds_no_tape(tree, mode, monkeypatch):
     ad.grad(ad.sum(ad.Node(np.ones(2)) * 2.0), [ad.Node(np.ones(2))])
     assert calls == {"nodes": 4, "grad": 1}
     calls.update(nodes=0, grad=0)
-    tr.embed_tree_direct(tree, 2, mode, None, tr.EmbedBudget(restarts=2, steps=20, seed=0))
+    tr.embed_tree_direct(tree, 2, mode, obj.ObjectiveConfig(),
+                         tr.EmbedBudget(restarts=2, steps=20, seed=0))
     assert calls == {"nodes": 0, "grad": 0}
 
 
@@ -454,10 +448,11 @@ def tape_nodes(out):
 
 # one composite_core step of train-c100's shape built 92 nodes before the
 # all-pairs distance kernel, 90 with it, 83 with one leaf per parameter
-# tensor instead of a slice and a reshape of one flat leaf per tensor, and 58
+# tensor instead of a slice and a reshape of one flat leaf per tensor, 58
 # once centering read the root's row from the CPCC's prototype rows instead
-# of building its own exp0 -> Klein -> Einstein midpoint chain
-MAX_STEP_NODES = 58
+# of building its own exp0 -> Klein -> Einstein midpoint chain, and 48 once
+# each prototype mean or midpoint became one node over per-class sums
+MAX_STEP_NODES = 48
 
 
 def test_train_step_tape_size_on_cifar100_shape():
