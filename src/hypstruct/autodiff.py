@@ -24,6 +24,12 @@ elementary step; off the tape the same function gives the value, and a
 caller may chain the VJPs itself.  Each fused node has one parent on the
 tape: training differentiates with respect to the features only, so tree
 distances and class memberships enter as constants.
+
+:func:`grad` consumes the graph it differentiates: it drops each node's
+``(parent, vjp)`` pairs once it has applied them, so a VJP's forward arrays
+and an intermediate gradient are freed as soon as nothing still to be
+differentiated needs them.  So each graph takes one :func:`grad` call; a
+node kept by the caller keeps its value but is a leaf afterwards.
 """
 
 from __future__ import annotations
@@ -262,7 +268,9 @@ def grad(out, wrt):
     """Gradients of a scalar Node ``out`` with respect to ``wrt`` leaves.
 
     Returns a list aligned with ``wrt``; leaves the graph did not touch get
-    zero gradients.
+    zero gradients.  It consumes the graph: each node's gradient and
+    ``(parent, vjp)`` pairs are dropped once its VJPs have run, so on return
+    every node of the graph is a leaf.  One call per graph.
     """
     if not isinstance(out, Node):
         raise TypeError("output is not a Node; nothing to differentiate")
@@ -285,15 +293,19 @@ def grad(out, wrt):
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    # in reverse topological order a node's gradient is whole when reached;
+    # a wrt leaf's stays for the result
+    keep = {id(leaf) for leaf in wrt}
     grads = {id(out): np.ones_like(out.value)}
-    for node in reversed(topo):
-        g = grads.get(id(node))
-        if g is None:
-            continue
+    while topo:
+        node = topo.pop()
+        g = grads[id(node)] if id(node) in keep else grads.pop(id(node))
         for parent, vjp in node.parents:
             contribution = vjp(g)
             acc = grads.get(id(parent))
             grads[id(parent)] = contribution if acc is None else acc + contribution
+        # frees the closures' forward arrays and the nodes only this one held
+        node.parents = ()
 
     results = []
     for leaf in wrt:

@@ -519,7 +519,8 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
         raise ConfigError(f"hierarchy: read only with features_csv, not with {source}")
     if source == "block_spec":
         cfg["block_spec"] = spec = _checked(cfg["block_spec"], BLOCK_SPEC_KEYS, "block_spec")
-        if _one_of(spec, ("balanced_level_counts", "hierarchy"), "block_spec") == "hierarchy":
+        form = _one_of(spec, ("balanced_level_counts", "hierarchy"), "block_spec")
+        if form == "hierarchy":
             tree = load_hierarchy(spec["hierarchy"])
         else:
             try:
@@ -527,6 +528,9 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
             except InvalidLevelCounts as e:
                 raise ConfigError(must_be("block_spec.balanced_level_counts",
                                           f"balanced level counts ({e})", counts)) from None
+        # one leaf is a 1 x 1 matrix: no gap between eigenvalues to report
+        _must(f"block_spec.{form}", tree.n_classes >= 2, "a tree of at least two leaves",
+              spec[form])
         height = max(map(tree.depth, tree.leaf_classes))
         _must("block_spec.r", len(spec["r"]) == height,
               f"{height} values, one per level below the root", spec["r"])
@@ -536,6 +540,8 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
     elif source == "features_csv":
         tree = load_hierarchy(cfg.setdefault("hierarchy", DEFAULT_HIERARCHY))
         ds, _ = load_dataset({"csv": cfg["features_csv"]}, tree, cfg["seed"])
+        _must("features_csv", ds.n >= 2, "a CSV file of at least two data rows",
+              cfg["features_csv"])
         K = sp.gram_matrix(ds.features, ds.labels, tree)
     else:
         try:

@@ -14,7 +14,7 @@ alone works on values only, pairing rows one to one for the distances
 No array grows with the rows times the tree: a group mean sums each class's
 rows once, and the pair kernel makes its differences a block of rows at a time.
 
-Conventions: curvature ``c`` is a positive constant (default 1.0) and the ball
+Conventions: curvature ``c`` is a positive constant and the ball
 radius is ``1/sqrt(c)``.  The exponential map is taken at the origin only;
 general-basepoint maps are intentionally absent.
 
@@ -174,37 +174,50 @@ def einstein_mid(k_rows, c, labels, groups):
     return ad.make_node(mid, (k_rows, vjp))
 
 
-def _poincare_from_sq(s, ni, nj, c):
-    """Poincare distance from ``s = ||z_i - z_j||^2`` and the squared row norms.
+def _poincare_from_sq(s, ai, aj, c):
+    """Poincare distance from ``s = ||z_i - z_j||^2`` and each end's
+    ``a = 1 - c||z||^2``, arrays of at least one dimension.
 
     Returns the distances and ``back(g) -> (g_s, g_ni, g_nj)``, the gradient
-    with respect to the three inputs.  The denominator floor and the atanh
-    clamp are constants of the backward pass: a pair whose argument clamps
-    gets zero gradient.  So does a coincident pair (``s == 0``), where the
-    distance has a kink.  Each clamped argument counts as one
-    ``autodiff`` atanh clamp.
+    with respect to ``s`` and the two squared norms.  The denominator floor
+    and the atanh clamp are constants of the backward pass: a pair whose
+    argument clamps gets zero gradient.  So does a coincident pair
+    (``s == 0``), where the distance has a kink.  Each clamped argument
+    counts as one ``autodiff`` atanh clamp.  ``back`` runs once: it writes
+    its three gradients over the forward's buffers ``den``, ``ai`` and
+    ``aj``, so it allocates no pair-sized array.
     """
-    ai, aj = 1.0 - c * ni, 1.0 - c * nj
-    den = np.maximum(ai * aj + c * s, _TINY_SQ)
-    m = np.sqrt(s / den)
+    rc = np.sqrt(c)
+    den = ai * aj
+    den += c * s
+    np.maximum(den, _TINY_SQ, out=den)
+    m = s / den
+    np.sqrt(m, out=m)
     # arg >= 0, so only the upper clamp can bind
-    arg = np.sqrt(c) * m
+    arg = rc * m
     n_clamped = int(np.count_nonzero(arg >= ad.ATANH_MAX))
     if n_clamped:
         ad.record_atanh_clamps(n_clamped)
-    out = (2.0 / np.sqrt(c)) * np.arctanh(np.minimum(arg, ad.ATANH_MAX))
+    live = arg < ad.ATANH_MAX
+    live &= s > 0.0
+    dead = ~live
+    np.minimum(arg, ad.ATANH_MAX, out=arg)
+    np.arctanh(arg, out=arg)
+    arg *= 2.0 / rc
 
     def back(g):
         # dd/ds = 1/(m den), dd/dn_i = c m / (1 - c n_i)
-        live = (arg < ad.ATANH_MAX) & (s > 0.0)
-        gm = np.where(live, g * (c * m), 0.0)
+        np.multiply(den, m, out=den)
+        np.divide(g, den, out=den, where=live)
+        np.multiply(m, c, out=m)
+        np.multiply(m, g, out=m)
+        np.divide(m, ai, out=ai, where=live)
+        np.divide(m, aj, out=aj, where=live)
+        for grad in (den, ai, aj):
+            np.copyto(grad, 0.0, where=dead)
+        return den, ai, aj
 
-        def safe(num, by):
-            return np.divide(num, by, out=np.zeros(live.shape), where=live)
-
-        return safe(g, m * den), safe(gm, ai), safe(gm, aj)
-
-    return out, back
+    return arg, back
 
 
 def dist_rows(z1, z2, c):
@@ -215,8 +228,11 @@ def dist_rows(z1, z2, c):
     """
     z1, z2 = np.asarray(z1, dtype=np.float64), np.asarray(z2, dtype=np.float64)
     diff = z1 - z2
-    return _poincare_from_sq(np.sum(diff * diff, axis=-1), np.sum(z1 * z1, axis=-1),
-                             np.sum(z2 * z2, axis=-1), c)[0]
+    # keepdims: the kernel writes in place, so even a pair of single rows
+    # must reach it as arrays, not numpy scalars
+    return _poincare_from_sq(np.sum(diff * diff, axis=-1, keepdims=True),
+                             1.0 - c * np.sum(z1 * z1, axis=-1, keepdims=True),
+                             1.0 - c * np.sum(z2 * z2, axis=-1, keepdims=True), c)[0][..., 0]
 
 
 PAIR_MODES = ("poincare", "l2")
@@ -239,7 +255,7 @@ def pair_index(k):
     return index
 
 
-def pair_distances_vjp(x, mode, c=1.0, scratch=None):
+def pair_distances_vjp(x, mode, c, scratch=None):
     """Distances of all row pairs ``i < j`` of plain ``(..., k, d)`` rows.
 
     Returns ``(..., P)``, ``P = k(k-1)/2``, in ``np.triu_indices(k, 1)``
@@ -254,7 +270,9 @@ def pair_distances_vjp(x, mode, c=1.0, scratch=None):
     order of one whole ``(..., k, k, d)`` tensor, bit for bit.  ``scratch``,
     if given, is a ``(..., k, k)`` array with a zero diagonal that the VJP
     scatters into instead of allocating one; it rewrites every off-diagonal
-    cell, so one array serves every call with the same shape.
+    cell, so one array serves every call with the same shape.  The VJP runs
+    once per forward pass: in Poincare mode it writes over the forward's
+    per-pair arrays, which hold only what it reads.
     """
     k = x.shape[-2]
     ii, jj, flat = pair_index(k)
@@ -286,8 +304,9 @@ def pair_distances_vjp(x, mode, c=1.0, scratch=None):
         def back(g):
             return np.divide(0.5 * g, dist, out=np.zeros(s.shape), where=s > 0.0), None, None
     else:
-        n = np.einsum("...id,...id->...i", x, x)
-        dist, back = _poincare_from_sq(s, n.take(ii, axis=-1), n.take(jj, axis=-1), c)
+        # each row's 1 - c||x||^2, gathered to both ends of its pairs
+        a = 1.0 - c * np.einsum("...id,...id->...i", x, x)
+        dist, back = _poincare_from_sq(s, a.take(ii, axis=-1), a.take(jj, axis=-1), c)
 
     def vjp(g):
         g_s, g_ni, g_nj = back(g)
@@ -309,7 +328,7 @@ def pair_distances_vjp(x, mode, c=1.0, scratch=None):
     return dist, vjp
 
 
-def pair_distances(rows, mode, c=1.0):
+def pair_distances(rows, mode, c):
     """:func:`pair_distances_vjp` on an array or a tape node; one node on the tape."""
     dist, vjp = pair_distances_vjp(ad.val(rows), mode, c)
     return ad.make_node(dist, (rows, vjp))

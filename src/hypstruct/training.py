@@ -148,8 +148,10 @@ def generate_hierarchical_gaussians(spec: SyntheticSpec) -> LabeledDataset:
     rng = np.random.default_rng(np.random.SeedSequence([noise_seed, 1]))
     # one draw, in the order of drawing class by class, view 1 then view 2
     classes = spec.tree.n_classes
-    noise = rng.standard_normal((classes, 2, spec.n_per_leaf, spec.dim))
-    views = centers[:, None, None, :] + spec.noise_sigma * noise
+    views = rng.standard_normal((classes, 2, spec.n_per_leaf, spec.dim))
+    # in place: the same products and sums as centers + noise_sigma * noise
+    views *= spec.noise_sigma
+    views += centers[:, None, None, :]
     return LabeledDataset(views[:, 0].reshape(-1, spec.dim),
                           np.repeat(np.arange(classes), spec.n_per_leaf),
                           view2=views[:, 1].reshape(-1, spec.dim))
@@ -316,7 +318,9 @@ def _batch_gradients(params, dataset, idx, tree, enc, cfg, metric):
     Returns the flat loss's value, whether the CPCC term was skipped, and
     the gradients of the composite objective in the order of ``params``, or
     None when the objective is not finite.  The batch's tape is local to
-    this call and is released when it returns.
+    this call, and ``ad.grad`` frees it as its backward pass walks it: once
+    that returns, only the leaves and the nodes held here (the features,
+    the flat loss, the total) are left, until this call returns.
     """
     xb = dataset.features[idx]
     yb = dataset.labels[idx]

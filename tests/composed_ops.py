@@ -87,7 +87,7 @@ def dist_rows(z1, z2, c):
     return (2.0 / np.sqrt(c)) * atanh(np.sqrt(c) * m)
 
 
-def pair_distances(rows, mode, c=1.0):
+def pair_distances(rows, mode, c):
     # gather both ends of every i < j pair, then the paired distance
     ii, jj = np.triu_indices(ad.val(rows).shape[-2], 1)
     z1, z2 = ad.take(rows, ii, axis=-2), ad.take(rows, jj, axis=-2)
@@ -96,7 +96,7 @@ def pair_distances(rows, mode, c=1.0):
     return ad.sqrt(ad.maximum(geo.sq_norm(z1 - z2), geo._TINY_SQ))
 
 
-def pair_distances_vjp(x, mode, c=1.0):
+def pair_distances_vjp(x, mode, c):
     """``geometry.pair_distances_vjp`` from the whole difference tensor ``D``."""
     k = x.shape[-2]
     ii, jj, flat = geo.pair_index(k)
@@ -109,8 +109,8 @@ def pair_distances_vjp(x, mode, c=1.0):
         def back(g):
             return np.divide(0.5 * g, dist, out=np.zeros(s.shape), where=s > 0.0), None, None
     else:
-        n = np.einsum("...id,...id->...i", x, x)
-        dist, back = geo._poincare_from_sq(s, n.take(ii, axis=-1), n.take(jj, axis=-1), c)
+        a = 1.0 - c * np.einsum("...id,...id->...i", x, x)
+        dist, back = geo._poincare_from_sq(s, a.take(ii, axis=-1), a.take(jj, axis=-1), c)
 
     def vjp(g):
         g_s, g_ni, g_nj = back(g)

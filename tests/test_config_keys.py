@@ -16,11 +16,13 @@ exit with a ConfigError that names the key before it writes any output.  The
 same holds for a value out of range: outside a key's own check, outside a
 field rule of the spec dataclass the command builds from its section, or
 outside a rule the command checks against the data (a batch larger than the
-dataset, an exact delta over too many rows, one ``r`` value per tree level).
-So no value out of range reaches the numerical code below the command line.
+dataset, an exact delta over too many rows, one ``r`` value per tree level),
+and every such rule in cli.py has a case.  So no value out of range reaches
+the numerical code below the command line.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -274,6 +276,16 @@ DATA_RULES = [
      {"block_spec.balanced_level_counts": [1, 2, 5]}, "balanced level counts (2 does not divide 5)"),
     ("spectra", "block_spec.balanced_level_counts", {"block_spec.balanced_level_counts": [1]},
      "balanced level counts (need at least a root level and a leaf level)"),
+    ("spectra", "block_spec.hierarchy",
+     {"block_spec.balanced_level_counts": DELETE, "block_spec.r": [0.5],
+      "block_spec.hierarchy": {"name": "root", "children": [{"name": "a"}]}},
+     "a tree of at least two leaves"),
+    ("spectra", "block_spec.balanced_level_counts",
+     {"block_spec.balanced_level_counts": [1, 1], "block_spec.r": [0.5]},
+     "a tree of at least two leaves"),
+    ("spectra", "features_csv",
+     {"block_spec": DELETE, "hierarchy": TREE, "features_csv": File("label,a,b\nleaf_0,1,2\n")},
+     "a CSV file of at least two data rows"),
     ("spectra", "matrix_csv", {"block_spec": DELETE, "matrix_csv": File("1,a\na,1\n")},
      "a CSV file of equal rows of numbers (could not convert string 'a' to float64"),
     ("spectra", "matrix_csv", {"block_spec": DELETE, "matrix_csv": File("1,0\n0\n")},
@@ -292,3 +304,37 @@ def test_a_value_out_of_range_is_a_config_error_naming_its_key(trained, tmp_path
              for key, value in edits.items()}
     err = rejected(command, edited(command_configs(trained)[command], edits), tmp_path, capsys)
     assert err.startswith(f"error: ConfigError: {dotted}: must be {rule}"), err
+
+
+def template(node, placeholder):
+    """A ``str`` or f-string argument of a call as text, each replacement
+    field (and an argument that is a name) as ``placeholder``."""
+    if isinstance(node, ast.Constant):
+        return [node.value]
+    parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+    return [p.value if isinstance(p, ast.Constant) else placeholder for p in parts]
+
+
+def data_rule_sites():
+    """``(line, key pattern, rule start)`` of every ``_must`` call and
+    ``must_be`` message in cli.py but the key checks of ``Key.cast``: the
+    key as a regex, the rule up to its first replacement field."""
+    tree = ast.parse((ROOT / "src" / "hypstruct" / "cli.py").read_text())
+    inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("cast", "_must") for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and id(node) not in inside
+                and node.func.id in ("_must", "must_be")):
+            key, rule = node.args[0], node.args[2 if node.func.id == "_must" else 1]
+            pattern = "".join(re.escape(p) if p else ".+" for p in template(key, None))
+            yield node.lineno, pattern, "".join(template(rule, "\0")).split("\0")[0]
+
+
+def test_every_data_rule_has_a_case():
+    # a case covers a rule when it names a key of the rule's pattern and its
+    # rule text agrees with the rule's leading text as far as both go
+    sites = list(data_rule_sites())
+    missing = [(line, pattern, start) for line, pattern, start in sites
+               if not any(re.fullmatch(pattern, dotted) and text[:len(start)] == start[:len(text)]
+                          for _, dotted, _, text in DATA_RULES)]
+    assert sites and missing == []

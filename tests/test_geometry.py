@@ -403,9 +403,9 @@ class TestClosePairs:
     @pytest.mark.parametrize("sep", SEPARATIONS)
     def test_l2_kernel_exact_for_close_pairs(self, sep):
         z, r2 = colinear_pair(0.5, sep, 2)
-        got = float(geo.pair_distances(z, "l2")[0])
+        got = float(geo.pair_distances(z, "l2", 1.0)[0])
         assert abs(got - (r2 - 0.5)) <= 1e-15 * (r2 - 0.5)
-        g = weighted_grad(lambda x: geo.pair_distances(x, "l2"), z, np.ones(1))
+        g = weighted_grad(lambda x: geo.pair_distances(x, "l2", 1.0), z, np.ones(1))
         np.testing.assert_allclose(g[:, 0], [-1.0, 1.0], rtol=1e-15, atol=0)
 
 
@@ -421,16 +421,16 @@ class TestCoincidentRows:
         only_tie = np.zeros(lead + (6,))
         only_tie[..., 1] = 1.0
         before = event_totals()
-        out = geo.pair_distances(z, mode)
+        out = geo.pair_distances(z, mode, 1.0)
         assert np.all(out[..., 1] == 0.0)
         assert np.all(out[..., [0, 2, 3, 4, 5]] > 0.0)
         np.testing.assert_array_equal(
-            weighted_grad(lambda x: geo.pair_distances(x, mode), z, only_tie), 0.0)
+            weighted_grad(lambda x: geo.pair_distances(x, mode, 1.0), z, only_tie), 0.0)
         w = np.random.default_rng(26).standard_normal(lead + (6,))
-        g = weighted_grad(lambda x: geo.pair_distances(x, mode), z, w)
+        g = weighted_grad(lambda x: geo.pair_distances(x, mode, 1.0), z, w)
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(
-            g, weighted_grad(lambda x: composed.pair_distances(x, mode), z, w),
+            g, weighted_grad(lambda x: composed.pair_distances(x, mode, 1.0), z, w),
             rtol=0, atol=1e-10)
         assert event_totals() == before
 
@@ -482,16 +482,21 @@ class TestRowBlocks:
     @pytest.mark.parametrize("mode", geo.PAIR_MODES)
     def test_memory_is_bounded_by_pairs_not_by_the_difference_tensor(self, mode):
         # k = 1,111, d = 16: the whole (k, k, d) float64 difference tensor is
-        # 158 MB.  What is left is O(k^2): the P = 616,605 per-pair arrays and
-        # the (k, k) scatter matrix, 71 MB (poincare) and 24 MB (l2) here.
-        # Bound: half the tensor, eight (k, k) float64 matrices.
+        # 158 MB.  What is left is O(k^2): the P = 616,605 per-pair arrays,
+        # the (k, k) scatter matrix and, on a cold cache, the pair index.
+        # Cold, poincare read 70.9 MB while its backward pass allocated its
+        # own temporaries and outputs, and 48.6 MB once it wrote them over the
+        # forward's buffers; l2 reads 23.8 MB (37.9 MB cold).  Bounds, in
+        # (k, k) float64 matrices of 9.4 MB: poincare 5.5 (51.8 MB, 3.2 MB
+        # above its reading), l2 eight, half the tensor.
         k, d = 1111, 16
         rng = np.random.default_rng(27)
         x = 0.8 * geo.exp0(rng.standard_normal((k, d)), 1.0)
         g = rng.standard_normal(k * (k - 1) // 2)
 
         def forward_and_vjp():
-            _, vjp = geo.pair_distances_vjp(x, mode)
+            _, vjp = geo.pair_distances_vjp(x, mode, 1.0)
             vjp(g)
 
-        assert traced_peak_mb(forward_and_vjp) < 8 * k * k * 8 / 2**20
+        matrices = {"poincare": 5.5, "l2": 8}[mode]
+        assert traced_peak_mb(forward_and_vjp) < matrices * k * k * 8 / 2**20

@@ -124,7 +124,7 @@ def centroid_distance(group_a, group_b):
     a, b = np.atleast_2d(group_a), np.atleast_2d(group_b)
     labels = [0] * len(a) + [1] * len(b)
     rows = obj.euclidean_prototype_rows(np.vstack([a, b]), labels, tree, tree.leaf_classes)
-    return float(geo.pair_distances(rows, "l2")[0])
+    return float(geo.pair_distances(rows, "l2", 1.0)[0])
 
 
 class TestL2DatasetDistance:

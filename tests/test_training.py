@@ -1,6 +1,7 @@
 """Synthetic data generation, the training loop, and direct tree embedding."""
 
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -507,8 +508,8 @@ def test_train_holds_one_batch_tape_at_a_time(tree, monkeypatch, flat_loss):
     # that __init__ added and __del__ has not yet removed.  A node without
     # parents is a leaf; the first leaf after a non-leaf starts a batch.
     alive, at_batch_start, at_epoch_metrics = set(), [], []
-    in_leaves, most_alive = False, 0
-    node_init, epoch_metrics = ad.Node.__init__, tr.epoch_metrics
+    in_leaves, most_alive, after_grad = False, 0, []
+    node_init, epoch_metrics, grad = ad.Node.__init__, tr.epoch_metrics, ad.grad
 
     def spy_init(self, value, parents=()):
         nonlocal in_leaves, most_alive
@@ -526,9 +527,18 @@ def test_train_holds_one_batch_tape_at_a_time(tree, monkeypatch, flat_loss):
         at_epoch_metrics.append(len(alive))
         return epoch_metrics(*args, **kwargs)
 
+    def spy_grad(out, wrt):
+        # grad consumes the tape: once it returns, the nodes still alive are
+        # the leaves and the nodes _batch_gradients' own variables hold
+        result = grad(out, wrt)
+        held = [v for v in sys._getframe(1).f_locals.values() if isinstance(v, ad.Node)]
+        after_grad.append((alive == {id(n) for n in [*wrt, *held]}, len(held)))
+        return result
+
     monkeypatch.setattr(ad.Node, "__init__", spy_init)
     monkeypatch.setattr(ad.Node, "__del__", spy_del, raising=False)
     monkeypatch.setattr(tr, "epoch_metrics", spy_epoch_metrics)
+    monkeypatch.setattr(ad, "grad", spy_grad)
     enc = tr.EncoderSpec(input_dim=8, hidden_dim=8, output_dim=4, seed=1)
     cfg = obj.ObjectiveConfig(flat_loss=flat_loss)
     tr.train(small_dataset(tree), tree, enc, cfg, tr.TrainConfig(epochs=2, batch_size=32, seed=2))
@@ -537,6 +547,23 @@ def test_train_holds_one_batch_tape_at_a_time(tree, monkeypatch, flat_loss):
     assert at_batch_start == [0] * 8
     assert at_epoch_metrics == [0, 0]
     assert most_alive > len(tr.param_shapes(enc, cfg, tree.n_classes))
+    # the features, the flat loss and the total
+    assert after_grad == [(True, 3)] * 8
+
+
+def test_one_step_holds_only_what_its_remaining_vjps_need():
+    # batch 512, hidden 256, output 64 on the CIFAR-100-shaped tree: this call
+    # read 12.69 MB traced while grad kept the whole tape to its end, and
+    # 8.29 MB once it frees each node's closures and gradient as it goes
+    tree = hi.balanced_tree((1, 20, 100))
+    ds = tr.generate_hierarchical_gaussians(
+        tr.SyntheticSpec(tree=tree, dim=32, n_per_leaf=20, seed=1))
+    enc = tr.EncoderSpec(input_dim=32, hidden_dim=256, output_dim=64, seed=2)
+    cfg = obj.ObjectiveConfig(cpcc_distance="poincare")
+    params = tr.init_params(tr.param_shapes(enc, cfg, tree.n_classes), enc.seed)
+    idx = np.random.default_rng(0).permutation(ds.n)[:512]
+    metric = hi.tree_metric(tree)
+    assert traced_peak_mb(tr._batch_gradients, params, ds, idx, tree, enc, cfg, metric) < 10.0
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp_1hidden"])
