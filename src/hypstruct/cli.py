@@ -4,10 +4,10 @@ Subcommands: embed-tree, train, eval, spectra, oodsim.  Each takes a JSON
 config (--config), an output directory (--out), and an optional --seed that
 overrides the config seed.  ``hypstruct <command> --help`` lists the
 command's config keys and their defaults; a key the command does not know is
-an error.  Every run materializes its fully-resolved config (defaults
-included) into the output directory and into each emitted JSON, so a rerun
-never depends on built-in defaults drifting: fed back through --config, that
-config gives the same artifacts.  Fixed seeds give byte-identical artifacts.
+an error.  Only once a command has finished are --out, its artifacts and
+resolved_config.json written, so a failed command writes nothing.  That file,
+like each JSON artifact, holds the config with every default filled in: fed
+back through --config, it reruns to byte-identical artifacts.
 
 Config values are strictly typed: an int key takes an integer or an integral
 float (kept as an int), a float key any number (kept as a float), a bool key
@@ -304,6 +304,19 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray):
                 f.write(line)
 
 
+def _write_run(out: Path, cfg: dict, files: dict):
+    """Make ``out`` and write into it the resolved config and a command's ``files``."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
+    for name, content in files.items():
+        if isinstance(content, dict):
+            _write_json(out / name, content, cfg)
+        elif isinstance(content, np.ndarray):
+            _write_matrix_csv(out / name, content)
+        else:
+            (out / name).write_text(content)
+
+
 def load_hierarchy(spec) -> LabelTree:
     """Accept 'builtin:cifar10', a path to a JSON document, or an inline tree."""
     if isinstance(spec, dict):
@@ -343,18 +356,16 @@ def _objective(doc, path="objective") -> ObjectiveConfig:
 
 # embed-tree ------------------------------------------------------------------
 
-def cmd_embed_tree(cfg: dict, out: Path) -> int:
+def cmd_embed_tree(cfg: dict) -> dict:
     tree = load_hierarchy(cfg["hierarchy"])
     dim, c = cfg["dim"], cfg["curvature"]
     objective = _spec(ObjectiveConfig, {"c": c, "tree_scope": cfg["tree_scope"]})
     budget = _spec(EmbedBudget, {**{k: cfg[k] for k in EMBED_BUDGET_KEYS}, "seed": cfg["seed"]})
-    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     metric = tree_metric(tree)
-    results = {}
+    results, files = {}, {}
     for mode in ("poincare", "l2"):
-        res = tr.embed_tree_direct(tree, dim, mode, objective, budget)
-        results[mode] = res
+        res = results[mode] = tr.embed_tree_direct(tree, dim, mode, objective, budget)
         # every pair i < j of the sorted vertex ids, in pair_index order
         vertices = np.array(sorted(res.coords))
         ii, jj, _ = geo.pair_index(len(vertices))
@@ -368,27 +379,26 @@ def cmd_embed_tree(cfg: dict, out: Path) -> int:
         u, v = vertices[ii], vertices[jj]
         tree_d = metric[u, v]
         rows = zip((tree.names[a] for a in u), (tree.names[b] for b in v), tree_d, emb_d)
-        (out / f"pairs_{mode}.csv").write_text(
-            _csv_text([("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows]))
-        (out / f"scatter_{mode}.svg").write_text(
-            svg.scatter_svg(tree_d, emb_d, xlabel="tree metric", ylabel=f"{mode} distance",
-                            title=f"{mode} embedding, CPCC={res.cpcc:.4f}"))
+        files[f"pairs_{mode}.csv"] = _csv_text(
+            [("vertex_a", "vertex_b", "tree_dist", "embedded_dist"), *rows])
+        files[f"scatter_{mode}.svg"] = svg.scatter_svg(
+            tree_d, emb_d, xlabel="tree metric", ylabel=f"{mode} distance",
+            title=f"{mode} embedding, CPCC={res.cpcc:.4f}")
     if dim == 2:
         named = [(tree.names[v], xy) for v, xy in sorted(results["poincare"].coords.items())]
-        (out / "poincare_disk.svg").write_text(
-            svg.disk_svg(named, title="Poincare-disk tree embedding"))
-    _write_json(out / "cpcc.json", {
+        files["poincare_disk.svg"] = svg.disk_svg(named, title="Poincare-disk tree embedding")
+    files["cpcc.json"] = {
         "poincare_cpcc": results["poincare"].cpcc,
         "l2_cpcc": results["l2"].cpcc,
         "poincare_per_restart": results["poincare"].per_restart,
         "l2_per_restart": results["l2"].per_restart,
-    }, cfg)
-    return EXIT_OK
+    }
+    return files
 
 
 # train -----------------------------------------------------------------------
 
-def cmd_train(cfg: dict, out: Path) -> int:
+def cmd_train(cfg: dict) -> dict:
     tree = load_hierarchy(cfg["hierarchy"])
     dataset = _dataset(cfg, "dataset", tree)
     cfg["encoder"] = _checked(cfg["encoder"], ENCODER_KEYS, "encoder", cfg["seed"],
@@ -409,25 +419,18 @@ def cmd_train(cfg: dict, out: Path) -> int:
           "'cross_entropy' on a csv dataset, which has one view per sample", objective.flat_loss)
     if objective.flat_loss != "supcon":
         dataset.view2 = None  # only SupCon reads the second view
-    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     result = tr.train(dataset, tree, enc, objective, tc)
-    (out / "history.csv").write_text(
-        _csv_text([("epoch", "flat", "cpcc", "center", "lr"), *map(astuple, result.history)]))
-    checkpoint = {
-        "params": {k: v.tolist() for k, v in result.params.items()},
-        **{k: cfg[k] for k in ("encoder", "objective", "train")},
-    }
-    _write_json(out / "checkpoint.json", checkpoint, cfg)
     last = result.history[-1]
-    _write_json(out / "summary.json", {
-        "final_flat": last.flat,
-        "final_cpcc": last.cpcc,
-        "final_center": last.center,
-        "skipped_cpcc_steps": result.skipped_cpcc_steps,
-        "epochs": tc.epochs,
-    }, cfg)
-    return EXIT_OK
+    return {
+        "history.csv": _csv_text([("epoch", "flat", "cpcc", "center", "lr"),
+                                  *map(astuple, result.history)]),
+        "checkpoint.json": {"params": {k: v.tolist() for k, v in result.params.items()},
+                            **{k: cfg[k] for k in ("encoder", "objective", "train")}},
+        "summary.json": {"final_flat": last.flat, "final_cpcc": last.cpcc,
+                         "final_center": last.center, "epochs": tc.epochs,
+                         "skipped_cpcc_steps": result.skipped_cpcc_steps},
+    }
 
 
 def load_checkpoint(path):
@@ -466,7 +469,7 @@ def load_checkpoint(path):
 
 # eval ------------------------------------------------------------------------
 
-def cmd_eval(cfg: dict, out: Path) -> int:
+def cmd_eval(cfg: dict) -> dict:
     tree = load_hierarchy(cfg["hierarchy"])
     cfg["delta"] = delta = _checked(cfg["delta"], DELTA_KEYS, "delta", cfg["seed"])
     params, enc, objective = load_checkpoint(cfg["checkpoint"])
@@ -477,7 +480,6 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     if run_mode == "auto":
         run_mode = "exact" if eval_ds.n <= dg.AUTO_EXACT_DELTA_MAX_N else "sampled"
     _spec(dg.check_delta_mode, {"mode": run_mode, "k": delta["k"], "n": eval_ds.n}, "delta")
-    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     feats_train = tr.encode_rows(params, enc, train_ds.features)
     feats_eval = tr.encode_rows(params, enc, eval_ds.features)
@@ -495,7 +497,7 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     fine_acc, coarse_acc = dg.knn_accuracies(feats_train, train_ds.labels, feats_eval,
                                              eval_ds.labels, tree,
                                              k=min(cfg["knn_k"], feats_train.shape[0]))
-    _write_json(out / "metrics.json", {
+    files = {"metrics.json": {
         "delta_rel": delta_rel,
         "test_cpcc": cpcc_val,
         "test_cpcc_clamped_pairs": clamped_pairs,
@@ -503,16 +505,16 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         "knn_coarse_accuracy": coarse_acc,
         "delta_mode": run_mode,
         "n_eval": int(eval_ds.n),
-    }, cfg)
+    }}
     if cfg["gram_csv"]:
         # headerless, so that spectra's matrix_csv reads it back with np.loadtxt
-        _write_matrix_csv(out / "gram.csv", sp.gram_matrix(feats_eval, eval_ds.labels, tree))
-    return EXIT_OK
+        files["gram.csv"] = sp.gram_matrix(feats_eval, eval_ds.labels, tree)
+    return files
 
 
 # spectra ---------------------------------------------------------------------
 
-def cmd_spectra(cfg: dict, out: Path) -> int:
+def cmd_spectra(cfg: dict) -> dict:
     closed = None
     source = _one_of(cfg, ("block_spec", "features_csv", "matrix_csv"), "")
     if "hierarchy" in cfg and source != "features_csv":
@@ -552,25 +554,24 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
                                       cfg["matrix_csv"])) from None
 
     numerical = sp.numerical_eigenvalues(K)
-    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     def spectrum_rows(spectrum):
         groups = np.repeat(np.arange(len(spectrum.values)), spectrum.multiplicities)
         return [(rank, spectrum.values[g], int(g)) for rank, g in enumerate(groups, 1)]
 
     header = ("rank", "eigenvalue", "multiplicity_group")
-    (out / "spectrum_numerical.csv").write_text(_csv_text([header, *spectrum_rows(numerical)]))
+    files = {"spectrum_numerical.csv": _csv_text([header, *spectrum_rows(numerical)])}
     discrepancy = None
     if closed is not None:
-        (out / "spectrum_closed.csv").write_text(_csv_text([header, *spectrum_rows(closed)]))
+        files["spectrum_closed.csv"] = _csv_text([header, *spectrum_rows(closed)])
         discrepancy = float(np.max(np.abs(closed.expand() - numerical.expand())))
     transitions = sp.phase_transition_detect(numerical, top_k=cfg["top_k"])
-    _write_json(out / "report.json", {
+    files["report.json"] = {
         "max_abs_discrepancy": discrepancy,
         "transitions": [{"position": p, "relative_drop": d} for p, d in transitions],
         "n": numerical.order,
-    }, cfg)
-    return EXIT_OK
+    }
+    return files
 
 
 # oodsim ----------------------------------------------------------------------
@@ -589,7 +590,7 @@ def _far_cluster(doc, id_train: LabeledDataset):
     return center + sigma * rng.standard_normal((doc["n"], x.shape[1]))
 
 
-def cmd_oodsim(cfg: dict, out: Path) -> int:
+def cmd_oodsim(cfg: dict) -> dict:
     tree = load_hierarchy(cfg["hierarchy"])
     id_train = _dataset(cfg, "id_train", tree)
     id_eval = _dataset(cfg, "id_eval", tree)
@@ -614,7 +615,6 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
         checkpoints[method] = params, enc, _ = load_checkpoint(ckpt)
         _must(f"methods.{method}", dims == {enc.input_dim},
               f"a checkpoint of the data's feature dimension {sorted(dims)}", enc.input_dim)
-    _write_json(out / "resolved_config.json", {"resolved": True}, cfg)
 
     table = {}
     hist_rows = []
@@ -634,10 +634,8 @@ def cmd_oodsim(cfg: dict, out: Path) -> int:
     payload = {"auroc": table}
     if len(table) >= 2:
         payload["borda"] = dg.borda_count(table)
-    _write_json(out / "auroc.json", payload, cfg)
-    (out / "score_histograms.csv").write_text(_csv_text(
-        [("method", "ood_set", "bin_left", "bin_right", "id_count", "ood_count"), *hist_rows]))
-    return EXIT_OK
+    return {"auroc.json": payload, "score_histograms.csv": _csv_text(
+        [("method", "ood_set", "bin_left", "bin_right", "id_count", "ood_count"), *hist_rows])}
 
 
 def _histogram_rows(method, name, id_scores, ood_scores):
@@ -680,6 +678,9 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        _must("--out", existing.is_dir() and os.access(existing, os.W_OK | os.X_OK),
+              "a writable directory or a new path under one", str(args.out))
         config = {}
         if args.config is not None:
             if not args.config.exists():
@@ -691,8 +692,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = {**Key(dict).cast(config, "config"), "seed": args.seed}
         cfg = _checked(config, COMMAND_KEYS[args.command])
-        args.out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out)
+        _write_run(args.out, cfg, COMMANDS[args.command](cfg))
+        return EXIT_OK
     except HypstructError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DIVERGED if isinstance(e, DivergedError) else EXIT_ERROR
@@ -707,9 +708,9 @@ def run():
     Ends the process with ``os._exit`` once ``main`` returns, which skips
     interpreter teardown: module finalization, mostly numpy's, that takes
     30-40 ms per command and that a finished command does not need.  It is
-    safe because every artifact has been written through a file that is
-    closed by then, and both streams are flushed here.  An exception, or
-    argparse's SystemExit, leaves by the normal exit.
+    safe because ``_write_run`` has closed every file before ``main`` returns,
+    and both streams are flushed here.  An exception, or argparse's
+    SystemExit, leaves by the normal exit.
     """
     code = main()
     sys.stdout.flush()

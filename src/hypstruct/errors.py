@@ -65,9 +65,11 @@ class ClassWithoutPositive(HypstructError):
 # training
 
 class DivergedError(HypstructError):
-    """Training produced a non-finite loss.  The message also counts the
-    run's atanh clamps and ball-clip rescales so far: a run that diverged
-    at the ball's boundary shows them."""
+    """Training produced a non-finite loss.  The message names the epoch and
+    batch and counts the run's atanh clamps and ball-clip rescales so far,
+    which show a run that diverged at the ball's boundary.  The CLI writes
+    nothing of a diverged run: a rerun of its config reproduces it.  The step
+    keeps numpy's overflow warnings (no np.errstate): tests make them errors."""
 
     def __init__(self, epoch, batch, atanh_clamps, clip_rescales):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch} "

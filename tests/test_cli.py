@@ -258,16 +258,6 @@ def test_malformed_config_json_is_an_error(tmp_path, capsys):
     assert "bad config JSON" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_train_exits_with_the_diverged_code(tmp_path, capsys):
-    config = dict(TRAIN, objective={"variant": "flat"},
-                  train={"epochs": 50, "batch_size": 16, "lr0": 1e12, "weight_decay": 0.0})
-    path = tmp_path / "diverge.json"
-    path.write_text(json.dumps(config))
-    assert run_code("train", path, tmp_path) == cli.EXIT_DIVERGED
-    assert "DivergedError" in capsys.readouterr().err
-
-
 def oodsim_config(trained):
     return {"hierarchy": TREE, "seed": 3, "methods": {"method": str(trained / "checkpoint.json")},
             "id_train": DATA, "id_eval": {"synthetic": {"n_per_leaf": 5, "dim": 4}},
@@ -359,8 +349,7 @@ def test_eval_rejects_a_sampled_delta_without_quadruples(trained, tmp_path, caps
     assert run_code("eval", path, tmp_path) == cli.EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
     # rejected before any output is written
-    assert not (tmp_path / "out" / "resolved_config.json").exists()
-    assert not (tmp_path / "out" / "metrics.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_auto_delta_that_resolves_to_exact_ignores_k(trained, tmp_path):
@@ -447,7 +436,7 @@ def rejected(command, config, tmp_path, capsys, *args):
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(config_path), "--out", str(out),
                      *args]) == cli.EXIT_ERROR
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
     return capsys.readouterr().err
 
 
@@ -492,6 +481,46 @@ def test_a_negative_seed_override_is_a_config_error_before_any_output(trained, t
     err = rejected(command, command_configs(trained)[command], tmp_path, capsys,
                    "--seed", "-1")
     assert err == "error: ConfigError: seed: must be a nonnegative integer, got -1\n"
+
+
+DIVERGES = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("command,config,code,message", [
+    pytest.param("train", dict(TRAIN, objective={"variant": "flat"},
+                               train={"epochs": 50, "batch_size": 16, "lr0": 1e12,
+                                      "weight_decay": 0.0}),
+                 cli.EXIT_DIVERGED, "DivergedError: non-finite loss at epoch ",
+                 marks=DIVERGES, id="diverged_flat"),
+    pytest.param("train", edited(TRAIN, {"train.lr0": 1e30, "train.batch_size": 4}),
+                 cli.EXIT_DIVERGED, "DivergedError: non-finite loss at epoch 0, batch ",
+                 marks=DIVERGES, id="diverged_hypstructure"),
+    pytest.param("embed-tree", {"hierarchy": {"name": "root", "children": [{"name": "a"},
+                                                                          {"name": "b"}]},
+                                "tree_scope": "leaf_only"},
+                 cli.EXIT_ERROR, "InsufficientVertices: ", id="two_leaves_leaf_only"),
+])
+def test_a_run_that_fails_after_its_checks_writes_nothing(tmp_path, capsys, command, config,
+                                                          code, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_code(command, path, tmp_path) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error_before_any_work(tmp_path, capsys,
+                                                                            out):
+    (tmp_path / "afile").write_text("kept")
+    config = tmp_path / "spectra.json"
+    config.write_text(json.dumps({"block_spec": {"balanced_level_counts": [1, 2], "r": [0.5]}}))
+    out = tmp_path / out
+    assert cli.main(["spectra", "--config", str(config), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == ("error: ConfigError: --out: must be a writable directory "
+                                       f"or a new path under one, got '{out}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "spectra.json"]
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 def test_write_json_streams_the_bytes_of_one_indented_dump(tmp_path):
@@ -664,7 +693,7 @@ def test_a_non_finite_csv_feature_is_an_error_before_any_output(trained, tmp_pat
     assert run_code(command, config_path, tmp_path) == cli.EXIT_ERROR
     assert (f"error: ValidationError: {path}, {CSV_FAULTS[str(bad)]}"
             in capsys.readouterr().err)
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_with_a_removed_objective_key_is_a_config_error(trained, tmp_path):
@@ -725,7 +754,7 @@ def test_oodsim_checks_every_checkpoint_before_any_output(trained, tmp_path, cap
     config_path.write_text(json.dumps(config))
     assert run_code("oodsim", config_path, tmp_path) == cli.EXIT_ERROR
     assert message in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
@@ -737,7 +766,7 @@ def test_eval_checks_its_checkpoint_before_any_output(trained, tmp_path, capsys,
     assert run_code("eval", config_path, tmp_path) == cli.EXIT_ERROR
     assert (f"error: ConfigError: {path}: {CHECKPOINT_FAULTS[fault]}"
             in capsys.readouterr().err)
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_oodsim_reads_its_in_distribution_sets_from_csv(trained, tmp_path):

@@ -290,6 +290,9 @@ DATA_RULES = [
      "a CSV file of equal rows of numbers (could not convert string 'a' to float64"),
     ("spectra", "matrix_csv", {"block_spec": DELETE, "matrix_csv": File("1,0\n0\n")},
      "a CSV file of equal rows of numbers (the number of columns changed"),
+    # an edit named like a command-line option is passed as that option
+    ("spectra", "--out", {"--out": File("not a directory")},
+     "a writable directory or a new path under one"),
 ]
 
 
@@ -302,7 +305,10 @@ def test_a_value_out_of_range_is_a_config_error_naming_its_key(trained, tmp_path
     assert NO_WRONG_VALUES not in edits.values(), f"no out-of-range value for {dotted}"
     edits = {key: value.write(tmp_path) if isinstance(value, File) else value
              for key, value in edits.items()}
-    err = rejected(command, edited(command_configs(trained)[command], edits), tmp_path, capsys)
+    args = [arg for key, value in edits.items() if key.startswith("--") for arg in (key, value)]
+    config = edited(command_configs(trained)[command],
+                    {key: value for key, value in edits.items() if not key.startswith("--")})
+    err = rejected(command, config, tmp_path, capsys, *args)
     assert err.startswith(f"error: ConfigError: {dotted}: must be {rule}"), err
 
 
